@@ -59,8 +59,8 @@ func (s Stats) MissRatio() float64 {
 //
 // State is kept in flat arrays indexed by set*assoc+way rather than
 // per-set slices: the lookup is on the simulator's per-instruction path
-// (every fetch and every data access goes through Access), and the flat
-// layout removes a pointer chase and two bounds checks per probe.
+// (every fetch and every data access goes through Read or Write), and the
+// flat layout removes a pointer chase and two bounds checks per probe.
 type Cache struct {
 	cfg      Config
 	sets     int
@@ -75,12 +75,22 @@ type Cache struct {
 	lru   []uint64
 	clock uint64
 	stats Stats
+
+	// last is the line of the most recent access, or noLine. That line is
+	// resident and holds the newest LRU stamp of its set, so Read and
+	// Write count another access to it as a hit with no lookup: stamping
+	// it again would leave the order of every set unchanged.
+	last uint64
 }
 
-// New builds a cache from cfg. It panics on a non-power-of-two geometry,
-// which is a configuration error.
+// noLine is never a line number: lines are at least 8 bytes, so
+// addr>>lineBits is below 1<<61.
+const noLine = ^uint64(0)
+
+// New builds a cache from cfg. It panics on a non-power-of-two geometry or
+// on lines narrower than one 8-byte word, which are configuration errors.
 func New(cfg Config) *Cache {
-	if cfg.Assoc <= 0 || cfg.LineBytes <= 0 || cfg.SizeBytes <= 0 {
+	if cfg.Assoc <= 0 || cfg.LineBytes < 8 || cfg.SizeBytes <= 0 {
 		panic(fmt.Sprintf("cache %s: invalid config %+v", cfg.Name, cfg))
 	}
 	lines := cfg.SizeBytes / cfg.LineBytes
@@ -99,6 +109,7 @@ func New(cfg Config) *Cache {
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
 		tagShift: uint(setBits(sets)),
+		last:     noLine,
 	}
 	c.tags = make([]uint64, sets*cfg.Assoc)
 	c.valid = make([]bool, sets*cfg.Assoc)
@@ -122,6 +133,7 @@ func (c *Cache) Flush() {
 	}
 	c.stats = Stats{}
 	c.clock = 0
+	c.last = noLine
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {
@@ -144,6 +156,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	set := int(line & c.setMask)
 	tag := line >> c.tagShift
 	c.clock++
+	c.last = line
 	if c.assoc == 1 {
 		// Direct-mapped fast path (the default L1D): one compare, no LRU
 		// bookkeeping — the single way is always the victim.
@@ -200,11 +213,25 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	return false
 }
 
-// Read is Access(addr, false).
-func (c *Cache) Read(addr uint64) bool { return c.Access(addr, false) }
+// Read is Access(addr, false). A read of the line accessed last hits
+// without a lookup.
+func (c *Cache) Read(addr uint64) bool {
+	if addr>>c.lineBits == c.last {
+		c.stats.ReadHits++
+		return true
+	}
+	return c.Access(addr, false)
+}
 
-// Write is Access(addr, true).
-func (c *Cache) Write(addr uint64) bool { return c.Access(addr, true) }
+// Write is Access(addr, true). A write to the line accessed last hits
+// without a lookup.
+func (c *Cache) Write(addr uint64) bool {
+	if addr>>c.lineBits == c.last {
+		c.stats.WriteHits++
+		return true
+	}
+	return c.Access(addr, true)
+}
 
 // Contains reports whether addr's line is currently cached (no statistics
 // side effects); used by tests.

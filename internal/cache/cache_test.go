@@ -88,12 +88,13 @@ func TestFlush(t *testing.T) {
 }
 
 // referenceCache is a naive fully-explicit model used to cross-check the
-// optimized implementation.
+// optimized implementation, including its statistics.
 type referenceCache struct {
 	sets     int
 	assoc    int
 	lineBits uint
 	lines    [][]uint64 // per set, MRU first
+	stats    Stats
 }
 
 func newReference(cfg Config) *referenceCache {
@@ -106,7 +107,22 @@ func newReference(cfg Config) *referenceCache {
 	return r
 }
 
-func (r *referenceCache) access(addr uint64) bool {
+func (r *referenceCache) access(addr uint64, write bool) bool {
+	hit := r.lookup(addr)
+	switch {
+	case hit && write:
+		r.stats.WriteHits++
+	case hit:
+		r.stats.ReadHits++
+	case write:
+		r.stats.WriteMisses++
+	default:
+		r.stats.ReadMisses++
+	}
+	return hit
+}
+
+func (r *referenceCache) lookup(addr uint64) bool {
 	line := addr >> r.lineBits
 	set := int(line % uint64(r.sets))
 	ways := r.lines[set]
@@ -125,36 +141,66 @@ func (r *referenceCache) access(addr uint64) bool {
 	return false
 }
 
+func (r *referenceCache) flush() {
+	r.lines = make([][]uint64, r.sets)
+	r.stats = Stats{}
+}
+
 // TestAgainstReferenceModel drives both implementations with random access
-// streams over several geometries and demands identical hit/miss behaviour.
+// streams over several geometries and demands identical hit/miss behaviour
+// and statistics. The streams go through Read, Write and Access (the L2
+// path) and repeat lines in runs, as instruction fetch does, so the
+// last-line fast path of Read and Write is exercised alongside full
+// lookups; an occasional Flush must reset that fast path too.
 func TestAgainstReferenceModel(t *testing.T) {
 	configs := []Config{
 		{Name: "dm", SizeBytes: 1024, LineBytes: 32, Assoc: 1},
 		{Name: "2w", SizeBytes: 2048, LineBytes: 32, Assoc: 2},
 		{Name: "4w", SizeBytes: 4096, LineBytes: 64, Assoc: 4},
 		DefaultL1D,
+		DefaultL1I,
 	}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		for _, cfg := range configs {
 			c := New(cfg)
 			ref := newReference(cfg)
-			for i := 0; i < 2000; i++ {
-				// Biased address stream: mostly a small working set plus
-				// occasional far misses.
-				var addr uint64
-				if rng.Intn(4) == 0 {
+			var addr uint64
+			for i := 0; i < 4000; i++ {
+				switch r := rng.Intn(8); {
+				case r < 3:
+					// Stay on the same line, as sequential fetch does.
+					addr = addr&^uint64(cfg.LineBytes-1) | uint64(rng.Intn(cfg.LineBytes))
+				case r == 3:
+					// Far access: mostly misses.
 					addr = uint64(rng.Intn(1 << 20))
-				} else {
+				default:
+					// Small working set of a few cache sizes.
 					addr = uint64(rng.Intn(4 * cfg.SizeBytes))
 				}
 				addr &^= 7
 				write := rng.Intn(3) == 0
-				got := c.Access(addr, write)
-				want := ref.access(addr)
+				var got bool
+				switch {
+				case rng.Intn(4) == 0:
+					got = c.Access(addr, write)
+				case write:
+					got = c.Write(addr)
+				default:
+					got = c.Read(addr)
+				}
+				want := ref.access(addr, write)
 				if got != want {
 					t.Logf("seed %d cfg %s access %d addr %#x: got hit=%v want %v", seed, cfg.Name, i, addr, got, want)
 					return false
+				}
+				if c.Stats() != ref.stats {
+					t.Logf("seed %d cfg %s access %d: stats %+v, want %+v", seed, cfg.Name, i, c.Stats(), ref.stats)
+					return false
+				}
+				if rng.Intn(1000) == 0 {
+					c.Flush()
+					ref.flush()
 				}
 			}
 		}

@@ -37,7 +37,7 @@ type procAgg struct {
 	procID   int
 	name     string
 	numPaths int64
-	k        int // effective iteration degree; 0 in classic profiles
+	k        int         // effective iteration degree; 0 in classic profiles
 	index    *flat.Table // path sum -> row
 	sums     []int64
 	freqs    []uint64

@@ -151,20 +151,20 @@ type Collector struct {
 	draining bool
 	inflight sync.WaitGroup
 
-	ingestedProfiles atomic.Uint64
-	ingestedCCTs     atomic.Uint64
-	ingestedFrames   atomic.Uint64
-	ingestedBytes    atomic.Uint64
-	rejectedBusy     atomic.Uint64
-	rejectedQueue    atomic.Uint64
-	rejectedTooBig   atomic.Uint64
-	rejectedTimeout  atomic.Uint64
+	ingestedProfiles  atomic.Uint64
+	ingestedCCTs      atomic.Uint64
+	ingestedFrames    atomic.Uint64
+	ingestedBytes     atomic.Uint64
+	rejectedBusy      atomic.Uint64
+	rejectedQueue     atomic.Uint64
+	rejectedTooBig    atomic.Uint64
+	rejectedTimeout   atomic.Uint64
 	rejectedBad       atomic.Uint64
 	rejectedConflict  atomic.Uint64
 	rejectedStoreFull atomic.Uint64
 	rejectedDraining  atomic.Uint64
-	inflightCount    atomic.Int64
-	queueDepth       atomic.Int64
+	inflightCount     atomic.Int64
+	queueDepth        atomic.Int64
 }
 
 // New creates a collector with cfg (zero fields defaulted).

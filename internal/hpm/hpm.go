@@ -87,6 +87,17 @@ const writeLatency = 3
 // mask is a uint32).
 const MaxCounters = 32
 
+// lazyEvents are the events every simulated instruction charges. Count
+// adds them to their shadow totals only; sync carries the growth since the
+// last sync into the PICs that select them, and runs before anything
+// reads, overwrites or reselects a PIC. A 32-bit counter wraps the same
+// whether increments arrive one at a time or summed, so every PIC value
+// observed is exactly what counting each occurrence eagerly gives.
+var lazyEvents = [...]Event{EvInsts, EvCycles}
+
+// isLazy reports whether ev is one of lazyEvents.
+func isLazy(ev Event) bool { return ev == EvInsts || ev == EvCycles }
+
 // Unit is the performance monitor: K selectable 32-bit PICs plus full
 // 64-bit shadow totals for every event (the shadow totals stand in for the
 // paper's periodic-sampling baseline measurements of uninstrumented runs).
@@ -101,6 +112,10 @@ type Unit struct {
 	picMask [NumEvents]uint32
 
 	totals [NumEvents]uint64
+
+	// synced[ev], for each lazy event, is the shadow total its PICs were
+	// last brought up to.
+	synced [NumEvents]uint64
 
 	// Buffered write state (see package comment). At most one pair write is
 	// pending at a time; a write to a different pair drains the old one.
@@ -138,6 +153,7 @@ func (u *Unit) NumCounters() int { return len(u.pic) }
 // register): counter i counts events[i]. Counters beyond len(events) are
 // deselected; events beyond the bank width are ignored.
 func (u *Unit) SelectAll(events []Event) {
+	u.sync()
 	for i := range u.sel {
 		if i < len(events) {
 			u.sel[i] = events[i]
@@ -183,8 +199,12 @@ func matches(sel, ev Event) bool {
 }
 
 // Count records n occurrences of ev. The 32-bit PICs wrap silently.
+// Occurrences of lazyEvents reach the PICs at the next sync.
 func (u *Unit) Count(ev Event, n uint64) {
 	u.totals[ev] += n
+	if isLazy(ev) {
+		return
+	}
 	if ev == EvDCacheReadMiss || ev == EvDCacheWriteMiss {
 		u.totals[EvDCacheMiss] += n
 	}
@@ -204,12 +224,31 @@ func (u *Unit) Retire() {
 	}
 }
 
+// applyPending drains the buffered write. It stays out of line so that
+// Retire, which runs once per simulated instruction, inlines.
+//
+//go:noinline
 func (u *Unit) applyPending() {
 	u.setPair(u.pendingPair, u.pendingVal)
 	u.pendingWrite = false
 }
 
+// sync brings every PIC that selects a lazy event up to date.
+func (u *Unit) sync() {
+	for _, ev := range lazyEvents {
+		d := uint32(u.totals[ev] - u.synced[ev])
+		u.synced[ev] = u.totals[ev]
+		for m := u.picMask[ev]; m != 0; m &= m - 1 {
+			u.pic[bits.TrailingZeros32(m)] += d
+		}
+	}
+}
+
+// setPair overwrites pair p. Lazy events counted before the write land in
+// the old values first, so a buffered write still loses the events of its
+// window (see WritePair).
 func (u *Unit) setPair(p int, v uint64) {
+	u.sync()
 	u.pic[2*p] = uint32(v)
 	if 2*p+1 < len(u.pic) {
 		u.pic[2*p+1] = uint32(v >> 32)
@@ -250,24 +289,13 @@ func (u *Unit) ReadPair(p int) uint64 {
 	if 2*p >= len(u.pic) {
 		panic(fmt.Sprintf("hpm: read of counter pair %d on a %d-counter bank", p, len(u.pic)))
 	}
+	u.sync()
 	v := uint64(u.pic[2*p])
 	if 2*p+1 < len(u.pic) {
 		v |= uint64(u.pic[2*p+1]) << 32
 	}
 	return v
 }
-
-// Write sets counter pair 0 from one 64-bit value (PIC0 low, PIC1 high).
-//
-// Deprecated: pair-packed access exists for the classic two-counter
-// instrumentation; new code should use WriteAll (or WritePair with an
-// explicit pair index).
-func (u *Unit) Write(v uint64) { u.WritePair(0, v) }
-
-// Read returns counter pair 0 as one 64-bit value.
-//
-// Deprecated: see Write; new code should use ReadAll or ReadPair.
-func (u *Unit) Read() uint64 { return u.ReadPair(0) }
 
 // ReadAll copies every counter into dst (allocating when dst is too short),
 // forcing any buffered write to complete first. It returns the filled
@@ -280,6 +308,7 @@ func (u *Unit) ReadAll(dst []uint32) []uint32 {
 		dst = make([]uint32, len(u.pic))
 	}
 	dst = dst[:len(u.pic)]
+	u.sync()
 	copy(dst, u.pic)
 	return dst
 }
@@ -300,16 +329,8 @@ func (u *Unit) WriteAll(vals []uint32) {
 	}
 }
 
-// Split decomposes a packed pair reading into (low, high) counters.
-//
-// Deprecated: pair-packed access exists for the classic two-counter
-// instrumentation; new code should use ReadAll/WriteAll.
-func Split(v uint64) (pic0, pic1 uint32) {
-	return uint32(v), uint32(v >> 32)
-}
-
 // Pack composes two 32-bit counters into the packed pair representation
-// Split inverts.
+// ReadPair returns and WritePair takes.
 func Pack(pic0, pic1 uint32) uint64 { return uint64(pic1)<<32 | uint64(pic0) }
 
 // Delta32 computes the number of events between two 32-bit counter
@@ -323,4 +344,8 @@ func (u *Unit) Total(ev Event) uint64 { return u.totals[ev] }
 func (u *Unit) Totals() [NumEvents]uint64 { return u.totals }
 
 // ResetTotals zeroes the shadow totals (PICs are untouched).
-func (u *Unit) ResetTotals() { u.totals = [NumEvents]uint64{} }
+func (u *Unit) ResetTotals() {
+	u.sync()
+	u.totals = [NumEvents]uint64{}
+	u.synced = [NumEvents]uint64{}
+}

@@ -68,7 +68,7 @@ func TestReadAllForcesPendingWrite(t *testing.T) {
 		t.Fatalf("ReadAll = %v, want pending write drained to zero", vals)
 	}
 	u.Count(EvInsts, 2)
-	if pic0, _ := Split(u.Read()); pic0 != 2 {
+	if pic0 := readPIC0(u); pic0 != 2 {
 		t.Fatalf("pic0 = %d, want 2", pic0)
 	}
 }
@@ -87,9 +87,14 @@ func TestWritePairSwitchDrainsPending(t *testing.T) {
 	}
 }
 
+// TestPackSplitRoundTrip: a pair value built by Pack splits back into its
+// two counters when written to the bank.
 func TestPackSplitRoundTrip(t *testing.T) {
-	if p0, p1 := Split(Pack(17, 42)); p0 != 17 || p1 != 42 {
-		t.Fatalf("Split(Pack(17,42)) = %d,%d", p0, p1)
+	u := New()
+	u.Strict = false
+	u.WritePair(0, Pack(17, 42))
+	if pics := u.ReadAll(nil); pics[0] != 17 || pics[1] != 42 {
+		t.Fatalf("counters after WritePair(Pack(17,42)) = %v", pics)
 	}
 }
 

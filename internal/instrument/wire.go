@@ -172,10 +172,10 @@ func (rt *Runtime) onHashHW(ctx sim.ProbeCtx, arg int64) int64 {
 	pmu := rt.Machine.PMU()
 	nc := rt.Plan.numCounters()
 	for pr := 0; pr < rt.numPairs; pr++ {
-		lo, hi := hpm.Split(pmu.ReadPair(pr))
-		rt.hashAcc[2*pr][proc].Add(idx, int64(lo))
+		v := pmu.ReadPair(pr)
+		rt.hashAcc[2*pr][proc].Add(idx, int64(uint32(v)))
 		if 2*pr+1 < nc {
-			rt.hashAcc[2*pr+1][proc].Add(idx, int64(hi))
+			rt.hashAcc[2*pr+1][proc].Add(idx, int64(v>>32))
 		}
 	}
 	rt.hashFreq[proc].Add(idx, 1)
@@ -249,11 +249,9 @@ func (rt *Runtime) accumulateDelta(ctx sim.ProbeCtx) {
 	for pr := 0; pr < rt.numPairs; pr++ {
 		now := pmu.ReadPair(pr)
 		entry := rt.entryPIC[base+pr]
-		nLo, nHi := hpm.Split(now)
-		eLo, eHi := hpm.Split(entry)
-		rt.Tree.AddMetric(1+2*pr, int64(hpm.Delta32(eLo, nLo)), ctx)
+		rt.Tree.AddMetric(1+2*pr, int64(hpm.Delta32(uint32(entry), uint32(now))), ctx)
 		if 2*pr+1 < nc {
-			rt.Tree.AddMetric(2+2*pr, int64(hpm.Delta32(eHi, nHi)), ctx)
+			rt.Tree.AddMetric(2+2*pr, int64(hpm.Delta32(uint32(entry>>32), uint32(now>>32))), ctx)
 		}
 	}
 }
@@ -283,10 +281,10 @@ func (rt *Runtime) kReadCounters(ctx sim.ProbeCtx, st *kAct) {
 	}
 	pmu := rt.Machine.PMU()
 	for pr := 0; pr < rt.numPairs; pr++ {
-		lo, hi := hpm.Split(pmu.ReadPair(pr))
-		st.pend[2*pr] += uint64(lo)
+		v := pmu.ReadPair(pr)
+		st.pend[2*pr] += uint64(uint32(v))
 		if 2*pr+1 < nc {
-			st.pend[2*pr+1] += uint64(hi)
+			st.pend[2*pr+1] += v >> 32
 		}
 	}
 	ctx.ChargeInstrs(uint64(rt.numPairs))

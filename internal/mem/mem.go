@@ -30,12 +30,26 @@ const (
 
 type page [pageWords]int64
 
+// recentBits sizes the direct-mapped cache of page pointers that sits in
+// front of the page map: 1<<recentBits slots.
+const recentBits = 6
+
+// recentPage is one slot of that cache; p is nil in an empty slot.
+type recentPage struct {
+	pn uint64
+	p  *page
+}
+
 // Memory is a sparse 64-bit word-addressable address space. All accesses
 // are 8-byte words at 8-byte-aligned byte addresses; unaligned access
 // panics, since it indicates a program or instrumentation bug.
 type Memory struct {
 	pages map[uint64]*page
-	words uint64 // number of distinct words ever touched (footprint stat)
+
+	// recent caches page pointers by page number, so most accesses skip
+	// hashing into pages. Pages are never freed, so a cached pointer
+	// stays valid for the life of the Memory.
+	recent [1 << recentBits]recentPage
 }
 
 // New returns an empty address space.
@@ -51,10 +65,29 @@ func split(addr uint64) (pageNo uint64, idx uint64) {
 	return w >> pageWordShift, w & (pageWords - 1)
 }
 
+// slot returns pn's entry in recent. The multiplicative hash spreads the
+// regions' base pages, which share their low bits, over the slots.
+func (m *Memory) slot(pn uint64) *recentPage {
+	return &m.recent[(pn*0x9E3779B97F4A7C15)>>(64-recentBits)]
+}
+
+// lookup returns page pn, or nil when it was never written.
+func (m *Memory) lookup(pn uint64) *page {
+	s := m.slot(pn)
+	if s.pn == pn && s.p != nil {
+		return s.p
+	}
+	p := m.pages[pn]
+	if p != nil {
+		*s = recentPage{pn, p}
+	}
+	return p
+}
+
 // Load reads the 64-bit word at addr (0 if never written).
 func (m *Memory) Load(addr uint64) int64 {
 	pn, idx := split(addr)
-	p := m.pages[pn]
+	p := m.lookup(pn)
 	if p == nil {
 		return 0
 	}
@@ -64,11 +97,11 @@ func (m *Memory) Load(addr uint64) int64 {
 // Store writes the 64-bit word at addr.
 func (m *Memory) Store(addr uint64, v int64) {
 	pn, idx := split(addr)
-	p := m.pages[pn]
+	p := m.lookup(pn)
 	if p == nil {
 		p = new(page)
 		m.pages[pn] = p
-		m.words += 0 // counted per-word below
+		*m.slot(pn) = recentPage{pn, p}
 	}
 	p[idx] = v
 }

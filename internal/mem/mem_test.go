@@ -36,15 +36,23 @@ func TestUnalignedPanics(t *testing.T) {
 	New().Load(0x1001)
 }
 
-// TestAgainstMapModel: the paged memory behaves like a plain map.
+// TestAgainstMapModel: the paged memory behaves like a plain map. The
+// addresses spread over every region and above 4 GiB, many more pages than
+// the page-pointer cache has slots, so slots are shared and refilled.
 func TestAgainstMapModel(t *testing.T) {
+	regions := []uint64{0, GlobalBase, StackTop - 1<<16, CounterBase, CCTBase, 1 << 32, 1<<40 + 1<<32}
 	check := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		m := New()
 		ref := map[uint64]int64{}
+		var used []uint64
 		for i := 0; i < 3000; i++ {
-			addr := (uint64(rng.Intn(1 << 16))) &^ 7
+			addr := (regions[rng.Intn(len(regions))] + uint64(rng.Intn(1<<16))) &^ 7
+			if len(used) > 0 && rng.Intn(2) == 0 {
+				addr = used[rng.Intn(len(used))] // revisit a written word
+			}
 			if rng.Intn(2) == 0 {
+				used = append(used, addr)
 				v := rng.Int63()
 				m.Store(addr, v)
 				ref[addr] = v

@@ -175,8 +175,10 @@ type Machine struct {
 	// of a block sits at blockAddr + 4*i.
 	blockAddr [][]uint64
 
-	// Store buffer slot free times.
+	// Store buffer slot free times, and the slot the next store tries
+	// first (see storeBufferPush).
 	storeFree []uint64
+	storeNext int
 
 	// Superscalar issue slot accumulator (see Config.IssueWidth).
 	issueSlots int
@@ -184,7 +186,7 @@ type Machine struct {
 	// FP scoreboard: cycle at which each register's value is ready.
 	fpReady [ir.NumRegs]uint64
 
-	probes   map[int64]Probe
+	probes   []Probe // indexed by probe id
 	onUnwind []UnwindFn
 	tracer   Tracer
 
@@ -224,7 +226,6 @@ func New(prog *ir.Program, cfg Config) *Machine {
 		l1i:    cache.New(cfg.L1I),
 		pred:   branch.NewPredictor(cfg.PredictorBits),
 		pmu:    hpm.NewK(cfg.NumCounters),
-		probes: make(map[int64]Probe),
 	}
 	if cfg.L2.SizeBytes > 0 {
 		m.l2 = cache.New(cfg.L2)
@@ -299,9 +300,18 @@ func EventCatalog() []hpm.Event {
 	return evs
 }
 
+// maxProbeID bounds probe ids: handlers sit in a table indexed by id.
+const maxProbeID = 255
+
 // RegisterProbe installs fn as the handler for Probe instructions carrying
-// id.
+// id, which must lie in [0, 255] (the instrument package uses 1–9).
 func (m *Machine) RegisterProbe(id int64, fn Probe) {
+	if id < 0 || id > maxProbeID {
+		panic(fmt.Sprintf("sim: probe id %d out of range [0, %d]", id, maxProbeID))
+	}
+	if n := int(id) + 1; n > len(m.probes) {
+		m.probes = append(m.probes, make([]Probe, n-len(m.probes))...)
+	}
 	m.probes[id] = fn
 }
 
@@ -389,26 +399,36 @@ func (m *Machine) addCycles(n uint64) {
 	m.pmu.Count(hpm.EvCycles, n)
 }
 
+// storeBufferPush queues one store: it takes the earliest-free slot,
+// stalling until that slot frees. A slot already free now can stand in for
+// the earliest one, because it stays free for every later store, so the
+// stalls do not depend on which free slot a store takes. Stores therefore
+// try the slots round-robin and scan for the earliest only when the next
+// slot is still busy.
 func (m *Machine) storeBufferPush(hit bool) {
-	// Find the earliest-free slot; stall if it frees in the future.
-	best := 0
-	for i, f := range m.storeFree {
-		if f < m.storeFree[best] {
-			best = i
-		}
-	}
 	now := m.cycles
+	best := m.storeNext
 	if m.storeFree[best] > now {
-		stall := m.storeFree[best] - now
-		m.addCycles(stall)
-		m.pmu.Count(hpm.EvStoreBufStalls, stall)
-		now = m.cycles
+		for i, f := range m.storeFree {
+			if f < m.storeFree[best] {
+				best = i
+			}
+		}
+		if m.storeFree[best] > now {
+			stall := m.storeFree[best] - now
+			m.addCycles(stall)
+			m.pmu.Count(hpm.EvStoreBufStalls, stall)
+			now = m.cycles
+		}
 	}
 	drain := m.cfg.StoreDrainHit
 	if !hit {
 		drain = m.cfg.StoreDrainMiss
 	}
 	m.storeFree[best] = now + drain
+	if m.storeNext = best + 1; m.storeNext == len(m.storeFree) {
+		m.storeNext = 0
+	}
 }
 
 func (m *Machine) waitFP(r ir.Reg) {
@@ -467,8 +487,8 @@ func (m *Machine) Run() (Result, error) {
 
 // Step executes exactly one instruction. It is the single-step form of Run
 // for debuggers and micro-benchmarks; unlike Run it does not enforce the
-// step budget. Stepping a halted machine is a no-op-free error in the sense
-// that behaviour is undefined; check Halted first.
+// step budget. Step does not check Halted: on a halted machine it executes
+// the final Halt or Ret again, so callers check Halted first.
 func (m *Machine) Step() error { return m.step() }
 
 // Halted reports whether the machine has executed Halt (or returned from
@@ -740,7 +760,10 @@ func (m *Machine) step() error {
 		advance = false
 
 	case ir.Probe:
-		fn := m.probes[in.Imm]
+		var fn Probe
+		if uint64(in.Imm) < uint64(len(m.probes)) {
+			fn = m.probes[in.Imm]
+		}
 		if fn == nil {
 			return fmt.Errorf("unknown probe %d in %s", in.Imm, m.cur.proc.Name)
 		}

@@ -401,6 +401,70 @@ func TestStoreBufferStalls(t *testing.T) {
 	}
 }
 
+// TestStoreBufferMatchesEarliestSlotScan: on random streams of hitting
+// and missing stores with random gaps between them, the round-robin store
+// buffer charges exactly the stall cycles of a buffer that always takes
+// the earliest-free slot, at every depth.
+func TestStoreBufferMatchesEarliestSlotScan(t *testing.T) {
+	b := ir.NewBuilder("idle")
+	p := b.NewProc("main", 0)
+	p.NewBlock().Halt()
+	b.SetMain(p)
+	prog := b.MustFinish()
+	for depth := 1; depth <= 8; depth++ {
+		var stalled uint64
+		for seed := int64(0); seed < 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			cfg := DefaultConfig()
+			cfg.StoreBufDepth = depth
+			cfg.StoreDrainHit = 1 + uint64(rng.Intn(3))
+			cfg.StoreDrainMiss = cfg.StoreDrainHit + uint64(rng.Intn(16))
+			m := New(prog, cfg)
+			free := make([]uint64, depth) // the reference buffer
+			var cycles, stalls uint64
+			for i := 0; i < 3000; i++ {
+				var gap uint64
+				switch rng.Intn(8) {
+				case 0, 1, 2:
+					gap = uint64(rng.Intn(4))
+				case 3:
+					gap = uint64(rng.Intn(40))
+				}
+				m.addCycles(gap)
+				cycles += gap
+				hit := rng.Intn(3) != 0
+				m.storeBufferPush(hit)
+
+				best := 0
+				for j, f := range free {
+					if f < free[best] {
+						best = j
+					}
+				}
+				if free[best] > cycles {
+					stalls += free[best] - cycles
+					cycles = free[best]
+				}
+				drain := cfg.StoreDrainHit
+				if !hit {
+					drain = cfg.StoreDrainMiss
+				}
+				free[best] = cycles + drain
+
+				got := m.pmu.Total(hpm.EvStoreBufStalls)
+				if m.cycles != cycles || got != stalls {
+					t.Fatalf("depth %d seed %d store %d: cycles %d stalls %d, want %d and %d",
+						depth, seed, i, m.cycles, got, cycles, stalls)
+				}
+			}
+			stalled += stalls
+		}
+		if stalled == 0 {
+			t.Fatalf("depth %d: no stream stalled", depth)
+		}
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	prog := testgen.RandomProgram(rng, "det", testgen.ProgramOptions{

@@ -132,10 +132,10 @@ func FuzzDecode(f *testing.F) {
 	// must reject cleanly — these seeds keep the two on-disk formats from
 	// ever being confused.
 	for _, env := range seedEnvelopes()[:1] {
-		seg := append([]byte("PPWALSEG\x01\x00\x00\x00\x00\x00\x00\x00"), 1)  // header, kind
-		seg = append(seg, 0x2a, 0, 0, 0, 0, 0, 0, 0)                          // push id
-		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(env)))         // length
-		crc := crc32.Checksum(seg[16:], crc32.MakeTable(crc32.Castagnoli))    // kind+id+len
+		seg := append([]byte("PPWALSEG\x01\x00\x00\x00\x00\x00\x00\x00"), 1) // header, kind
+		seg = append(seg, 0x2a, 0, 0, 0, 0, 0, 0, 0)                         // push id
+		seg = binary.LittleEndian.AppendUint32(seg, uint32(len(env)))        // length
+		crc := crc32.Checksum(seg[16:], crc32.MakeTable(crc32.Castagnoli))   // kind+id+len
 		crc = crc32.Update(crc, crc32.MakeTable(crc32.Castagnoli), env)
 		seg = binary.LittleEndian.AppendUint32(seg, crc)
 		seg = append(seg, env...)

@@ -9,6 +9,14 @@ cd "$(dirname "$0")/.."
 go build ./...
 go vet ./...
 
+# Formatting gate: every Go file must be gofmt-clean.
+unformatted="$(gofmt -l .)"
+if [ -n "$unformatted" ]; then
+	echo "gofmt needed on:"
+	echo "$unformatted"
+	exit 1
+fi
+
 # Deeper lint: staticcheck is pinned by version and fetched through the
 # module proxy, so every CI run lints with the same checker instead of
 # silently skipping on machines without a matching binary on PATH.
@@ -45,6 +53,16 @@ echo "$out" | grep 'BenchmarkCCTEnterExit/N=2' | grep -q ' 0 allocs/op'
 # NumPathsK-derived pre-size hint has to absorb the combinatorially larger
 # k-path id space without rehashing in the hot loop (k=3 is the widest row).
 echo "$out" | grep 'BenchmarkCCTHashedKPaths/k=3' | grep -q ' 0 allocs/op'
+
+# The simulator's per-instruction step must stay allocation-free in every
+# instruction class.
+out="$(go test -run='^$' -bench='BenchmarkStepDispatch' -benchmem -benchtime=100000x .)"
+echo "$out"
+test "$(echo "$out" | grep -c '^BenchmarkStepDispatch/')" -eq 5
+if echo "$out" | grep '^BenchmarkStepDispatch/' | grep -v ' 0 allocs/op'; then
+	echo "BenchmarkStepDispatch allocates"
+	exit 1
+fi
 
 # Wire codec throughput and end-to-end collector ingest. TestMain splits
 # Wire records into BENCH_wire.json; the ingest benchmark exercises the
