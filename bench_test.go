@@ -1199,8 +1199,9 @@ func BenchmarkWireDecodeCCT(b *testing.B) {
 
 // BenchmarkWireIngest is the end-to-end collection-tier measurement: each
 // iteration encodes a real CCT export, POSTs it over loopback HTTP to a
-// live collector, and folds it into the sharded aggregate (decode +
-// MergeExports on the server). SetBytes is the envelope size, so the
+// live collector, and folds it into the sharded aggregate (envelope
+// decode, conversion through the batch codec, and the in-place shard fold
+// on the server). SetBytes is the envelope size, so the
 // reported MB/s is sustained single-client ingest bandwidth.
 func BenchmarkWireIngest(b *testing.B) {
 	p, ex := wireBenchData(b)

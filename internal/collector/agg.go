@@ -2,6 +2,7 @@ package collector
 
 import (
 	"fmt"
+	"slices"
 
 	"pathprof/internal/cct"
 	"pathprof/internal/flat"
@@ -11,23 +12,27 @@ import (
 
 // This file holds the shard-resident aggregate forms. Instead of keeping
 // one merged profile.Profile / cct.Export per program and rebuilding it on
-// every push (clone + Merge, or MergeExports building a whole new tree),
-// each shard folds pushes in place into flat scratch aggregates:
+// every push, each shard folds pushes in place into flat aggregates:
 //
 //   - profAgg keys path entries by sum through a flat.Table, so folding a
 //     decoded batch item is hash-probe + add per path, no allocation once
 //     the path set is stable;
-//   - cctAgg mirrors cct.MergeExports node for node, but mutates the
-//     existing tree (metrics +=, PathCounts.Add, slot-state fold) instead
-//     of building a new one, allocating only when a push grafts records
-//     the aggregate has not seen.
+//   - cctAgg mutates its tree in place (metrics +=, PathCounts.Add,
+//     slot-state fold), allocating only when a push grafts records the
+//     aggregate has not seen.
 //
-// Queries snapshot an aggregate under the shard lock into a fresh
-// profile.Profile / cct.Export, so readers never share mutable state with
-// the fold path. The fold rules replicate profile.(*Profile).Merge and
-// cct.MergeExports exactly — the correctness oracle is byte-identity of
-// the rendered tables against Table3Sharded/Table5 at any batch size and
-// shard count (see TestBatchIngestMatchesSingles and the relay e2e).
+// The same fold serves every merge the collector does. Reads
+// (MergedProfile, MergedExport, and through them store snapshots) and the
+// relay's Take merge shard aggregates by folding them into one aggregate
+// with foldAgg / foldBatch, the functions pushes go through; a CCT
+// aggregate reaches foldBatch by being written back into batch form
+// (writeBatch, the inverse of graft). The merged aggregate is then built
+// once into a fresh profile.Profile / cct.Export that shares no mutable
+// state with any shard. The fold rules match profile.(*Profile).Merge and
+// cct.MergeExports on well-formed input — the correctness oracle is
+// byte-identity of the rendered tables against Table3Sharded/Table5 at any
+// batch size and shard count (see TestBatchIngestMatchesSingles, the relay
+// e2e and TestMergedReadsMatchReference).
 
 // --- profile aggregates ---
 
@@ -174,31 +179,6 @@ func (pa *procAgg) foldRow(sum int64, freq uint64, metrics []uint64) {
 	pa.metrics = append(pa.metrics, metrics...)
 }
 
-// fold merges a materialized profile into the aggregate (the v1/v2
-// single-envelope path).
-func (a *profAgg) fold(p *profile.Profile) error {
-	err := a.checkShape(p.Mode, p.SchemaKey(), len(p.Procs), func(i int) int { return p.Procs[i].ProcID })
-	if err != nil {
-		return err
-	}
-	w := len(a.events)
-	var row []uint64
-	if w > 0 {
-		row = make([]uint64, w)
-	}
-	for i, pp := range p.Procs {
-		pa := a.procs[i]
-		for j := range pp.Entries {
-			e := &pp.Entries[j]
-			for k := 0; k < w; k++ {
-				row[k] = e.Metric(k)
-			}
-			pa.foldRow(e.Sum, e.Freq, row)
-		}
-	}
-	return nil
-}
-
 // foldBatch merges a decoded batch item in place. Steady state (stable
 // path set per program) performs no allocation: the shape check compares
 // frame bytes against aggregate strings directly, and every row lands in
@@ -249,10 +229,45 @@ func (a *profAgg) checkShapeBatch(bp *wire.BatchProfile) error {
 		func(i int) int { return bp.Procs[i].ProcID })
 }
 
-// snapshot materializes the aggregate as a fresh profile. Entries are
-// sorted by path sum — the order every merged profile has (Merge sorts
-// after folding, and producers emit sorted profiles).
-func (a *profAgg) snapshot() *profile.Profile {
+// clone deep-copies the aggregate's columns so a reader can fold other
+// shards into the copy while the shard keeps folding pushes into its own.
+func (a *profAgg) clone() *profAgg {
+	c := *a
+	c.procs = make([]*procAgg, len(a.procs))
+	for i, pa := range a.procs {
+		cp := *pa
+		cp.index = pa.index.Clone()
+		cp.sums = slices.Clone(pa.sums)
+		cp.freqs = slices.Clone(pa.freqs)
+		cp.metrics = slices.Clone(pa.metrics)
+		c.procs[i] = &cp
+	}
+	return &c
+}
+
+// foldAgg folds every row of b into a, after the shape check a push gets;
+// on a conflict a is left untouched. Single-envelope profile pushes,
+// reads and Take all merge through it.
+func (a *profAgg) foldAgg(b *profAgg) error {
+	err := a.checkShape(b.mode, b.schema, len(b.procs), func(i int) int { return b.procs[i].procID })
+	if err != nil {
+		return err
+	}
+	w := len(a.events)
+	for i, pb := range b.procs {
+		pa := a.procs[i]
+		for j, sum := range pb.sums {
+			pa.foldRow(sum, pb.freqs[j], pb.metrics[j*w:(j+1)*w])
+		}
+	}
+	return nil
+}
+
+// materialize builds the aggregate as a fresh profile sharing no storage
+// with it: per procedure one Entries slice and one metrics array, sorted
+// by path sum — the order every merged profile has (Merge sorts after
+// folding, and producers emit sorted profiles).
+func (a *profAgg) materialize() *profile.Profile {
 	p := &profile.Profile{
 		Program: a.program,
 		Mode:    a.mode,
@@ -264,13 +279,13 @@ func (a *profAgg) snapshot() *profile.Profile {
 	for i, pa := range a.procs {
 		pp := &profile.ProcPaths{ProcID: pa.procID, Name: pa.name, NumPaths: pa.numPaths, K: pa.k}
 		pp.Entries = make([]profile.PathEntry, len(pa.sums))
-		for j := range pa.sums {
+		metrics := slices.Clone(pa.metrics)
+		for j := range pp.Entries {
 			e := &pp.Entries[j]
 			e.Sum = pa.sums[j]
 			e.Freq = pa.freqs[j]
 			if w > 0 {
-				e.Metrics = pp.NewMetrics(w)
-				copy(e.Metrics, pa.metrics[j*w:(j+1)*w])
+				e.Metrics = metrics[j*w : (j+1)*w : (j+1)*w]
 			}
 		}
 		pp.Sort()
@@ -290,7 +305,7 @@ type aggNode struct {
 	backedges []*aggNode // resolved targets (ancestors)
 	size      uint64
 	slots     []cct.SlotStat
-	snapID    int // transient preorder id, valid only during a snapshot
+	snapID    int // transient preorder id, valid only during snapshot or writeBatch
 }
 
 // cctAgg is one program's folded CCT.
@@ -580,6 +595,62 @@ func foldSlots(xs []cct.SlotStat, ys []cct.SlotStat) []cct.SlotStat {
 		}
 	}
 	return xs
+}
+
+// writeBatch writes the aggregate into sc.bc in preorder — the inverse of
+// graft — so that another aggregate can fold it with foldBatch. Node
+// sizes and slots are written even when the aggregate has no structure,
+// as snapshot carries them.
+func (a *cctAgg) writeBatch(sc *foldScratch) {
+	bc := &sc.bc
+	sc.name = append(sc.name[:0], a.program...)
+	bc.Program = sc.name
+	bc.NumProcs = a.numProcs
+	bc.DistinguishSites = a.distinguishSites
+	bc.NumMetrics = a.numMetrics
+	bc.HasStructure = a.hasStructure
+	bc.SizeBytes = a.sizeBytes
+	bc.ListElems = a.listElems
+	bc.Nodes = bc.Nodes[:0]
+	bc.Metrics = bc.Metrics[:0]
+	bc.PCSums = bc.PCSums[:0]
+	bc.PCCounts = bc.PCCounts[:0]
+	bc.Slots = bc.Slots[:0]
+	bc.Backedges = bc.Backedges[:0]
+	writeChildren(bc, a.root, 0)
+	bc.IndexChildren()
+}
+
+// writeChildren appends the subtrees under an, whose batch ID is parent.
+// Backedge targets are ancestors, so their IDs are assigned before the
+// records that reference them.
+func writeChildren(bc *wire.BatchCCT, an *aggNode, parent int32) {
+	for _, ch := range an.children {
+		id := int32(len(bc.Nodes) + 1)
+		ch.snapID = int(id)
+		bc.Nodes = append(bc.Nodes, wire.BatchNode{
+			Parent:  parent,
+			Proc:    ch.proc,
+			MetOff:  int32(len(bc.Metrics)),
+			MetN:    int32(len(ch.metrics)),
+			PCOff:   int32(len(bc.PCSums)),
+			PCN:     int32(ch.pc.Len()),
+			SlotOff: int32(len(bc.Slots)),
+			SlotN:   int32(len(ch.slots)),
+			Size:    ch.size,
+		})
+		bc.Metrics = append(bc.Metrics, ch.metrics...)
+		ch.pc.Range(func(sum, count int64) bool {
+			bc.PCSums = append(bc.PCSums, sum)
+			bc.PCCounts = append(bc.PCCounts, count)
+			return true
+		})
+		bc.Slots = append(bc.Slots, ch.slots...)
+		for _, t := range ch.backedges {
+			bc.Backedges = append(bc.Backedges, wire.BatchBackedge{From: id, To: int32(t.snapID)})
+		}
+		writeChildren(bc, ch, id)
+	}
 }
 
 // snapshot materializes the aggregate as a fresh export with preorder

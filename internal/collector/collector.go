@@ -12,11 +12,11 @@
 // decoded under a request timeout and a body size cap, then folded into
 // one of Config.Shards shard aggregates chosen round-robin (batched
 // frames fold item by item, spreading one frame across shards). Shards
-// hold fold-in-place aggregates (see agg.go) that queries snapshot under
-// the shard lock, so readers never share mutable state with the ingest
-// path. Because merging is associative and commutative over these
-// aggregates, the fully merged result is independent of how requests
-// were spread across shards.
+// hold fold-in-place aggregates (see agg.go); queries fold them together
+// with the ingest's own fold into a private aggregate, so readers never
+// share mutable state with the ingest path. Because merging is
+// associative and commutative over these aggregates, the fully merged
+// result is independent of how requests were spread across shards.
 //
 // Shutdown sets a draining flag (new ingests get 503) and waits for
 // in-flight merges, so no accepted profile is lost.
@@ -82,8 +82,8 @@ func (c Config) withDefaults() Config {
 }
 
 // shard is one independent slice of the aggregate state. Aggregates are
-// mutated in place under the shard lock; queries snapshot them (also
-// under the lock) before rendering.
+// mutated in place under the shard lock; queries copy them out (also
+// under the lock) before folding and rendering.
 type shard struct {
 	mu       sync.Mutex
 	profiles map[string]*profAgg
@@ -132,6 +132,7 @@ type foldScratch struct {
 	bw    wire.BatchWriter
 	buf   []byte
 	anc   []*aggNode
+	name  []byte // program name of an aggregate written into bc
 }
 
 // Collector aggregates pushed profiles. Create one with New.
@@ -266,17 +267,16 @@ func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
 // ingestProfile folds p into a round-robin shard (the v1/v2
 // single-envelope path).
 func (c *Collector) ingestProfile(p *profile.Profile) error {
+	b := newProfAgg(p)
 	sh := c.pick()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	a, ok := sh.profiles[p.Program]
-	if !ok {
-		sh.profiles[p.Program] = newProfAgg(p)
-		c.ingestedProfiles.Add(1)
-		return nil
-	}
-	if err := a.fold(p); err != nil {
-		return err
+	if a, ok := sh.profiles[b.program]; ok {
+		if err := a.foldAgg(b); err != nil {
+			return err
+		}
+	} else {
+		sh.profiles[b.program] = b
 	}
 	c.ingestedProfiles.Add(1)
 	return nil
@@ -411,128 +411,118 @@ func (c *Collector) Programs() []string {
 }
 
 // MergedExport returns the program's CCT aggregate merged across all
-// shards, or false when no shard holds one. The result is a fresh
-// snapshot; callers may keep it as long as they like.
+// shards, or false when no shard holds one. Shards fold in shard order:
+// each is written into batch form under its lock, then folded outside
+// every lock with the ingest fold. A shard whose aggregate conflicts with
+// the merge so far contributes nothing and ends the merge. The result is
+// a fresh snapshot; callers may keep it as long as they like.
 func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
-	var parts []*cct.Export
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	var m *cctAgg
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if a, ok := sh.exports[program]; ok {
-			parts = append(parts, a.snapshot())
+		a, ok := sh.exports[program]
+		if ok {
+			a.writeBatch(sc)
 		}
 		sh.mu.Unlock()
+		if !ok {
+			continue
+		}
+		var err error
+		if m == nil {
+			m, err = newCCTAgg(&sc.bc, sc)
+		} else {
+			err = m.foldBatch(&sc.bc, sc)
+		}
+		if err != nil {
+			break
+		}
 	}
-	return mergeExportParts(parts)
-}
-
-func mergeExportParts(parts []*cct.Export) (*cct.Export, bool) {
-	if len(parts) == 0 {
+	if m == nil {
 		return nil, false
 	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		merged, err := cct.MergeExports(out, p)
-		if err != nil {
-			// Shards only hold exports that merged cleanly with each
-			// other's stream; cross-shard mismatch means the producers
-			// pushed inconsistent trees. Surface the first shard's view.
-			return out, true
-		}
-		out = merged
-	}
-	return out, true
+	return m.snapshot(), true
 }
 
 // MergedProfile returns the program's path profile merged across all
-// shards, or false when no shard holds one. The result is always a
-// fresh snapshot; callers may mutate it.
+// shards, or false when no shard holds one. Shards fold in shard order,
+// each under its lock, into a copy of the first; a shard whose aggregate
+// fails the ingest's shape check against the merge so far contributes
+// nothing and ends the merge. The result is always a fresh profile;
+// callers may mutate it.
 func (c *Collector) MergedProfile(program string) (*profile.Profile, bool) {
-	var parts []*profile.Profile
+	var m *profAgg
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		if a, ok := sh.profiles[program]; ok {
-			parts = append(parts, a.snapshot())
+		a, ok := sh.profiles[program]
+		var err error
+		switch {
+		case !ok:
+		case m == nil:
+			m = a.clone()
+		default:
+			err = m.foldAgg(a)
 		}
 		sh.mu.Unlock()
-	}
-	return mergeProfileParts(parts)
-}
-
-func mergeProfileParts(parts []*profile.Profile) (*profile.Profile, bool) {
-	if len(parts) == 0 {
-		return nil, false
-	}
-	out := parts[0]
-	for _, p := range parts[1:] {
-		if err := out.Merge(p); err != nil {
-			return out, true
+		if err != nil {
+			break
 		}
 	}
-	return out, true
+	if m == nil {
+		return nil, false
+	}
+	return m.materialize(), true
 }
 
 // Take removes and returns everything aggregated so far, merged across
 // shards per program and sorted by program name. Ingest continues
 // concurrently into fresh aggregates; this is the relay flush primitive
 // (see relay.go): a leaf collector periodically Takes its aggregate and
-// pushes it upstream as one batch.
+// pushes it upstream as one batch. Shards merge as in MergedProfile and
+// MergedExport, except that the swapped-out aggregates are owned here, so
+// later shards fold straight into the first one.
 func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
-	profParts := map[string][]*profile.Profile{}
-	exportParts := map[string][]*cct.Export{}
+	profParts := map[string][]*profAgg{}
+	exportParts := map[string][]*cctAgg{}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		pm, em := sh.profiles, sh.exports
 		sh.profiles = make(map[string]*profAgg)
 		sh.exports = make(map[string]*cctAgg)
 		sh.mu.Unlock()
-		// The swapped-out aggregates are exclusively owned now; snapshot
-		// them outside the shard lock.
 		for name, a := range pm {
-			profParts[name] = append(profParts[name], a.snapshot())
+			profParts[name] = append(profParts[name], a)
 		}
 		for name, a := range em {
-			exportParts[name] = append(exportParts[name], a.snapshot())
+			exportParts[name] = append(exportParts[name], a)
 		}
 	}
 	var profiles []*profile.Profile
 	for _, parts := range profParts {
-		if p, ok := mergeProfileParts(parts); ok {
-			profiles = append(profiles, p)
+		a := parts[0]
+		for _, b := range parts[1:] {
+			if a.foldAgg(b) != nil {
+				break
+			}
 		}
+		profiles = append(profiles, a.materialize())
 	}
+	sc := c.getScratch()
+	defer c.putScratch(sc)
 	var exports []*cct.Export
 	for _, parts := range exportParts {
-		if ex, ok := mergeExportParts(parts); ok {
-			exports = append(exports, ex)
+		a := parts[0]
+		for _, b := range parts[1:] {
+			b.writeBatch(sc)
+			if a.foldBatch(&sc.bc, sc) != nil {
+				break
+			}
 		}
+		exports = append(exports, a.snapshot())
 	}
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Program < profiles[j].Program })
 	sort.Slice(exports, func(i, j int) bool { return exports[i].Program < exports[j].Program })
 	return profiles, exports
-}
-
-// cloneProfile deep-copies p so merges never mutate published
-// aggregates out from under concurrent readers.
-func cloneProfile(p *profile.Profile) *profile.Profile {
-	q := &profile.Profile{Program: p.Program, Mode: p.Mode, K: p.K}
-	if len(p.Events) > 0 {
-		q.Events = append([]string(nil), p.Events...)
-	}
-	q.Procs = make([]*profile.ProcPaths, len(p.Procs))
-	for i, pp := range p.Procs {
-		cp := &profile.ProcPaths{ProcID: pp.ProcID, Name: pp.Name, NumPaths: pp.NumPaths, K: pp.K}
-		cp.Entries = make([]profile.PathEntry, len(pp.Entries))
-		copy(cp.Entries, pp.Entries)
-		// Entries hold slices into the source arena; give the clone its
-		// own metric storage so later merges never write through shared
-		// backing arrays.
-		for j := range cp.Entries {
-			if src := pp.Entries[j].Metrics; len(src) > 0 {
-				cp.Entries[j].Metrics = cp.NewMetrics(len(src))
-				copy(cp.Entries[j].Metrics, src)
-			}
-		}
-		q.Procs[i] = cp
-	}
-	return q
 }

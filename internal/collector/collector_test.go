@@ -54,6 +54,29 @@ func fixtures(t *testing.T) (*profile.Profile, *cct.Tree) {
 	return fixtureProf, fixtureTree
 }
 
+// cloneProfile deep-copies p, metric storage included, so tests can
+// derive variants of the shared fixture without mutating it.
+func cloneProfile(p *profile.Profile) *profile.Profile {
+	q := &profile.Profile{Program: p.Program, Mode: p.Mode, K: p.K}
+	if len(p.Events) > 0 {
+		q.Events = append([]string(nil), p.Events...)
+	}
+	q.Procs = make([]*profile.ProcPaths, len(p.Procs))
+	for i, pp := range p.Procs {
+		cp := &profile.ProcPaths{ProcID: pp.ProcID, Name: pp.Name, NumPaths: pp.NumPaths, K: pp.K}
+		cp.Entries = make([]profile.PathEntry, len(pp.Entries))
+		copy(cp.Entries, pp.Entries)
+		for j := range cp.Entries {
+			if src := pp.Entries[j].Metrics; len(src) > 0 {
+				cp.Entries[j].Metrics = cp.NewMetrics(len(src))
+				copy(cp.Entries[j].Metrics, src)
+			}
+		}
+		q.Procs[i] = cp
+	}
+	return q
+}
+
 func newServer(t *testing.T, cfg Config) (*Collector, *Client) {
 	t.Helper()
 	c := New(cfg)
@@ -405,7 +428,7 @@ func TestConcurrentPushAndQuery(t *testing.T) {
 	const perPusher = 3
 
 	var wg sync.WaitGroup
-	errs := make(chan error, pushers*perPusher*2+pushers)
+	errs := make(chan error, pushers*perPusher*5) // room for every send: 2 per push round, 3 per read round
 	for i := 0; i < pushers; i++ {
 		wg.Add(1)
 		go func() {
@@ -423,12 +446,14 @@ func TestConcurrentPushAndQuery(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perPusher; j++ {
-				if _, err := cl.Table(ctx, 5, nil); err != nil {
-					// Before the first profile lands there is nothing to
-					// render; only transport errors are fatal.
-					var ae *apiError
-					if !errors.As(err, &ae) {
-						errs <- err
+				for _, n := range []int{3, 5} {
+					if _, err := cl.Table(ctx, n, nil); err != nil {
+						// Before the first push lands there is nothing to
+						// render; only transport errors are fatal.
+						var ae *apiError
+						if !errors.As(err, &ae) {
+							errs <- err
+						}
 					}
 				}
 				if _, err := cl.http().Get(cl.BaseURL + "/metrics"); err != nil {

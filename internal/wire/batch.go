@@ -866,9 +866,16 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 	if err := c.done(); err != nil {
 		return fail(err)
 	}
+	s.IndexChildren()
+	return nil
+}
 
-	// Build the children adjacency (counting sort by parent, preserving
-	// sibling order because nodes arrive in preorder).
+// IndexChildren rebuilds the children adjacency from Nodes (a counting
+// sort by parent, which preserves sibling order because nodes are in
+// preorder). Callers that fill a BatchCCT by hand must call it before
+// Children.
+func (s *BatchCCT) IndexChildren() {
+	numNodes := len(s.Nodes)
 	s.ChildOff = s.ChildOff[:0]
 	s.ChildIDs = s.ChildIDs[:0]
 	for i := 0; i <= numNodes+1; i++ {
@@ -896,7 +903,6 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 		s.ChildOff[p] = s.ChildOff[p-1]
 	}
 	s.ChildOff[0] = 0
-	return nil
 }
 
 // ProfileAt materializes item i as a profile.Profile (the convenience

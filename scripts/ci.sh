@@ -36,6 +36,11 @@ fi
 go test -race ./...
 go test -run='^$' -bench=. -benchtime=1x ./...
 
+# The benchmark harness is a nested module, so ./... above never enters
+# it. Its tests show every benchmark correctness check firing, among them
+# the exact merged-aggregate check of the query workload.
+(cd perfbench && go test .)
+
 # Golden-table regression gate: under the default two-event metric schema
 # the paper tables must render byte-identically to the committed
 # reference output.
