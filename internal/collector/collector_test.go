@@ -30,7 +30,7 @@ var (
 	fixtureTree *cct.Tree
 )
 
-func fixtures(t *testing.T) (*profile.Profile, *cct.Tree) {
+func fixtures(t testing.TB) (*profile.Profile, *cct.Tree) {
 	t.Helper()
 	fixtureOnce.Do(func() {
 		s := experiments.NewSession(workload.Test)

@@ -109,7 +109,7 @@ func profileFrame(t *testing.T, p *profile.Profile) []byte {
 	return bw.Frame()
 }
 
-func exportFrame(t *testing.T, ex *cct.Export) []byte {
+func exportFrame(t testing.TB, ex *cct.Export) []byte {
 	t.Helper()
 	bw := wire.NewBatchWriter()
 	if err := bw.AddExport(ex); err != nil {

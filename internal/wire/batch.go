@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"pathprof/internal/cct"
 	"pathprof/internal/flat"
@@ -107,7 +108,15 @@ type BatchWriter struct {
 	nitems int
 	tmp    []byte  // per-item payload scratch
 	sums   []int64 // path-count sort scratch
+
+	// AddExport's per-export scratch, cleared at the start of each call:
+	// node ID -> preorder ID, and the backedges found in preorder.
+	preID map[int]uint64
+	backs []preBackedge
 }
+
+// preBackedge is one backedge between preorder node IDs.
+type preBackedge struct{ from, to uint64 }
 
 // NewBatchWriter returns an empty writer.
 func NewBatchWriter() *BatchWriter { return &BatchWriter{} }
@@ -227,10 +236,13 @@ func (w *BatchWriter) AddExport(ex *cct.Export) error {
 	numNodes := count(ex.Root)
 	b = putUvarint(b, uint64(numNodes))
 
-	newID := make(map[int]uint64, numNodes+1)
+	if w.preID == nil {
+		w.preID = make(map[int]uint64, numNodes+1)
+	}
+	clear(w.preID)
+	newID := w.preID
 	newID[ex.Root.ID] = 0
-	type backedge struct{ from, to uint64 }
-	var backedges []backedge
+	backedges := w.backs[:0]
 	next := uint64(1)
 	var rec func(n *cct.ExportedNode)
 	rec = func(n *cct.ExportedNode) {
@@ -240,7 +252,7 @@ func (w *BatchWriter) AddExport(ex *cct.Export) error {
 				if !ok || t == 0 {
 					continue
 				}
-				backedges = append(backedges, backedge{from: from, to: t})
+				backedges = append(backedges, preBackedge{from: from, to: t})
 			}
 		}
 		for _, ch := range n.Children {
@@ -258,7 +270,7 @@ func (w *BatchWriter) AddExport(ex *cct.Export) error {
 				sums = append(sums, s)
 				return true
 			})
-			sortInt64s(sums)
+			slices.Sort(sums)
 			w.sums = sums
 			b = putUvarint(b, uint64(len(sums)))
 			prev := int64(0)
@@ -296,7 +308,7 @@ func (w *BatchWriter) AddExport(ex *cct.Export) error {
 		b = putUvarint(b, be.from)
 		b = putUvarint(b, be.to)
 	}
-	w.tmp = b
+	w.tmp, w.backs = b, backedges
 	w.section(secBatchCCT, b)
 	return nil
 }
@@ -326,17 +338,6 @@ func (w *BatchWriter) AppendFrame(dst []byte) []byte {
 
 // Frame assembles and returns the encoded frame.
 func (w *BatchWriter) Frame() []byte { return w.AppendFrame(nil) }
-
-// sortInt64s is an insertion sort: path-count sets per CCT node are small
-// and usually already sorted, so this beats slices.Sort's overhead and
-// allocates nothing.
-func sortInt64s(s []int64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
-}
 
 // --- reader ---
 
@@ -479,6 +480,14 @@ func (f *Frame) parseStrings(payload []byte, base int) error {
 	return nil
 }
 
+// growCols extends *col by n elements, growing its backing array at most
+// once, and returns the new tail for the caller to fill.
+func growCols[E any](col *[]E, n int) []E {
+	off := len(*col)
+	*col = slices.Grow(*col, n)[:off+n]
+	return (*col)[off:]
+}
+
 // Items returns the number of envelopes in the frame.
 func (f *Frame) Items() int { return len(f.items) }
 
@@ -579,6 +588,7 @@ func (f *Frame) DecodeProfile(i int, s *BatchProfile) error {
 	if err != nil {
 		return fail(err)
 	}
+	s.Procs = slices.Grow(s.Procs, nProcs)
 	for p := 0; p < nProcs; p++ {
 		var pr BatchProc
 		id, err := c.varint()
@@ -600,27 +610,55 @@ func (f *Frame) DecodeProfile(i int, s *BatchProfile) error {
 			return fail(err)
 		}
 		pr.Off, pr.N = len(s.Sums), n
+		// The entry loop reads the slice inline, each varint behind a
+		// one-byte fast path (a helper holding both would be too large
+		// to inline). n is already bounded by the bytes left, so each
+		// column grows once, to a size the payload can fill.
+		sums := growCols(&s.Sums, n)
+		freqs := growCols(&s.Freqs, n)
+		mets := growCols(&s.Metrics, n*nEvents)
+		b, pos := c.b, c.pos
 		prev := int64(0)
-		for j := 0; j < n; j++ {
-			d, err := c.varint()
-			if err != nil {
-				return fail(err)
-			}
-			prev += d
-			s.Sums = append(s.Sums, prev)
-			fr, err := c.uvarint()
-			if err != nil {
-				return fail(err)
-			}
-			s.Freqs = append(s.Freqs, fr)
-			for k := 0; k < nEvents; k++ {
-				m, err := c.uvarint()
-				if err != nil {
-					return fail(err)
+		for j := range sums {
+			var d, fr uint64
+			if pos < len(b) && b[pos] < 0x80 {
+				d = uint64(b[pos])
+				pos++
+			} else {
+				var k int
+				if d, k = binary.Uvarint(b[pos:]); k <= 0 {
+					return fail(c.failVarint(pos))
 				}
-				s.Metrics = append(s.Metrics, m)
+				pos += k
+			}
+			prev += unzigzag(d)
+			sums[j] = prev
+			if pos < len(b) && b[pos] < 0x80 {
+				fr = uint64(b[pos])
+				pos++
+			} else {
+				var k int
+				if fr, k = binary.Uvarint(b[pos:]); k <= 0 {
+					return fail(c.failVarint(pos))
+				}
+				pos += k
+			}
+			freqs[j] = fr
+			m := mets[j*nEvents : (j+1)*nEvents]
+			for e := range m {
+				if pos < len(b) && b[pos] < 0x80 {
+					m[e] = uint64(b[pos])
+					pos++
+				} else {
+					var k int
+					if m[e], k = binary.Uvarint(b[pos:]); k <= 0 {
+						return fail(c.failVarint(pos))
+					}
+					pos += k
+				}
 			}
 		}
+		c.pos = pos
 		s.Procs = append(s.Procs, pr)
 	}
 	if c.remaining() > 0 {
@@ -723,6 +761,9 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 	if err != nil {
 		return fail(err)
 	}
+	if np > maxWireProcs {
+		return fail(fmt.Errorf("%d procs exceeds limit", np))
+	}
 	s.NumProcs = int(np)
 	if s.DistinguishSites, err = c.bool(); err != nil {
 		return fail(err)
@@ -755,6 +796,7 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 	if err != nil {
 		return fail(err)
 	}
+	s.Nodes = slices.Grow(s.Nodes, numNodes)
 	for id := 1; id <= numNodes; id++ {
 		var n BatchNode
 		parent, err := c.uvarint()
@@ -769,7 +811,18 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 		if err != nil {
 			return fail(err)
 		}
+		// Checked before narrowing, so no int64 proc aliases a valid
+		// int32 one, and checked here rather than in the fold, so no item
+		// with a bad proc folds partway before it is rejected.
+		if proc < 0 || proc >= int64(s.NumProcs) {
+			return fail(fmt.Errorf("node %d: proc %d out of range (program has %d procs)", id, proc, s.NumProcs))
+		}
 		n.Proc = int32(proc)
+
+		// The metric, path-count and slot loops read the slice inline,
+		// the path-count loop with DecodeProfile's one-byte fast paths;
+		// each column grows once per node, by a count already bounded by
+		// the bytes left.
 		nMet, err := c.count(1)
 		if err != nil {
 			return fail(err)
@@ -778,43 +831,62 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 			return fail(fmt.Errorf("node %d: %d metrics exceeds limit", id, nMet))
 		}
 		n.MetOff, n.MetN = int32(len(s.Metrics)), int32(nMet)
-		for k := 0; k < nMet; k++ {
-			m, err := c.varint()
-			if err != nil {
-				return fail(err)
+		b, pos := c.b, c.pos
+		mets := growCols(&s.Metrics, nMet)
+		for k := range mets {
+			m, w := binary.Uvarint(b[pos:])
+			if w <= 0 {
+				return fail(c.failVarint(pos))
 			}
-			s.Metrics = append(s.Metrics, m)
+			pos += w
+			mets[k] = unzigzag(m)
 		}
+		c.pos = pos
+
 		nPC, err := c.count(2)
 		if err != nil {
 			return fail(err)
 		}
 		n.PCOff, n.PCN = int32(len(s.PCSums)), int32(nPC)
+		pos = c.pos
+		sums := growCols(&s.PCSums, nPC)
+		cnts := growCols(&s.PCCounts, nPC)
 		prev := int64(0)
-		for k := 0; k < nPC; k++ {
-			var sum int64
-			if k == 0 {
-				if sum, err = c.varint(); err != nil {
-					return fail(err)
-				}
+		for k := range sums {
+			var u, v uint64
+			if pos < len(b) && b[pos] < 0x80 {
+				u = uint64(b[pos])
+				pos++
 			} else {
-				gap, err := c.uvarint()
-				if err != nil {
-					return fail(err)
+				var w int
+				if u, w = binary.Uvarint(b[pos:]); w <= 0 {
+					return fail(c.failVarint(pos))
 				}
-				sum = prev + int64(gap) + 1
+				pos += w
+			}
+			sum := unzigzag(u)
+			if k > 0 {
+				sum = prev + int64(u) + 1
 				if sum <= prev {
+					c.pos = pos
 					return fail(fmt.Errorf("node %d: path-count sum overflow", id))
 				}
 			}
 			prev = sum
-			cnt, err := c.varint()
-			if err != nil {
-				return fail(err)
+			if pos < len(b) && b[pos] < 0x80 {
+				v = uint64(b[pos])
+				pos++
+			} else {
+				var w int
+				if v, w = binary.Uvarint(b[pos:]); w <= 0 {
+					return fail(c.failVarint(pos))
+				}
+				pos += w
 			}
-			s.PCSums = append(s.PCSums, sum)
-			s.PCCounts = append(s.PCCounts, cnt)
+			sums[k], cnts[k] = sum, unzigzag(v)
 		}
+		c.pos = pos
+
 		if s.HasStructure {
 			if n.Size, err = c.uvarint(); err != nil {
 				return fail(err)
@@ -824,24 +896,31 @@ func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 				return fail(err)
 			}
 			n.SlotOff, n.SlotN = int32(len(s.Slots)), int32(nSlots)
-			for k := 0; k < nSlots; k++ {
-				st, err := c.ReadByte()
-				if err != nil {
+			pos = c.pos
+			slots := growCols(&s.Slots, nSlots)
+			for k := range slots {
+				if pos >= len(b) {
+					c.pos = pos
 					return fail(fmt.Errorf("truncated slot"))
 				}
-				var sl cct.SlotStat
-				sl.Used = st&1 != 0
-				sl.PathState = st >> 1
+				st := b[pos]
+				pos++
+				sl := cct.SlotStat{Used: st&1 != 0, PathState: st >> 1}
 				if sl.PathState > 2 {
+					c.pos = pos
 					return fail(fmt.Errorf("node %d: bad slot state %d", id, st>>1))
 				}
 				if sl.PathState == 1 {
-					if sl.PathPrefix, err = c.varint(); err != nil {
-						return fail(err)
+					u, w := binary.Uvarint(b[pos:])
+					if w <= 0 {
+						return fail(c.failVarint(pos))
 					}
+					pos += w
+					sl.PathPrefix = unzigzag(u)
 				}
-				s.Slots = append(s.Slots, sl)
+				slots[k] = sl
 			}
+			c.pos = pos
 		}
 		s.Nodes = append(s.Nodes, n)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"fmt"
 	"io"
 	"slices"
 
@@ -199,6 +200,9 @@ func decodeCCTHeader(c *cursor) (*cct.Export, error) {
 	np, err := c.uvarint()
 	if err != nil {
 		return nil, err
+	}
+	if np > maxWireProcs {
+		return nil, fmt.Errorf("%d procs exceeds limit", np)
 	}
 	ex.NumProcs = int(np)
 	if ex.DistinguishSites, err = c.bool(); err != nil {

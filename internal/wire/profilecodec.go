@@ -36,6 +36,12 @@ import (
 // generous against hpm.MaxCounters, tight against hostile headers.
 const maxWireEvents = 256
 
+// maxWireProcs bounds the procedure count a decoded CCT may declare. Its
+// nodes need not mention every procedure, so the count is not bounded by
+// the payload size, yet the collector's fold sizes a per-procedure table
+// from it.
+const maxWireProcs = 1 << 20
+
 // maxWireK bounds the iteration degree a decoded profile may declare —
 // far above instrument's own ceiling, tight against hostile payloads.
 const maxWireK = 255

@@ -354,20 +354,57 @@ func (c *cursor) ReadByte() (byte, error) {
 	return b, nil
 }
 
+var errVarint = errors.New("truncated varint")
+
+// uvarint decodes one uvarint straight from the payload slice. A
+// malformed varint consumes exactly what binary.ReadUvarint would have
+// pulled from a byte reader — everything left when truncated, at most
+// binary.MaxVarintLen64 bytes on overflow — so every positioned error
+// keeps its offset.
 func (c *cursor) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(c)
-	if err != nil {
-		return 0, fmt.Errorf("truncated varint")
+	if c.pos < len(c.b) && c.b[c.pos] < 0x80 {
+		v := uint64(c.b[c.pos])
+		c.pos++
+		return v, nil
 	}
+	v, n := binary.Uvarint(c.b[c.pos:])
+	if n <= 0 {
+		if n == 0 {
+			c.pos = len(c.b)
+		} else {
+			c.pos += min(-n, binary.MaxVarintLen64)
+		}
+		return 0, errVarint
+	}
+	c.pos += n
 	return v, nil
 }
 
 func (c *cursor) varint() (int64, error) {
-	v, err := binary.ReadVarint(c)
+	ux, err := c.uvarint()
 	if err != nil {
-		return 0, fmt.Errorf("truncated varint")
+		return 0, err
 	}
-	return v, nil
+	return unzigzag(ux), nil
+}
+
+// unzigzag maps a zigzag-encoded uvarint back to its signed value, as
+// binary.Varint does.
+func unzigzag(ux uint64) int64 {
+	x := int64(ux >> 1)
+	if ux&1 != 0 {
+		x = ^x
+	}
+	return x
+}
+
+// failVarint re-reads the malformed varint at pos through the cursor, so
+// an item loop that decodes the slice inline fails with the cursor's own
+// error and leaves the cursor where that error is positioned.
+func (c *cursor) failVarint(pos int) error {
+	c.pos = pos
+	_, err := c.uvarint()
+	return err
 }
 
 func (c *cursor) bool() (bool, error) {

@@ -84,6 +84,13 @@ echo "$out"
 echo "$out" | grep 'BenchmarkIngestFrameFold' | grep -q ' 0 allocs/op'
 test -s BENCH_ingest.json
 
+# The v3 item decoders on their own must stay allocation-free as well:
+# parsing a 64-item frame of real flow+hw, ctx+flow and k=2 envelopes and
+# decoding every item into reused scratch.
+out="$(go test -run='^$' -bench='BenchmarkWireFrameDecode' -benchmem -benchtime=200x ./internal/wire)"
+echo "$out"
+echo "$out" | grep 'BenchmarkWireFrameDecode' | grep -q ' 0 allocs/op'
+
 # Fan-in load smoke: a scaled-down producer fleet through a two-level
 # relay tree must reproduce the local ground-truth tables byte for byte
 # (the full 10k-producer run is the test's default outside CI).
@@ -131,8 +138,11 @@ go run ./cmd/ppvet -tv
 go run ./cmd/ppvet -tv -k 2
 
 # Decoder hardening: the fuzz targets must survive a short smoke run
-# (corrupt and truncated input may error, never panic).
+# (corrupt and truncated input may error, never panic). FuzzIngest also
+# requires that an item the collector rejects leaves every merged
+# aggregate byte-identical.
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/wire
+go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/collector
 go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=5s ./internal/profile
 go test -run='^$' -fuzz='^FuzzSegmentReplay$' -fuzztime=5s ./internal/store
 
