@@ -1332,3 +1332,82 @@ func BenchmarkIngestFrameFold(b *testing.B) {
 		"allocs-per-op":    float64(ms1.Mallocs-ms0.Mallocs) / float64(b.N),
 	})
 }
+
+// --- table queries ---
+
+// BenchmarkTableQuery serves the whole /table/3, /4, /5 and /metrics
+// through the collector's handler. The 4-shard collector holds a flow+hw
+// profile and a ctx+flow CCT of every suite program at test scale in
+// every shard. warm reads with no fold in between; afterFold first folds,
+// untimed, one frame carrying an envelope of every program, so every row
+// is derived again. ci.sh gates warm /table/4 at no more than half of
+// afterFold's allocs/op.
+func BenchmarkTableQuery(b *testing.B) {
+	const shards = 4
+	s := experiments.NewSession(workload.Test)
+	preload, fold := wire.NewBatchWriter(), wire.NewBatchWriter()
+	for _, w := range workload.Suite() {
+		pc, err := s.Run(w, instrument.ModePathHW, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		tc, err := s.Run(w, instrument.ModeContextFlow, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		ex := tc.Tree.Export(w.Name)
+		// Envelopes in a row fold into consecutive shards.
+		for _, add := range []func(*wire.BatchWriter) error{
+			func(bw *wire.BatchWriter) error { return bw.AddProfile(pc.Profile) },
+			func(bw *wire.BatchWriter) error { return bw.AddExport(ex) },
+		} {
+			for range shards {
+				if err := add(preload); err != nil {
+					b.Fatal(err)
+				}
+			}
+			if err := add(fold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	c := collector.New(collector.Config{Shards: shards})
+	if _, _, err := c.IngestFrame(preload.Frame()); err != nil {
+		b.Fatal(err)
+	}
+	frame := fold.Frame()
+	h := c.Handler()
+	for _, mode := range []string{"warm", "afterFold"} {
+		b.Run(mode, func(b *testing.B) {
+			for _, table := range []string{"3", "4", "5", "metrics"} {
+				name := "table" + table
+				if table == "metrics" {
+					name = "table_metrics"
+				}
+				b.Run(name, func(b *testing.B) {
+					req := httptest.NewRequest("GET", "/table/"+table, nil)
+					serve := func() {
+						rec := httptest.NewRecorder()
+						h.ServeHTTP(rec, req)
+						if rec.Code != 200 {
+							b.Fatalf("/table/%s answered %d: %s", table, rec.Code, rec.Body)
+						}
+					}
+					serve()
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if mode == "afterFold" {
+							b.StopTimer()
+							if _, _, err := c.IngestFrame(frame); err != nil {
+								b.Fatal(err)
+							}
+							b.StartTimer()
+						}
+						serve()
+					}
+				})
+			}
+		})
+	}
+}

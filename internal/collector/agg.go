@@ -57,6 +57,7 @@ type profAgg struct {
 	k       int    // iteration degree; 0 when classic (see aggK)
 	schema  string // SchemaKey of (k, events)
 	procs   []*procAgg
+	gen     uint64 // fold stamp: the shard's gen at the last fold into it
 }
 
 // aggK normalizes an iteration degree for aggregation: 0 and 1 both mean
@@ -318,6 +319,7 @@ type cctAgg struct {
 	sizeBytes        uint64
 	listElems        int
 	root             *aggNode
+	gen              uint64 // fold stamp, as in profAgg
 }
 
 // ancestors is the fold-time proc -> nearest-enclosing-record map,

@@ -12,11 +12,16 @@
 // decoded under a request timeout and a body size cap, then folded into
 // one of Config.Shards shard aggregates chosen round-robin (batched
 // frames fold item by item, spreading one frame across shards). Shards
-// hold fold-in-place aggregates (see agg.go); queries fold them together
+// hold fold-in-place aggregates (see agg.go); reads fold them together
 // with the ingest's own fold into a private aggregate, so readers never
 // share mutable state with the ingest path. Because merging is
 // associative and commutative over these aggregates, the fully merged
 // result is independent of how requests were spread across shards.
+//
+// Table queries answer from per-program views (see view.go): the rows
+// derived from one such merge, kept with the fold stamps of the shard
+// aggregates they came from and recomputed on the first read after a
+// fold changes one of those aggregates.
 //
 // Shutdown sets a draining flag (new ingests get 503) and waits for
 // in-flight merges, so no accepted profile is lost.
@@ -88,6 +93,11 @@ type shard struct {
 	mu       sync.Mutex
 	profiles map[string]*profAgg
 	exports  map[string]*cctAgg
+	// gen advances on every fold into one of the shard's aggregates,
+	// failed folds included, and the aggregate records the new value as
+	// its fold stamp. It never goes back, so a stamp is never reused, not
+	// even by the aggregates that replace those Take removes.
+	gen uint64
 }
 
 func newShard() *shard {
@@ -114,6 +124,8 @@ type Metrics struct {
 	RejectedConflict  uint64         `json:"rejected_conflict"`
 	RejectedStoreFull uint64         `json:"rejected_store_full"`
 	RejectedDraining  uint64         `json:"rejected_draining"`
+	TableViewHits     uint64         `json:"table_view_hits"`
+	TableViewMisses   uint64         `json:"table_view_misses"`
 	Inflight          int64          `json:"inflight"`
 	QueueDepth        int64          `json:"queue_depth"`
 	Draining          bool           `json:"draining"`
@@ -152,6 +164,12 @@ type Collector struct {
 	draining bool
 	inflight sync.WaitGroup
 
+	// viewMu guards the view maps (view.go). It is never held while a
+	// shard lock is taken.
+	viewMu    sync.Mutex
+	profViews map[string]*profView
+	cctViews  map[string]*cctView
+
 	ingestedProfiles  atomic.Uint64
 	ingestedCCTs      atomic.Uint64
 	ingestedFrames    atomic.Uint64
@@ -166,15 +184,19 @@ type Collector struct {
 	rejectedDraining  atomic.Uint64
 	inflightCount     atomic.Int64
 	queueDepth        atomic.Int64
+	viewHits          atomic.Uint64
+	viewMisses        atomic.Uint64
 }
 
 // New creates a collector with cfg (zero fields defaulted).
 func New(cfg Config) *Collector {
 	cfg = cfg.withDefaults()
 	c := &Collector{
-		cfg:    cfg,
-		sem:    make(chan struct{}, cfg.MaxConcurrent),
-		shards: make([]*shard, cfg.Shards),
+		cfg:       cfg,
+		sem:       make(chan struct{}, cfg.MaxConcurrent),
+		shards:    make([]*shard, cfg.Shards),
+		profViews: make(map[string]*profView),
+		cctViews:  make(map[string]*cctView),
 	}
 	c.scratch.New = func() any { return &foldScratch{} }
 	for i := range c.shards {
@@ -204,6 +226,8 @@ func (c *Collector) Metrics() Metrics {
 		RejectedConflict:  c.rejectedConflict.Load(),
 		RejectedStoreFull: c.rejectedStoreFull.Load(),
 		RejectedDraining:  c.rejectedDraining.Load(),
+		TableViewHits:     c.viewHits.Load(),
+		TableViewMisses:   c.viewMisses.Load(),
 		Inflight:          c.inflightCount.Load(),
 		QueueDepth:        c.queueDepth.Load(),
 		Draining:          draining,
@@ -271,7 +295,10 @@ func (c *Collector) ingestProfile(p *profile.Profile) error {
 	sh := c.pick()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.gen++
+	b.gen = sh.gen
 	if a, ok := sh.profiles[b.program]; ok {
+		a.gen = b.gen
 		if err := a.foldAgg(b); err != nil {
 			return err
 		}
@@ -307,13 +334,16 @@ func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile, _ *foldScratch) er
 	sh := c.pick()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.gen++
 	a, ok := sh.profiles[string(bp.Program)] // string(…) key lookup does not allocate
 	if !ok {
 		a = newProfAggBatch(bp)
+		a.gen = sh.gen
 		sh.profiles[a.program] = a
 		c.ingestedProfiles.Add(1)
 		return nil
 	}
+	a.gen = sh.gen
 	if err := a.foldBatch(bp); err != nil {
 		return err
 	}
@@ -326,16 +356,19 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 	sh := c.pick()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	sh.gen++
 	a, ok := sh.exports[string(bc.Program)]
 	if !ok {
 		agg, err := newCCTAgg(bc, sc)
 		if err != nil {
 			return err
 		}
+		agg.gen = sh.gen
 		sh.exports[agg.program] = agg
 		c.ingestedCCTs.Add(1)
 		return nil
 	}
+	a.gen = sh.gen
 	if err := a.foldBatch(bc, sc); err != nil {
 		return err
 	}
@@ -390,15 +423,23 @@ func (c *Collector) pick() *shard {
 }
 
 // Programs returns every program with any aggregated data, sorted.
-func (c *Collector) Programs() []string {
+func (c *Collector) Programs() []string { return c.programs(true, true) }
+
+// programs returns the programs holding a profile aggregate (when
+// profiles is set) or a CCT aggregate (when ccts is set), sorted.
+func (c *Collector) programs(profiles, ccts bool) []string {
 	seen := map[string]bool{}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for name := range sh.profiles {
-			seen[name] = true
+		if profiles {
+			for name := range sh.profiles {
+				seen[name] = true
+			}
 		}
-		for name := range sh.exports {
-			seen[name] = true
+		if ccts {
+			for name := range sh.exports {
+				seen[name] = true
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -417,33 +458,41 @@ func (c *Collector) Programs() []string {
 // the merge so far contributes nothing and ends the merge. The result is
 // a fresh snapshot; callers may keep it as long as they like.
 func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	var m *cctAgg
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		a, ok := sh.exports[program]
-		if ok {
-			a.writeBatch(sc)
-		}
-		sh.mu.Unlock()
-		if !ok {
-			continue
-		}
-		var err error
-		if m == nil {
-			m, err = newCCTAgg(&sc.bc, sc)
-		} else {
-			err = m.foldBatch(&sc.bc, sc)
-		}
-		if err != nil {
-			break
-		}
-	}
+	m, _ := c.mergeExport(program)
 	if m == nil {
 		return nil, false
 	}
 	return m.snapshot(), true
+}
+
+// mergeExport folds program's CCT aggregates across shards as
+// MergedExport describes, or returns nil when no shard holds one. It also
+// returns each shard's fold stamp for the program (0 where it holds
+// none), read under the lock that reads that shard's aggregate; shards
+// after a conflict contribute their stamps alone.
+func (c *Collector) mergeExport(program string) (*cctAgg, []uint64) {
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	stamps := make([]uint64, len(c.shards))
+	var m *cctAgg
+	var err error
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		a, ok := sh.exports[program]
+		if ok {
+			stamps[i] = a.gen
+			a.writeBatch(sc)
+		}
+		sh.mu.Unlock()
+		switch {
+		case !ok || err != nil:
+		case m == nil:
+			m, err = newCCTAgg(&sc.bc, sc)
+		default:
+			err = m.foldBatch(&sc.bc, sc)
+		}
+	}
+	return m, stamps
 }
 
 // MergedProfile returns the program's path profile merged across all
@@ -453,27 +502,35 @@ func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
 // nothing and ends the merge. The result is always a fresh profile;
 // callers may mutate it.
 func (c *Collector) MergedProfile(program string) (*profile.Profile, bool) {
-	var m *profAgg
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		a, ok := sh.profiles[program]
-		var err error
-		switch {
-		case !ok:
-		case m == nil:
-			m = a.clone()
-		default:
-			err = m.foldAgg(a)
-		}
-		sh.mu.Unlock()
-		if err != nil {
-			break
-		}
-	}
+	m, _ := c.mergeProfile(program)
 	if m == nil {
 		return nil, false
 	}
 	return m.materialize(), true
+}
+
+// mergeProfile folds program's profile aggregates across shards as
+// MergedProfile describes, or returns nil when no shard holds one, with
+// the stamps mergeExport returns.
+func (c *Collector) mergeProfile(program string) (*profAgg, []uint64) {
+	stamps := make([]uint64, len(c.shards))
+	var m *profAgg
+	var err error
+	for i, sh := range c.shards {
+		sh.mu.Lock()
+		if a, ok := sh.profiles[program]; ok {
+			stamps[i] = a.gen
+			switch {
+			case err != nil:
+			case m == nil:
+				m = a.clone()
+			default:
+				err = m.foldAgg(a)
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return m, stamps
 }
 
 // Take removes and returns everything aggregated so far, merged across
@@ -482,7 +539,8 @@ func (c *Collector) MergedProfile(program string) (*profile.Profile, bool) {
 // (see relay.go): a leaf collector periodically Takes its aggregate and
 // pushes it upstream as one batch. Shards merge as in MergedProfile and
 // MergedExport, except that the swapped-out aggregates are owned here, so
-// later shards fold straight into the first one.
+// later shards fold straight into the first one. Take drops every table
+// view.
 func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 	profParts := map[string][]*profAgg{}
 	exportParts := map[string][]*cctAgg{}
@@ -499,6 +557,10 @@ func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 			exportParts[name] = append(exportParts[name], a)
 		}
 	}
+	c.viewMu.Lock()
+	clear(c.profViews)
+	clear(c.cctViews)
+	c.viewMu.Unlock()
 	var profiles []*profile.Profile
 	for _, parts := range profParts {
 		a := parts[0]

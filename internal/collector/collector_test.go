@@ -157,6 +157,64 @@ func TestQueryUnknownProgram(t *testing.T) {
 	}
 }
 
+// TestWholeTableDefault: a request without ?programs= lists only the
+// programs holding that table's kind of aggregate, so a profile-only
+// program does not break Table 3, nor a CCT-only one Tables 4, 5 and
+// metrics. A program named explicitly without one still gets 404.
+func TestWholeTableDefault(t *testing.T) {
+	prof, tree := fixtures(t)
+	_, cl := newServer(t, Config{Shards: 2})
+	ctx := context.Background()
+	k2 := cloneProfile(prof)
+	k2.Program = "compress.k2"
+	for _, push := range []func() error{
+		func() error { _, err := cl.PushProfile(ctx, prof); return err },
+		func() error { _, err := cl.PushProfile(ctx, k2); return err },
+		func() error { _, err := cl.PushExport(ctx, tree.Export("compress")); return err },
+		func() error { _, err := cl.PushExport(ctx, tree.Export("cctonly")); return err },
+	} {
+		if err := push(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		table       int
+		rows, avoid []string
+	}{
+		{3, []string{"compress"}, []string{"compress.k2"}},
+		{4, []string{"compress", "compress.k2"}, []string{"cctonly"}},
+		{5, []string{"compress", "compress.k2"}, []string{"cctonly"}},
+		{0, []string{"compress", "compress.k2"}, []string{"cctonly"}},
+	} {
+		var out string
+		var err error
+		if tc.table == 0 {
+			out, err = cl.MetricTable(ctx, nil)
+		} else {
+			out, err = cl.Table(ctx, tc.table, nil)
+		}
+		if err != nil {
+			t.Fatalf("whole table %d: %v", tc.table, err)
+		}
+		for _, name := range tc.rows {
+			if !strings.Contains(out, name+" ") {
+				t.Errorf("whole table %d lacks %s:\n%s", tc.table, name, out)
+			}
+		}
+		for _, name := range tc.avoid {
+			if strings.Contains(out, name) {
+				t.Errorf("whole table %d lists %s:\n%s", tc.table, name, out)
+			}
+		}
+	}
+	if _, err := cl.Table(ctx, 3, []string{"compress.k2"}); statusOf(t, err) != http.StatusNotFound {
+		t.Errorf("table 3 naming a profile-only program: want 404, got %v", err)
+	}
+	if _, err := cl.MetricTable(ctx, []string{"cctonly"}); statusOf(t, err) != http.StatusNotFound {
+		t.Errorf("metrics naming a CCT-only program: want 404, got %v", err)
+	}
+}
+
 func TestOversizedBodyRejected(t *testing.T) {
 	prof, _ := fixtures(t)
 	c, cl := newServer(t, Config{MaxBodyBytes: 64})
@@ -447,13 +505,9 @@ func TestConcurrentPushAndQuery(t *testing.T) {
 			defer wg.Done()
 			for j := 0; j < perPusher; j++ {
 				for _, n := range []int{3, 5} {
+					// Before the first push lands the table is empty.
 					if _, err := cl.Table(ctx, n, nil); err != nil {
-						// Before the first push lands there is nothing to
-						// render; only transport errors are fatal.
-						var ae *apiError
-						if !errors.As(err, &ae) {
-							errs <- err
-						}
+						errs <- err
 					}
 				}
 				if _, err := cl.http().Get(cl.BaseURL + "/metrics"); err != nil {

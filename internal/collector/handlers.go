@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pathprof/internal/analysis"
@@ -28,7 +30,8 @@ import (
 //	GET  /healthz        liveness (503 while draining)
 //
 // The table endpoints accept ?programs=a,b to select and order rows;
-// the default is every aggregated program in sorted order.
+// the default is every program holding the table's kind of aggregate (a
+// CCT for Table 3, a profile for the others) in sorted order.
 func (c *Collector) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /ingest", c.handleIngest)
@@ -244,8 +247,9 @@ func abortBody(w http.ResponseWriter) {
 }
 
 // requestedPrograms resolves the ?programs= selection (explicit order)
-// or defaults to every aggregated program sorted.
-func (c *Collector) requestedPrograms(r *http.Request) []string {
+// or defaults to every program holding a profile aggregate (a CCT
+// aggregate when profiles is false), sorted.
+func (c *Collector) requestedPrograms(r *http.Request, profiles bool) []string {
 	if q := r.URL.Query().Get("programs"); q != "" {
 		var out []string
 		for _, name := range strings.Split(q, ",") {
@@ -255,49 +259,61 @@ func (c *Collector) requestedPrograms(r *http.Request) []string {
 		}
 		return out
 	}
-	return c.Programs()
+	return c.programs(profiles, !profiles)
+}
+
+// tableBufs pools the buffers tables render into.
+var tableBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// writeTable renders a table into a pooled buffer and sends it in one
+// write, with its Content-Length.
+func writeTable(w http.ResponseWriter, render func(io.Writer)) {
+	buf := tableBufs.Get().(*bytes.Buffer)
+	defer tableBufs.Put(buf)
+	buf.Reset()
+	render(buf)
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
+	w.Write(buf.Bytes())
 }
 
 func (c *Collector) handleTable3(w http.ResponseWriter, r *http.Request) {
 	var rows []experiments.Table3Row
-	for _, name := range c.requestedPrograms(r) {
-		ex, ok := c.MergedExport(name)
+	for _, name := range c.requestedPrograms(r, false) {
+		v, ok := c.exportView(name)
 		if !ok {
 			http.Error(w, "no CCT aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		rows = append(rows, experiments.Table3Row{Name: name, Stats: ex.Stats()})
+		rows = append(rows, experiments.Table3Row{Name: name, Stats: v.stats})
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	experiments.RenderTable3(rows, w)
+	writeTable(w, func(b io.Writer) { experiments.RenderTable3(rows, b) })
 }
 
 func (c *Collector) handleTable4(w http.ResponseWriter, r *http.Request) {
 	var results []experiments.Table4Result
-	for _, name := range c.requestedPrograms(r) {
-		p, ok := c.MergedProfile(name)
+	for _, name := range c.requestedPrograms(r, true) {
+		v, ok := c.profileView(name)
 		if !ok {
 			http.Error(w, "no profile aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		results = append(results, experiments.Table4FromProfile(name, p))
+		results = append(results, v.table4)
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	experiments.RenderTable4(results, w)
+	writeTable(w, func(b io.Writer) { experiments.RenderTable4(results, b) })
 }
 
 func (c *Collector) handleTable5(w http.ResponseWriter, r *http.Request) {
 	var reports []analysis.ProcReport
-	for _, name := range c.requestedPrograms(r) {
-		p, ok := c.MergedProfile(name)
+	for _, name := range c.requestedPrograms(r, true) {
+		v, ok := c.profileView(name)
 		if !ok {
 			http.Error(w, "no profile aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		reports = append(reports, analysis.ClassifyProcs(p, analysis.DefaultHotThreshold))
+		reports = append(reports, v.table5)
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	experiments.RenderTable5(reports, w)
+	writeTable(w, func(b io.Writer) { experiments.RenderTable5(reports, b) })
 }
 
 // handleTableNamedMetrics renders each program's merged totals under the
@@ -305,53 +321,40 @@ func (c *Collector) handleTable5(w http.ResponseWriter, r *http.Request) {
 // schemas contribute different columns; the column set is the first-seen
 // union and rows leave unschemed columns blank.
 func (c *Collector) handleTableNamedMetrics(w http.ResponseWriter, r *http.Request) {
-	type row struct {
-		name   string
-		freq   uint64
-		totals map[string]uint64
-	}
-	var rows []row
+	names := c.requestedPrograms(r, true)
+	views := make([]*profView, len(names))
 	var cols []string
 	seen := map[string]bool{}
-	for _, name := range c.requestedPrograms(r) {
-		p, ok := c.MergedProfile(name)
+	for i, name := range names {
+		v, ok := c.profileView(name)
 		if !ok {
 			http.Error(w, "no profile aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		freq, ms := p.Totals()
-		totals := make(map[string]uint64, len(p.Events))
-		for i, ev := range p.Events {
-			if ev == "" {
-				ev = "slot" + strconv.Itoa(i)
-			}
+		for _, ev := range v.events {
 			if !seen[ev] {
 				seen[ev] = true
 				cols = append(cols, ev)
 			}
-			if i < len(ms) {
-				totals[ev] += ms[i]
-			}
 		}
-		rows = append(rows, row{name: name, freq: freq, totals: totals})
+		views[i] = v
 	}
 	t := &report.Table{
 		Title: "Merged profile totals by named metric",
 		Cols:  append([]string{"Program", "Path execs"}, cols...),
 	}
-	for _, rw := range rows {
-		vals := []interface{}{rw.name, rw.freq}
+	for i, v := range views {
+		vals := []interface{}{names[i], v.execs}
 		for _, ev := range cols {
-			if v, ok := rw.totals[ev]; ok {
-				vals = append(vals, v)
+			if x, ok := v.totals[ev]; ok {
+				vals = append(vals, x)
 			} else {
 				vals = append(vals, "-")
 			}
 		}
 		t.AddRow(vals...)
 	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	t.Render(w)
+	writeTable(w, t.Render)
 }
 
 func (c *Collector) handlePrograms(w http.ResponseWriter, _ *http.Request) {

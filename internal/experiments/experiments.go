@@ -9,6 +9,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"sync"
 	"time"
 
@@ -526,8 +527,8 @@ func RenderTable3(rows []Table3Row, w io.Writer) {
 	for _, r := range rows {
 		st := r.Stats
 		t.AddRow(r.Name, report.SI(st.SizeBytes), st.Nodes,
-			fmt.Sprintf("%.1f", st.AvgNodeSize), fmt.Sprintf("%.1f", st.AvgOutDegree),
-			fmt.Sprintf("%.1f", st.AvgHeight), st.MaxHeight, st.MaxReplication,
+			oneDecimal(st.AvgNodeSize), oneDecimal(st.AvgOutDegree),
+			oneDecimal(st.AvgHeight), st.MaxHeight, st.MaxReplication,
 			st.CallSitesTotal, st.CallSitesUsed, st.OnePathSites)
 	}
 	t.Render(w)
@@ -627,13 +628,16 @@ func RenderTable5(reports []analysis.ProcReport, w io.Writer) {
 	}
 	for _, r := range reports {
 		t.AddRow(r.Program,
-			r.Hot.Num, fmt.Sprintf("%.1f", r.Hot.PathsPerProc), report.Pct(frac(r.Hot.Misses, r.TotalMisses)),
-			r.Dense.Num, fmt.Sprintf("%.1f", r.Dense.PathsPerProc), report.Pct(frac(r.Dense.Misses, r.TotalMisses)),
-			r.Sparse.Num, fmt.Sprintf("%.1f", r.Sparse.PathsPerProc), report.Pct(frac(r.Sparse.Misses, r.TotalMisses)),
-			r.Cold.Num, fmt.Sprintf("%.1f", r.Cold.PathsPerProc), report.Pct(frac(r.Cold.Misses, r.TotalMisses)))
+			r.Hot.Num, oneDecimal(r.Hot.PathsPerProc), report.Pct(frac(r.Hot.Misses, r.TotalMisses)),
+			r.Dense.Num, oneDecimal(r.Dense.PathsPerProc), report.Pct(frac(r.Dense.Misses, r.TotalMisses)),
+			r.Sparse.Num, oneDecimal(r.Sparse.PathsPerProc), report.Pct(frac(r.Sparse.Misses, r.TotalMisses)),
+			r.Cold.Num, oneDecimal(r.Cold.PathsPerProc), report.Pct(frac(r.Cold.Misses, r.TotalMisses)))
 	}
 	t.Render(w)
 }
+
+// oneDecimal formats x as %.1f does.
+func oneDecimal(x float64) string { return strconv.FormatFloat(x, 'f', 1, 64) }
 
 func frac(a, b uint64) float64 {
 	if b == 0 {

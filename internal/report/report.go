@@ -5,7 +5,9 @@ package report
 import (
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a simple column-aligned text table.
@@ -16,15 +18,22 @@ type Table struct {
 	Rows  [][]string
 }
 
-// AddRow appends a row; values are formatted with %v.
+// AddRow appends a row. Integers print in decimal, floats with two
+// decimals, and anything else but strings with fmt's %v.
 func (t *Table) AddRow(vals ...interface{}) {
 	row := make([]string, len(vals))
 	for i, v := range vals {
 		switch x := v.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", x)
 		case string:
 			row[i] = x
+		case int:
+			row[i] = strconv.Itoa(x)
+		case int64:
+			row[i] = strconv.FormatInt(x, 10)
+		case uint64:
+			row[i] = strconv.FormatUint(x, 10)
+		case float64:
+			row[i] = strconv.FormatFloat(x, 'f', 2, 64)
 		default:
 			row[i] = fmt.Sprintf("%v", v)
 		}
@@ -37,7 +46,7 @@ func (t *Table) AddSeparator() {
 	t.Rows = append(t.Rows, nil)
 }
 
-// Render writes the table to w.
+// Render builds the table in one buffer and writes it to w at once.
 func (t *Table) Render(w io.Writer) {
 	widths := make([]int, len(t.Cols))
 	for i, c := range t.Cols {
@@ -54,17 +63,21 @@ func (t *Table) Render(w io.Writer) {
 	for _, wd := range widths {
 		total += wd + 2
 	}
+	rule := min(total, 110)
+	b := make([]byte, 0, len(t.Title)+len(t.Note)+(total+1)*(len(t.Rows)+4))
 	if t.Title != "" {
-		fmt.Fprintf(w, "%s\n%s\n", t.Title, strings.Repeat("=", min(total, 110)))
+		b = append(b, t.Title...)
+		b = append(b, '\n')
+		b = appendRule(b, '=', rule)
 	}
 	for i, c := range t.Cols {
-		fmt.Fprintf(w, "%-*s", widths[i]+2, c)
+		b = appendPadded(b, c, widths[i]+2, false)
 	}
-	fmt.Fprintln(w)
-	fmt.Fprintln(w, strings.Repeat("-", min(total, 110)))
+	b = append(b, '\n')
+	b = appendRule(b, '-', rule)
 	for _, r := range t.Rows {
 		if r == nil {
-			fmt.Fprintln(w, strings.Repeat("-", min(total, 110)))
+			b = appendRule(b, '-', rule)
 			continue
 		}
 		for i, v := range r {
@@ -72,18 +85,41 @@ func (t *Table) Render(w io.Writer) {
 				break
 			}
 			// Right-align numeric-looking cells, left-align names.
-			if isNumeric(v) {
-				fmt.Fprintf(w, "%*s  ", widths[i], v)
-			} else {
-				fmt.Fprintf(w, "%-*s  ", widths[i], v)
-			}
+			b = appendPadded(b, v, widths[i], isNumeric(v))
+			b = append(b, "  "...)
 		}
-		fmt.Fprintln(w)
+		b = append(b, '\n')
 	}
 	if t.Note != "" {
-		fmt.Fprintf(w, "\n%s\n", wrap(t.Note, 100))
+		b = append(b, '\n')
+		b = appendWrapped(b, t.Note, 100)
+		b = append(b, '\n')
 	}
-	fmt.Fprintln(w)
+	b = append(b, '\n')
+	w.Write(b)
+}
+
+// appendRule appends a line of n copies of c.
+func appendRule(b []byte, c byte, n int) []byte {
+	for range n {
+		b = append(b, c)
+	}
+	return append(b, '\n')
+}
+
+// appendPadded appends s padded with spaces to width runes, on the left
+// when right is set, as fmt's %*s and %-*s pad.
+func appendPadded(b []byte, s string, width int, right bool) []byte {
+	if !right {
+		b = append(b, s...)
+	}
+	for pad := width - utf8.RuneCountInString(s); pad > 0; pad-- {
+		b = append(b, ' ')
+	}
+	if right {
+		b = append(b, s...)
+	}
+	return b
 }
 
 func isNumeric(s string) bool {
@@ -106,48 +142,40 @@ func isNumeric(s string) bool {
 	return true
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// appendWrapped appends s with its words wrapped into lines of at most
+// width bytes where the words allow.
+func appendWrapped(b []byte, s string, width int) []byte {
+	line := 0
+	for i, w := range strings.Fields(s) {
+		if line > 0 && line+1+len(w) > width {
+			b = append(b, '\n')
+			line = 0
+		} else if i > 0 {
+			b = append(b, ' ')
+			line++
+		}
+		b = append(b, w...)
+		line += len(w)
 	}
 	return b
 }
 
-// wrap breaks a note into lines at word boundaries.
-func wrap(s string, width int) string {
-	words := strings.Fields(s)
-	var sb strings.Builder
-	line := 0
-	for i, w := range words {
-		if line > 0 && line+1+len(w) > width {
-			sb.WriteByte('\n')
-			line = 0
-		} else if i > 0 {
-			sb.WriteByte(' ')
-			line++
-		}
-		sb.WriteString(w)
-		line += len(w)
-	}
-	return sb.String()
-}
-
 // Pct formats a fraction as a percentage string.
-func Pct(f float64) string { return fmt.Sprintf("%.1f%%", f*100) }
+func Pct(f float64) string { return strconv.FormatFloat(f*100, 'f', 1, 64) + "%" }
 
 // Ratio formats a ratio with two decimals.
-func Ratio(f float64) string { return fmt.Sprintf("%.2f", f) }
+func Ratio(f float64) string { return strconv.FormatFloat(f, 'f', 2, 64) }
 
 // SI formats large counts compactly (e.g. 1.1e9 style like the paper).
 func SI(v uint64) string {
 	switch {
 	case v >= 1_000_000_000:
-		return fmt.Sprintf("%.1fe9", float64(v)/1e9)
+		return strconv.FormatFloat(float64(v)/1e9, 'f', 1, 64) + "e9"
 	case v >= 1_000_000:
-		return fmt.Sprintf("%.1fe6", float64(v)/1e6)
+		return strconv.FormatFloat(float64(v)/1e6, 'f', 1, 64) + "e6"
 	case v >= 10_000:
-		return fmt.Sprintf("%.1fe3", float64(v)/1e3)
+		return strconv.FormatFloat(float64(v)/1e3, 'f', 1, 64) + "e3"
 	default:
-		return fmt.Sprintf("%d", v)
+		return strconv.FormatUint(v, 10)
 	}
 }

@@ -91,6 +91,17 @@ out="$(go test -run='^$' -bench='BenchmarkWireFrameDecode' -benchmem -benchtime=
 echo "$out"
 echo "$out" | grep 'BenchmarkWireFrameDecode' | grep -q ' 0 allocs/op'
 
+# Table queries answer from per-program views until a fold changes the
+# program: a warm whole-table /table/4 must allocate at most half of what
+# the same read allocates when every row has to be derived again.
+out="$(go test -run='^$' -bench='BenchmarkTableQuery' -benchmem -benchtime=20x .)"
+echo "$out"
+allocs() { echo "$out" | awk -v b="$1" '$1 ~ b { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }'; }
+warm="$(allocs '^BenchmarkTableQuery/warm/table4')"
+cold="$(allocs '^BenchmarkTableQuery/afterFold/table4')"
+awk -v w="$warm" -v c="$cold" 'BEGIN { printf "table 4 allocs/op: warm %d, after a fold %d\n", w, c;
+	exit (w > 0 && c > 0 && 2 * w <= c) ? 0 : 1 }'
+
 # Fan-in load smoke: a scaled-down producer fleet through a two-level
 # relay tree must reproduce the local ground-truth tables byte for byte
 # (the full 10k-producer run is the test's default outside CI).
