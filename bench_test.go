@@ -9,7 +9,6 @@ package pathprof
 // log.
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -1111,41 +1110,56 @@ func wireBenchData(b *testing.B) (*profile.Profile, *cct.Export) {
 	return wireBench.profile, wireBench.export
 }
 
-// BenchmarkWireEncodeProfile measures profile serialization throughput
-// (b.SetBytes reports MB/s of wire output).
-func BenchmarkWireEncodeProfile(b *testing.B) {
-	p, _ := wireBenchData(b)
-	var buf bytes.Buffer
-	if err := wire.EncodeProfile(&buf, p); err != nil {
+// oneItemFrame encodes the envelope add writes as a one-item frame,
+// appended to dst[:0] through the reset writer bw.
+func oneItemFrame(b *testing.B, bw *wire.BatchWriter, dst []byte, add func(*wire.BatchWriter) error) []byte {
+	bw.Reset()
+	if err := add(bw); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
+	return bw.AppendFrame(dst[:0])
+}
+
+// benchWireEncode measures encoding one envelope as a one-item frame
+// into a reused writer and buffer (b.SetBytes reports MB/s of wire
+// output). Once the first frame has sized them, encoding allocates
+// nothing; ci.sh gates both encode benchmarks at 0 allocs/op.
+func benchWireEncode(b *testing.B, add func(*wire.BatchWriter) error) []byte {
+	bw := wire.NewBatchWriter()
+	buf := oneItemFrame(b, bw, nil, add)
+	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := wire.EncodeProfile(&buf, p); err != nil {
-			b.Fatal(err)
-		}
+		buf = oneItemFrame(b, bw, buf, add)
 	}
 	b.StopTimer()
-	recordBench(b, map[string]float64{"envelope-bytes": float64(buf.Len())})
+	return buf
 }
 
+// BenchmarkWireEncodeProfile measures profile serialization throughput.
+func BenchmarkWireEncodeProfile(b *testing.B) {
+	p, _ := wireBenchData(b)
+	buf := benchWireEncode(b, func(bw *wire.BatchWriter) error { return bw.AddProfile(p) })
+	recordBench(b, map[string]float64{"envelope-bytes": float64(len(buf))})
+}
+
+// BenchmarkWireDecodeProfile measures parsing a one-item frame and
+// materializing its profile.
 func BenchmarkWireDecodeProfile(b *testing.B) {
 	p, _ := wireBenchData(b)
-	var buf bytes.Buffer
-	if err := wire.EncodeProfile(&buf, p); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := oneItemFrame(b, wire.NewBatchWriter(), nil, func(bw *wire.BatchWriter) error { return bw.AddProfile(p) })
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.DecodeProfile(bytes.NewReader(data)); err != nil {
+		f, err := wire.ParseFrame(data)
+		if err == nil {
+			_, err = f.ProfileAt(0)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1158,38 +1172,27 @@ func BenchmarkWireDecodeProfile(b *testing.B) {
 
 func BenchmarkWireEncodeCCT(b *testing.B) {
 	_, ex := wireBenchData(b)
-	var buf bytes.Buffer
-	if err := wire.EncodeExport(&buf, ex); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := wire.EncodeExport(&buf, ex); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	buf := benchWireEncode(b, func(bw *wire.BatchWriter) error { return bw.AddExport(ex) })
 	recordBench(b, map[string]float64{
-		"envelope-bytes": float64(buf.Len()),
+		"envelope-bytes": float64(len(buf)),
 		"cct-nodes":      float64(len(ex.Nodes)),
 	})
 }
 
+// BenchmarkWireDecodeCCT measures parsing a one-item frame and
+// materializing its export.
 func BenchmarkWireDecodeCCT(b *testing.B) {
 	_, ex := wireBenchData(b)
-	var buf bytes.Buffer
-	if err := wire.EncodeExport(&buf, ex); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+	data := oneItemFrame(b, wire.NewBatchWriter(), nil, func(bw *wire.BatchWriter) error { return bw.AddExport(ex) })
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := wire.DecodeExport(bytes.NewReader(data)); err != nil {
+		f, err := wire.ParseFrame(data)
+		if err == nil {
+			_, err = f.ExportAt(0)
+		}
+		if err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -1198,17 +1201,14 @@ func BenchmarkWireDecodeCCT(b *testing.B) {
 }
 
 // BenchmarkWireIngest is the end-to-end collection-tier measurement: each
-// iteration encodes a real CCT export, POSTs it over loopback HTTP to a
-// live collector, and folds it into the sharded aggregate (envelope
-// decode, conversion through the batch codec, and the in-place shard fold
-// on the server). SetBytes is the envelope size, so the
-// reported MB/s is sustained single-client ingest bandwidth.
+// iteration encodes a real CCT export as a one-item frame, POSTs it over
+// loopback HTTP to a live collector, and folds it into the sharded
+// aggregate (frame decode and the in-place shard fold on the server).
+// SetBytes is the frame size, so the reported MB/s is sustained
+// single-client ingest bandwidth.
 func BenchmarkWireIngest(b *testing.B) {
 	p, ex := wireBenchData(b)
-	var buf bytes.Buffer
-	if err := wire.EncodeExport(&buf, ex); err != nil {
-		b.Fatal(err)
-	}
+	frame := oneItemFrame(b, wire.NewBatchWriter(), nil, func(bw *wire.BatchWriter) error { return bw.AddExport(ex) })
 	c := collector.New(collector.Config{Shards: 4})
 	srv := httptest.NewServer(c.Handler())
 	defer srv.Close()
@@ -1217,7 +1217,7 @@ func BenchmarkWireIngest(b *testing.B) {
 	if _, err := cl.PushProfile(ctx, p); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(buf.Len()))
+	b.SetBytes(int64(len(frame)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := cl.PushExport(ctx, ex); err != nil {
@@ -1227,7 +1227,7 @@ func BenchmarkWireIngest(b *testing.B) {
 	b.StopTimer()
 	m := c.Metrics()
 	recordBench(b, map[string]float64{
-		"envelope-bytes": float64(buf.Len()),
+		"envelope-bytes": float64(len(frame)),
 		"ingested-ccts":  float64(m.IngestedCCTs),
 	})
 }

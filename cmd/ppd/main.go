@@ -59,9 +59,10 @@
 //
 // -events takes any number of comma-separated event names; the pushed
 // profiles carry the schema, and the collector refuses to merge pushes
-// whose schemas disagree (HTTP 409). -batch > 1 coalesces that many
-// envelopes into one wire-v3 frame per POST (flushed early after
-// -max-wait), which is how large producer fleets should push.
+// whose schemas disagree (HTTP 409). Every POST carries one wire-v3
+// frame; -batch > 1 coalesces that many envelopes into each frame
+// (flushed early after -max-wait), which is how large producer fleets
+// should push.
 //
 // Query mode fetches a rendered table from a running daemon ("metrics"
 // renders per-program totals under the schema's named columns):
@@ -331,7 +332,7 @@ func push(args []string) {
 	events := fs.String("events", "dcache-miss,insts", "comma-separated event selection (any number of names)")
 	runs := fs.Int("runs", 1, "independent instrumented runs to push per workload")
 	parallel := fs.Int("parallel", 0, "concurrent pushers (0 = one per workload)")
-	batch := fs.Int("batch", 1, "envelopes per POST (>1 batches into wire-v3 frames)")
+	batch := fs.Int("batch", 1, "envelopes per POST frame (>1 batches them)")
 	maxWait := fs.Duration("max-wait", time.Second, "flush a partial batch this long after its first envelope")
 	fs.Parse(args)
 
@@ -406,7 +407,11 @@ func push(args []string) {
 					log.Printf("%s run %d: batched", j.w.Name, j.run)
 				} else {
 					for _, r := range resps {
-						log.Printf("%s run %d: pushed %s %s", j.w.Name, j.run, r.Kind, r.Program)
+						kind := "profile"
+						if r.CCTs > 0 {
+							kind = "cct"
+						}
+						log.Printf("%s run %d: pushed %s %s", j.w.Name, j.run, kind, j.w.Name)
 					}
 				}
 				mu.Unlock()

@@ -71,42 +71,6 @@ func aggK(k int) int {
 	return k
 }
 
-// newProfAgg adopts a freshly decoded profile as the aggregate seed.
-func newProfAgg(p *profile.Profile) *profAgg {
-	a := &profAgg{
-		program: p.Program,
-		mode:    p.Mode,
-		events:  append([]string(nil), p.Events...),
-		k:       aggK(p.K),
-	}
-	a.schema = profile.SchemaKeyFor(a.k, a.events)
-	w := len(a.events)
-	a.procs = make([]*procAgg, len(p.Procs))
-	for i, pp := range p.Procs {
-		pa := &procAgg{
-			procID:   pp.ProcID,
-			name:     pp.Name,
-			numPaths: pp.NumPaths,
-			k:        pp.K,
-			index:    flat.New(len(pp.Entries)),
-			sums:     make([]int64, 0, len(pp.Entries)),
-			freqs:    make([]uint64, 0, len(pp.Entries)),
-			metrics:  make([]uint64, 0, len(pp.Entries)*w),
-		}
-		for j := range pp.Entries {
-			e := &pp.Entries[j]
-			pa.index.Set(e.Sum, int64(len(pa.sums)))
-			pa.sums = append(pa.sums, e.Sum)
-			pa.freqs = append(pa.freqs, e.Freq)
-			for k := 0; k < w; k++ {
-				pa.metrics = append(pa.metrics, e.Metric(k))
-			}
-		}
-		a.procs[i] = pa
-	}
-	return a
-}
-
 // newProfAggBatch seeds an aggregate from a decoded batch item.
 func newProfAggBatch(bp *wire.BatchProfile) *profAgg {
 	a := &profAgg{
@@ -247,8 +211,7 @@ func (a *profAgg) clone() *profAgg {
 }
 
 // foldAgg folds every row of b into a, after the shape check a push gets;
-// on a conflict a is left untouched. Single-envelope profile pushes,
-// reads and Take all merge through it.
+// on a conflict a is left untouched. Reads and Take merge through it.
 func (a *profAgg) foldAgg(b *profAgg) error {
 	err := a.checkShape(b.mode, b.schema, len(b.procs), func(i int) int { return b.procs[i].procID })
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"pathprof/internal/cct"
@@ -31,10 +30,6 @@ var sharedTransport = &http.Transport{
 }
 
 var sharedClient = &http.Client{Transport: sharedTransport}
-
-// bodyPool recycles request body buffers across pushes so steady-state
-// pushing does not grow the heap with one buffer per request.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // RetryPolicy controls how a Client retries pushes the collector shed
 // (429), refused while busy (503) or that failed at the transport layer.
@@ -76,11 +71,10 @@ func (rp RetryPolicy) delay(attempt int, retryAfter time.Duration) time.Duration
 	return d
 }
 
-// Client pushes wire-encoded profiles to a collector and queries its
-// tables. The zero HTTPClient uses a shared keep-alive transport tuned
-// for many small pushes. Retry, when non-nil, makes pushes retry
-// shed/busy responses and transport errors with jittered exponential
-// backoff.
+// Client pushes wire frames to a collector and queries its tables. The
+// zero HTTPClient uses a shared keep-alive transport tuned for many
+// small pushes. Retry, when non-nil, makes pushes retry shed/busy
+// responses and transport errors with jittered exponential backoff.
 type Client struct {
 	BaseURL    string
 	HTTPClient *http.Client
@@ -210,24 +204,23 @@ func retryAfterOf(err error) time.Duration {
 	return 0
 }
 
-func (cl *Client) push(ctx context.Context, v any) (*IngestResponse, error) {
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if err := wire.Encode(body, v); err != nil {
+// pushOne uploads the one envelope add writes as a one-item frame.
+func (cl *Client) pushOne(ctx context.Context, add func(*wire.BatchWriter) error) (*IngestResponse, error) {
+	bw := wire.NewBatchWriter()
+	if err := add(bw); err != nil {
 		return nil, err
 	}
-	return cl.pushBytes(ctx, body.Bytes())
+	return cl.pushBytes(ctx, bw.Frame())
 }
 
-// PushProfile uploads one path profile.
+// PushProfile uploads one path profile as a one-item frame.
 func (cl *Client) PushProfile(ctx context.Context, p *profile.Profile) (*IngestResponse, error) {
-	return cl.push(ctx, p)
+	return cl.pushOne(ctx, func(bw *wire.BatchWriter) error { return bw.AddProfile(p) })
 }
 
-// PushExport uploads one CCT export.
+// PushExport uploads one CCT export as a one-item frame.
 func (cl *Client) PushExport(ctx context.Context, ex *cct.Export) (*IngestResponse, error) {
-	return cl.push(ctx, ex)
+	return cl.pushOne(ctx, func(bw *wire.BatchWriter) error { return bw.AddExport(ex) })
 }
 
 // PushFrame uploads an encoded version-3 batched frame (see

@@ -1,6 +1,6 @@
 // Package collector implements the profile collection tier: an HTTP
-// service that ingests wire-format envelopes (internal/wire) POSTed by
-// many concurrent producers — singly or in version-3 batched frames —
+// service that ingests wire frames (internal/wire) POSTed by many
+// concurrent producers — one envelope per frame or a batch of them —
 // folds them into sharded in-memory aggregates, and answers queries by
 // rendering the paper's tables from the merged data.
 //
@@ -10,8 +10,8 @@
 // Retry-After hint, so overload degrades into client-side backoff
 // instead of a convoy of timed-out sockets. Each admitted request is
 // decoded under a request timeout and a body size cap, then folded into
-// one of Config.Shards shard aggregates chosen round-robin (batched
-// frames fold item by item, spreading one frame across shards). Shards
+// one of Config.Shards shard aggregates chosen round-robin (frames fold
+// item by item, spreading one frame across shards). Shards
 // hold fold-in-place aggregates (see agg.go); reads fold them together
 // with the ingest's own fold into a private aggregate, so readers never
 // share mutable state with the ingest path. Because merging is
@@ -134,15 +134,12 @@ type Metrics struct {
 }
 
 // foldScratch bundles the reusable decode state one ingest needs: the
-// zero-copy frame parser, the item scratch structs, the ancestor map for
-// CCT folds, and a batch writer for converting single envelopes onto the
-// batch fold path. Pooled so steady-state ingest allocates nothing.
+// zero-copy frame parser, the item scratch structs and the ancestor map
+// for CCT folds. Pooled so steady-state ingest allocates nothing.
 type foldScratch struct {
 	frame wire.Frame
 	bp    wire.BatchProfile
 	bc    wire.BatchCCT
-	bw    wire.BatchWriter
-	buf   []byte
 	anc   []*aggNode
 	name  []byte // program name of an aggregate written into bc
 }
@@ -288,49 +285,8 @@ func (e *conflictError) Unwrap() error { return e.err }
 func (c *Collector) getScratch() *foldScratch   { return c.scratch.Get().(*foldScratch) }
 func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
 
-// ingestProfile folds p into a round-robin shard (the v1/v2
-// single-envelope path).
-func (c *Collector) ingestProfile(p *profile.Profile) error {
-	b := newProfAgg(p)
-	sh := c.pick()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.gen++
-	b.gen = sh.gen
-	if a, ok := sh.profiles[b.program]; ok {
-		a.gen = b.gen
-		if err := a.foldAgg(b); err != nil {
-			return err
-		}
-	} else {
-		sh.profiles[b.program] = b
-	}
-	c.ingestedProfiles.Add(1)
-	return nil
-}
-
-// ingestExport folds ex into a round-robin shard. The export is
-// converted through the batch codec so the single-envelope path and the
-// frame path share one fold implementation.
-func (c *Collector) ingestExport(ex *cct.Export) error {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	sc.bw.Reset()
-	if err := sc.bw.AddExport(ex); err != nil {
-		return err
-	}
-	sc.buf = sc.bw.AppendFrame(sc.buf[:0])
-	if err := sc.frame.Reset(sc.buf); err != nil {
-		return err
-	}
-	if err := sc.frame.DecodeCCT(0, &sc.bc); err != nil {
-		return err
-	}
-	return c.ingestBatchCCT(&sc.bc, sc)
-}
-
 // ingestBatchProfile folds one decoded batch profile item into a shard.
-func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile, _ *foldScratch) error {
+func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile) error {
 	sh := c.pick()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -387,35 +343,52 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	if err := sc.frame.Reset(data); err != nil {
 		return 0, 0, err
 	}
-	n := sc.frame.Items()
-	for i := 0; i < n; i++ {
-		switch sc.frame.Kind(i) {
-		case wire.KindProfile:
-			if err := sc.frame.DecodeProfile(i, &sc.bp); err != nil {
-				return profiles, ccts, err
-			}
-			if len(sc.bp.Program) == 0 {
-				return profiles, ccts, fmt.Errorf("frame item %d names no program", i)
-			}
-			if err := c.ingestBatchProfile(&sc.bp, sc); err != nil {
-				return profiles, ccts, err
-			}
+	for i := 0; i < sc.frame.Items(); i++ {
+		if err := c.foldItem(sc, i); err != nil {
+			return profiles, ccts, err
+		}
+		if sc.frame.Kind(i) == wire.KindProfile {
 			profiles++
-		case wire.KindCCT:
-			if err := sc.frame.DecodeCCT(i, &sc.bc); err != nil {
-				return profiles, ccts, err
-			}
-			if len(sc.bc.Program) == 0 {
-				return profiles, ccts, fmt.Errorf("frame item %d names no program", i)
-			}
-			if err := c.ingestBatchCCT(&sc.bc, sc); err != nil {
-				return profiles, ccts, err
-			}
+		} else {
 			ccts++
 		}
 	}
 	c.ingestedFrames.Add(1)
 	return profiles, ccts, nil
+}
+
+// foldEach folds every item of frame as IngestFrame does, except that an
+// item that fails does not keep the later ones out. The relay folds a
+// frame its upstream refused back in through it.
+func (c *Collector) foldEach(frame []byte) {
+	sc := c.getScratch()
+	defer c.putScratch(sc)
+	if sc.frame.Reset(frame) != nil {
+		return
+	}
+	for i := 0; i < sc.frame.Items(); i++ {
+		c.foldItem(sc, i)
+	}
+}
+
+// foldItem decodes item i of sc.frame and folds it into a shard.
+func (c *Collector) foldItem(sc *foldScratch, i int) error {
+	if sc.frame.Kind(i) == wire.KindProfile {
+		if err := sc.frame.DecodeProfile(i, &sc.bp); err != nil {
+			return err
+		}
+		if len(sc.bp.Program) == 0 {
+			return fmt.Errorf("frame item %d names no program", i)
+		}
+		return c.ingestBatchProfile(&sc.bp)
+	}
+	if err := sc.frame.DecodeCCT(i, &sc.bc); err != nil {
+		return err
+	}
+	if len(sc.bc.Program) == 0 {
+		return fmt.Errorf("frame item %d names no program", i)
+	}
+	return c.ingestBatchCCT(&sc.bc, sc)
 }
 
 func (c *Collector) pick() *shard {

@@ -2,7 +2,6 @@ package collector
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"io"
@@ -18,7 +17,6 @@ import (
 	"pathprof/internal/experiments"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
-	"pathprof/internal/wire"
 	"pathprof/internal/workload"
 )
 
@@ -386,11 +384,7 @@ func TestShutdownDrains(t *testing.T) {
 	c, cl := newServer(t, Config{})
 	ctx := context.Background()
 
-	var body bytes.Buffer
-	if err := wire.EncodeProfile(&body, prof); err != nil {
-		t.Fatal(err)
-	}
-	data := body.Bytes()
+	data := profileFrame(t, prof)
 
 	pr, pw := io.Pipe()
 	resp := make(chan int, 1)

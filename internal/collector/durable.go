@@ -1,7 +1,6 @@
 package collector
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -100,41 +99,29 @@ func (c *Collector) Checkpoint() error {
 	return c.store.SnapshotNow()
 }
 
-// ApplyPayload folds one raw pushed payload — a single wire envelope or
-// a version-3 batched frame — into the shard aggregates. This is the
-// store's replay callback: re-applying the log through it reproduces
-// the in-memory state the acks described.
+// ApplyPayload folds one logged payload, a version-3 frame, into the
+// shard aggregates — the store's replay callback. Re-applying the log
+// through it reproduces the in-memory state the acks described. A
+// payload without a frame header can only come from a build that logged
+// the retired version-1 and version-2 envelopes; its error wraps
+// store.ErrUnreadable, so replay refuses the log instead of skipping the
+// record.
 func (c *Collector) ApplyPayload(data []byte) error {
-	_, err := c.applyPayload(data)
+	if err := checkFrameHeader(data); err != nil {
+		return fmt.Errorf("%w: %w", store.ErrUnreadable, err)
+	}
+	_, _, err := c.IngestFrame(data)
 	return err
 }
 
-// applyPayload folds one payload and describes what it carried.
-func (c *Collector) applyPayload(data []byte) (IngestResponse, error) {
+// checkFrameHeader returns nil when data begins with a version-3 frame
+// header, and otherwise the frame parser's positioned error for it.
+func checkFrameHeader(data []byte) error {
 	if wire.IsFrame(data) {
-		profiles, ccts, err := c.IngestFrame(data)
-		if err != nil {
-			return IngestResponse{}, err
-		}
-		return IngestResponse{Kind: "batch", Envelopes: profiles + ccts, Profiles: profiles, CCTs: ccts}, nil
+		return nil
 	}
-	pl, err := wire.Decode(bytes.NewReader(data))
-	if err != nil {
-		return IngestResponse{}, err
-	}
-	if pl.Program() == "" {
-		return IngestResponse{}, errors.New("payload names no program")
-	}
-	switch pl.Kind {
-	case wire.KindProfile:
-		err = c.ingestProfile(pl.Profile)
-	case wire.KindCCT:
-		err = c.ingestExport(pl.Export)
-	}
-	if err != nil {
-		return IngestResponse{}, err
-	}
-	return IngestResponse{Kind: pl.Kind.String(), Program: pl.Program()}, nil
+	_, err := wire.ParseFrame(data)
+	return err
 }
 
 // SnapshotFrame encodes every program's fully merged aggregates as one
@@ -169,15 +156,17 @@ func (c *Collector) SnapshotFrame() ([]byte, error) {
 // CompactPayloads pre-merges one sealed segment's payloads into a
 // single frame — the store's compaction callback. The payloads fold
 // into a scratch single-shard collector exactly as replay would fold
-// them (per-payload errors skipped the same way), so replaying the
-// merged frame reproduces the same aggregate as replaying the originals.
+// them (rejected payloads skipped, unreadable ones refused the same
+// way), so replaying the merged frame reproduces the same aggregate as
+// replaying the originals.
 func (c *Collector) CompactPayloads(payloads [][]byte) ([]byte, error) {
 	scratch := New(Config{Shards: 1})
 	for _, p := range payloads {
-		// Errors deliberately ignored: replay also counts-and-skips
-		// payloads the fold rejects, and a rejected payload contributes
-		// nothing to the aggregate either way.
-		_ = scratch.ApplyPayload(p)
+		// A rejected payload contributes nothing to the aggregate, here
+		// as in replay, which counts and skips it.
+		if err := scratch.ApplyPayload(p); errors.Is(err, store.ErrUnreadable) {
+			return nil, err
+		}
 	}
 	return scratch.SnapshotFrame()
 }

@@ -5,13 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"pathprof/internal/store"
-	"pathprof/internal/wire"
 )
 
 // newDurableServer mounts a store on a fresh collector and serves it.
@@ -176,12 +179,9 @@ func TestDurablePushRetryDeduplicates(t *testing.T) {
 	dir := t.TempDir()
 	c, cl, _, _ := newDurableServer(t, dir, Config{Shards: 2}, store.Options{})
 
-	var body bytes.Buffer
-	if err := wire.Encode(&body, prof); err != nil {
-		t.Fatal(err)
-	}
+	body := profileFrame(t, prof)
 	push := func() IngestResponse {
-		req, err := http.NewRequest(http.MethodPost, cl.BaseURL+"/ingest", bytes.NewReader(body.Bytes()))
+		req, err := http.NewRequest(http.MethodPost, cl.BaseURL+"/ingest", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,11 +223,7 @@ func TestStoreFullBackpressure(t *testing.T) {
 	prof, _ := fixtures(t)
 	dir := t.TempDir()
 	// Budget fits roughly two profile pushes.
-	var probe bytes.Buffer
-	if err := wire.Encode(&probe, prof); err != nil {
-		t.Fatal(err)
-	}
-	budget := int64(probe.Len()*2 + 256)
+	budget := int64(len(profileFrame(t, prof))*2 + 256)
 	c, cl, _, _ := newDurableServer(t, dir, Config{Shards: 2, RetryAfter: 2 * time.Second},
 		store.Options{MaxLogBytes: budget})
 
@@ -404,6 +400,79 @@ func TestDurableConcurrentPushes(t *testing.T) {
 	_, cl2, _, _ := newDurableServer(t, dir, Config{Shards: 4}, store.Options{})
 	if got := tableBytes(t, cl2, programs); got != want {
 		t.Fatalf("concurrent durable ingest did not replay byte-identically")
+	}
+}
+
+// wireFixture reads one of the wire package's committed test files.
+func wireFixture(t *testing.T, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("..", "wire", "testdata", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestRetiredEnvelopeRefused: a version-1 or version-2 envelope POSTed
+// to a durable collector gets 400 with the frame parser's positioned
+// error, counts as a bad push, and never reaches the log.
+func TestRetiredEnvelopeRefused(t *testing.T) {
+	prof, _ := fixtures(t)
+	c, cl, _, _ := newDurableServer(t, t.TempDir(), Config{Shards: 2}, store.Options{})
+	ctx := context.Background()
+	if _, err := cl.PushProfile(ctx, prof); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ file, version string }{
+		{"v1_profile.bin", "1"}, {"v1_cct.bin", "1"}, {"v2_profile.bin", "2"},
+	} {
+		before := c.Metrics()
+		_, err := cl.PushFrame(ctx, wireFixture(t, tc.file))
+		want := "wire: frame offset 4: unsupported frame version " + tc.version + " (want 3)"
+		if statusOf(t, err) != http.StatusBadRequest || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s: err = %v, want 400 naming %q", tc.file, err, want)
+		}
+		after := c.Metrics()
+		if after.RejectedBad != before.RejectedBad+1 || after.Store.Appends != before.Store.Appends {
+			t.Fatalf("%s: rejected_bad %d -> %d, store appends %d -> %d; want +1 and unchanged",
+				tc.file, before.RejectedBad, after.RejectedBad, before.Store.Appends, after.Store.Appends)
+		}
+	}
+}
+
+// TestOldDataDirRefused: a logged record without a frame header can only
+// come from a build that logged version-1 or version-2 envelopes, so
+// opening a data dir that holds one fails with a positioned
+// *store.CorruptError instead of skipping the record.
+func TestOldDataDirRefused(t *testing.T) {
+	prof, _ := fixtures(t)
+	dir := t.TempDir()
+	l, _, err := store.Open(dir, store.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := profileFrame(t, prof)
+	for _, p := range [][]byte{frame, wireFixture(t, "v1_profile.bin")} {
+		if err := l.Append(context.Background(), 0, p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	_, _, err = New(Config{}).OpenStore(dir, store.Options{})
+	var ce *store.CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("OpenStore over a version-1 record: err = %v, want *store.CorruptError", err)
+	}
+	// A 16-byte file header, then the frame's record behind its 17-byte
+	// record header.
+	off := 16 + 17 + len(frame)
+	want := fmt.Sprintf("store: wal-00000001.seg: offset %d: record 1: unreadable record: "+
+		"wire: frame offset 4: unsupported frame version 1 (want 3)", off)
+	if err.Error() != want {
+		t.Fatalf("OpenStore error:\n got %v\nwant %s", err, want)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 
 // Handler returns the collector's HTTP surface:
 //
-//	POST /ingest         one wire envelope (profile or CCT export)
+//	POST /ingest         one wire frame of profiles and CCT exports
 //	GET  /table/3        CCT statistics from merged exports
 //	GET  /table/4        hot paths from merged profiles
 //	GET  /table/5        hot procedures from merged profiles
@@ -47,12 +47,11 @@ func (c *Collector) Handler() http.Handler {
 	return mux
 }
 
-// IngestResponse is the JSON body of a successful push. Batched frames
-// additionally report how many envelopes of each kind the frame carried
-// (Kind is "batch" and Program is empty: one frame may span programs).
+// IngestResponse is the JSON body of a successful push: how many
+// envelopes of each kind the frame carried. Kind is "batch", or
+// "duplicate" for a retry the durable collector had already applied.
 type IngestResponse struct {
 	Kind      string `json:"kind"`
-	Program   string `json:"program,omitempty"`
 	Envelopes int    `json:"envelopes,omitempty"`
 	Profiles  int    `json:"profiles,omitempty"`
 	CCTs      int    `json:"ccts,omitempty"`
@@ -135,22 +134,30 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Single envelopes and batched frames share one fold path
-	// (applyPayload, durable.go); frames decode into pooled scratch and
-	// fold without materializing intermediate Profile/Export values.
+	// Only a version-3 frame may reach the store: a body without a frame
+	// header, such as a retired version-1 or version-2 envelope, is
+	// refused here, before it is logged.
+	if err := checkFrameHeader(data); err != nil {
+		c.rejectedBad.Add(1)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+
+	// Frames decode into pooled scratch and fold without materializing
+	// intermediate Profile/Export values.
 	//
 	// With a store mounted, the payload is appended and group-committed
 	// to disk first and folded only once durable, so the ack below means
 	// the push survives kill -9. The X-Push-Id header (stable across one
 	// client's retries) dedups the crash window where a push was durable
 	// but the ack was lost.
-	var resp IngestResponse
+	var profiles, ccts int
+	fold := func(p []byte) (err error) {
+		profiles, ccts, err = c.IngestFrame(p)
+		return err
+	}
 	if c.store != nil {
-		dup, err := c.store.Ingest(ctx, parsePushID(r), data, func(p []byte) error {
-			var ferr error
-			resp, ferr = c.applyPayload(p)
-			return ferr
-		})
+		dup, err := c.store.Ingest(ctx, parsePushID(r), data, fold)
 		if dup {
 			writeJSON(w, IngestResponse{Kind: "duplicate", Duplicate: true})
 			return
@@ -159,16 +166,12 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 			c.failIngest(w, err)
 			return
 		}
-	} else {
-		var err error
-		resp, err = c.applyPayload(data)
-		if err != nil {
-			c.failIngest(w, err)
-			return
-		}
+	} else if err := fold(data); err != nil {
+		c.failIngest(w, err)
+		return
 	}
 	c.ingestedBytes.Add(uint64(len(data)))
-	writeJSON(w, resp)
+	writeJSON(w, IngestResponse{Kind: "batch", Envelopes: profiles + ccts, Profiles: profiles, CCTs: ccts})
 }
 
 // failIngest maps a fold or store error to its HTTP rejection.

@@ -1,6 +1,7 @@
 package collector
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net"
@@ -65,7 +66,7 @@ func TestBatchIngestMatchesSingles(t *testing.T) {
 	programs := []string{"compress", "otherprog"}
 	ctx := context.Background()
 
-	// Reference: the v1/v2 single-envelope path.
+	// Reference: one envelope per POST, each a one-item frame.
 	_, singleCl := newServer(t, Config{Shards: 4})
 	for _, e := range envs {
 		var err error
@@ -227,7 +228,7 @@ func TestClientRetries(t *testing.T) {
 			http.Error(w, "ingest queue is full", http.StatusTooManyRequests)
 			return
 		}
-		writeJSON(w, IngestResponse{Kind: "profile", Program: "p"})
+		writeJSON(w, IngestResponse{Kind: "batch", Envelopes: 1, Profiles: 1})
 	}))
 	defer srv.Close()
 
@@ -449,5 +450,34 @@ func TestRelayForwards(t *testing.T) {
 	merged, _ = root.MergedProfile("compress")
 	if gf, _ := merged.Totals(); gf != 4*wf {
 		t.Fatalf("root merged freq %d after recovery, want %d", gf, 4*wf)
+	}
+}
+
+// TestRelayRefoldPerItem: a frame the upstream refused folds back into
+// the relay's collector item by item, so an item that now conflicts with
+// the local aggregate does not keep the next one out — as a plain
+// IngestFrame, which stops at the first failing item, would.
+func TestRelayRefoldPerItem(t *testing.T) {
+	prof, _ := fixtures(t)
+	c := New(Config{Shards: 1})
+	held := cloneProfile(prof)
+	held.Mode = "context+hw"
+	if _, _, err := c.IngestFrame(profileFrame(t, held)); err != nil {
+		t.Fatal(err)
+	}
+	other := cloneProfile(prof)
+	other.Program = "otherprog"
+	bw := wire.NewBatchWriter()
+	for _, p := range []*profile.Profile{prof, other} {
+		if err := bw.AddProfile(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.foldEach(bw.Frame())
+	if got, ok := c.MergedProfile("otherprog"); !ok || !bytes.Equal(profileFrame(t, got), profileFrame(t, other)) {
+		t.Fatal("the item after a conflicting one did not fold")
+	}
+	if got, _ := c.MergedProfile(prof.Program); !bytes.Equal(profileFrame(t, got), profileFrame(t, held)) {
+		t.Fatal("the conflicting item changed the aggregate it conflicts with")
 	}
 }

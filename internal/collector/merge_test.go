@@ -356,12 +356,12 @@ func TestMergedReadsMatchReference(t *testing.T) {
 	}
 }
 
-// pushTo folds p into shard i of c (the round-robin cursor is steered so
-// the next pick lands there).
+// pushTo folds p, as a one-item frame, into shard i of c (the
+// round-robin cursor is steered so the next pick lands there).
 func pushTo(t *testing.T, c *Collector, i int, p *profile.Profile) {
 	t.Helper()
 	c.next.Store(uint64(i + len(c.shards) - 1))
-	if err := c.ingestProfile(p); err != nil {
+	if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
 		t.Fatalf("push to shard %d: %v", i, err)
 	}
 }

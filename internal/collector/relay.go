@@ -21,9 +21,9 @@ import (
 // tables are byte-identical to what direct pushes would have produced,
 // whatever the relay topology or flush timing.
 //
-// A failed upstream push (after the client's retries) re-ingests the
-// taken envelopes locally, so data survives upstream outages and rides
-// along with the next flush.
+// A failed upstream push (after the client's retries) folds the frame
+// back into the local collector, so data survives upstream outages and
+// rides along with the next flush.
 //
 // With a store mounted on Local the relay becomes a durable spool:
 // leaf pushes are on disk before they are acked, a crash replays
@@ -118,9 +118,9 @@ func (r *Relay) Stats() RelayStats {
 }
 
 // FlushOnce takes the local aggregate and pushes it upstream in frames
-// of at most MaxItems envelopes. On push failure the frame's envelopes
-// are folded back into the local collector and the first error is
-// returned after the remaining frames are attempted.
+// of at most MaxItems envelopes. A frame whose push fails is folded back
+// into the local collector, and the first error is returned after the
+// remaining frames are attempted.
 func (r *Relay) FlushOnce(ctx context.Context) error {
 	profiles, exports := r.Local.Take()
 	if len(profiles) == 0 && len(exports) == 0 {
@@ -128,60 +128,41 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 	}
 
 	bw := wire.NewBatchWriter()
-	// Envelopes in the current frame, kept for local re-ingest if the
-	// push fails. Re-ingest cannot conflict: Take left fresh aggregates,
-	// and these envelopes came from mutually consistent ones.
-	var pendingP, pendingX []int // indices into profiles / exports
 	var firstErr error
-
+	fail := func(err error) {
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
 	push := func() {
 		if bw.Items() == 0 {
 			return
 		}
-		n := bw.Items()
-		_, err := r.Upstream.PushFrame(ctx, bw.Frame())
-		if err != nil {
+		frame := bw.Frame()
+		if _, err := r.Upstream.PushFrame(ctx, frame); err != nil {
 			r.flushFailures.Add(1)
-			if firstErr == nil {
-				firstErr = err
-			}
-			for _, i := range pendingP {
-				r.Local.ingestProfile(profiles[i])
-			}
-			for _, i := range pendingX {
-				r.Local.ingestExport(exports[i])
-			}
+			fail(err)
+			// Each item folds on its own, so one that conflicts with what
+			// leaves pushed since Take does not keep the others out.
+			r.Local.foldEach(frame)
 		} else {
 			r.framesPushed.Add(1)
-			r.envelopesPushed.Add(uint64(n))
+			r.envelopesPushed.Add(uint64(bw.Items()))
 		}
 		bw.Reset()
-		pendingP, pendingX = pendingP[:0], pendingX[:0]
 	}
-
-	for i, p := range profiles {
-		if err := bw.AddProfile(p); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		pendingP = append(pendingP, i)
-		if bw.Items() >= r.maxItems() {
+	add := func(err error) {
+		if err != nil {
+			fail(err)
+		} else if bw.Items() >= r.maxItems() {
 			push()
 		}
 	}
-	for i, ex := range exports {
-		if err := bw.AddExport(ex); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		pendingX = append(pendingX, i)
-		if bw.Items() >= r.maxItems() {
-			push()
-		}
+	for _, p := range profiles {
+		add(bw.AddProfile(p))
+	}
+	for _, ex := range exports {
+		add(bw.AddExport(ex))
 	}
 	push()
 	if firstErr == nil && r.Local.Store() != nil {

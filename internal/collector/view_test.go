@@ -166,7 +166,7 @@ func postIngest(h http.Handler, payload []byte) int {
 }
 
 // TestViewsMatchFreshReads is the model test for table views: seeded
-// random interleavings of frame folds, single-envelope pushes,
+// random interleavings of frame folds, one-item pushes,
 // conflicting pushes, Take and table reads, at 1-5 shards. Every served
 // table must equal the one rendered from fresh merges at that point.
 func TestViewsMatchFreshReads(t *testing.T) {
@@ -206,26 +206,22 @@ func TestViewsMatchFreshReads(t *testing.T) {
 				if _, _, err := c.IngestFrame(bw.Frame()); err != nil && !errors.As(err, &ce) {
 					t.Fatalf("%s: %v", what(step), err)
 				}
-			case op < 10: // a single envelope; from op 8 on, one that conflicts
-				var buf bytes.Buffer
-				var err error
+			case op < 10: // a one-item frame; from op 8 on, one that conflicts
+				var frame []byte
 				if in.tree != nil && rng.Intn(2) == 0 {
 					ex := varyExport(rng, in.tree, in.name)
 					if op >= 8 {
 						ex.NumProcs++
 					}
-					err = wire.EncodeExport(&buf, ex)
+					frame = exportFrame(t, ex)
 				} else {
 					p := varyProfile(rng, in.prof, in.name)
 					if op >= 8 {
 						p.Mode = "context+hw"
 					}
-					err = wire.EncodeProfile(&buf, p)
+					frame = profileFrame(t, p)
 				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				switch code := postIngest(h, buf.Bytes()); code {
+				switch code := postIngest(h, frame); code {
 				case http.StatusConflict:
 					conflicts++
 				case http.StatusOK:

@@ -48,11 +48,11 @@ func TestK1GoldenEquivalence(t *testing.T) {
 					if _, err := m.Run(); err != nil {
 						t.Fatalf("%s k=%d: %v", c.name, k, err)
 					}
-					var buf bytes.Buffer
-					if err := wire.EncodeProfile(&buf, rt.ExtractProfile()); err != nil {
+					bw := wire.NewBatchWriter()
+					if err := bw.AddProfile(rt.ExtractProfile()); err != nil {
 						t.Fatalf("%s k=%d: %v", c.name, k, err)
 					}
-					return plan.Prog.String(), buf.Bytes()
+					return plan.Prog.String(), bw.Frame()
 				}
 				prog0, prof0 := runOne(0)
 				prog1, prof1 := runOne(1)

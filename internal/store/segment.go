@@ -28,7 +28,7 @@ import (
 //
 // and then carries length-prefixed, CRC-framed records:
 //
-//	kind     1 byte   1 = payload (one ingested wire envelope or frame)
+//	kind     1 byte   1 = payload (one ingested wire frame)
 //	                  2 = manifest (the push IDs a compaction or snapshot
 //	                      absorbed, kept so replay stays duplicate-free)
 //	id       8 bytes  LE push ID (0 = none) for payload records, 0 for

@@ -1,5 +1,5 @@
 // Package store is the collector's durability tier: a segmented
-// append-only log of opaque ingest payloads (wire envelopes or batched
+// append-only log of opaque ingest payloads (the collector's wire
 // frames) with group-committed fsync, CRC-checked replay, per-segment
 // compaction and snapshot/restore.
 //
@@ -30,8 +30,9 @@
 // segment record at or after the snapshot watermark through Apply, and
 // truncates a torn tail (an unacked, partially written group commit) in
 // the final segment instead of failing. Corruption anywhere acked data
-// could live surfaces as a positioned *CorruptError. See segment.go for
-// the on-disk format and the exact torn-tail rules.
+// could live surfaces as a positioned *CorruptError, and so does a
+// record the mounting layer cannot read (ErrUnreadable). See segment.go
+// for the on-disk format and the exact torn-tail rules.
 package store
 
 import (
@@ -71,7 +72,8 @@ type Options struct {
 	// Apply folds one payload into the mounting layer's state; replay
 	// and restore call it for every surviving record. Apply errors are
 	// counted and skipped (they reproduce ingest-time rejections, which
-	// also left the record in the log).
+	// also left the record in the log), except those wrapping
+	// ErrUnreadable, which fail Open.
 	Apply func(payload []byte) error
 	// Snapshot returns a point-in-time dump of the mounted state as one
 	// payload (nil when there is nothing to dump). Called under the
@@ -116,6 +118,12 @@ var ErrFull = errors.New("store: log disk budget exhausted")
 
 // ErrClosed reports an operation on a closed log.
 var ErrClosed = errors.New("store: log is closed")
+
+// ErrUnreadable marks an Apply error for a payload the mounting layer
+// cannot read at all, as opposed to one it read and rejected. Replay
+// refuses such a record with a positioned *CorruptError instead of
+// skipping it: it holds acked data in a form this build cannot fold.
+var ErrUnreadable = errors.New("unreadable record")
 
 // Recovery summarizes what Open found and replayed.
 type Recovery struct {
@@ -345,7 +353,7 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 		return err
 	}
 	l.recovery.Segments++
-	for _, r := range recs {
+	for i, r := range recs {
 		switch r.kind {
 		case recKindPayload:
 			if r.id != 0 && l.isApplied(r.id) {
@@ -353,7 +361,9 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 				continue
 			}
 			if l.opts.Apply != nil {
-				if err := l.opts.Apply(r.payload); err != nil {
+				if err := l.opts.Apply(r.payload); errors.Is(err, ErrUnreadable) {
+					return corrupt(sf.name, r.off, i, "%v", err)
+				} else if err != nil {
 					l.recovery.ApplyErrors++
 				}
 			}

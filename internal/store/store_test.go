@@ -417,6 +417,49 @@ func TestApplyErrorStillDurable(t *testing.T) {
 	}
 }
 
+// TestApplyUnreadableFailsReplay: a record whose Apply error wraps
+// ErrUnreadable fails Open with a *CorruptError naming the file, the
+// record's offset and its index, while any other Apply error is still
+// counted and skipped.
+func TestApplyUnreadableFailsReplay(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := mustOpen(t, dir, Options{})
+	for _, p := range []string{"good|", "reject-me|", "old-format|"} {
+		if err := l.Append(context.Background(), 0, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l.Close()
+	apply := func(unreadable error) func([]byte) error {
+		return func(p []byte) error {
+			switch string(p) {
+			case "reject-me|":
+				return errors.New("rejected")
+			case "old-format|":
+				return unreadable
+			}
+			return nil
+		}
+	}
+
+	_, _, err := Open(dir, Options{Apply: apply(fmt.Errorf("%w: old format", ErrUnreadable))})
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Open over an unreadable record: err = %v, want *CorruptError", err)
+	}
+	wantOff := int64(headerLen + recHdrLen + len("good|") + recHdrLen + len("reject-me|"))
+	if ce.File != "wal-00000001.seg" || ce.Offset != wantOff || ce.Record != 2 ||
+		ce.Reason != "unreadable record: old format" {
+		t.Fatalf("CorruptError = %+v, want wal-00000001.seg offset %d record 2", ce, wantOff)
+	}
+
+	l2, rec := mustOpen(t, dir, Options{Apply: apply(nil)})
+	defer l2.Close()
+	if rec.Records != 3 || rec.ApplyErrors != 1 {
+		t.Fatalf("replayed %d records with %d apply errors, want 3 and 1", rec.Records, rec.ApplyErrors)
+	}
+}
+
 func TestCloseDrainsInFlight(t *testing.T) {
 	dir := t.TempDir()
 	live := &testState{}

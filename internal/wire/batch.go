@@ -11,73 +11,14 @@ import (
 	"pathprof/internal/profile"
 )
 
-// Wire version 3: batched multi-profile frames.
-//
-// A frame carries many envelopes in one POST so the per-request costs
-// (HTTP round trip, header parse, checksum, admission) amortize across
-// the batch, and so the decoder can work zero-copy over one contiguous
-// buffer instead of pulling a checksummed byte stream. Layout:
-//
-//	"PPW1"                         magic (shared with v1/v2)
-//	version  byte                  3
-//	kind     byte                  3 (KindBatch)
-//	section  secBatchStrings       shared string table (one, first)
-//	sections { secBatchProfile | secBatchCCT }*   one item per envelope
-//	end      byte 0
-//	crc      uint32 little-endian  CRC-32C of every preceding byte
-//
-// All program names, modes and event names live in the string table and
-// items reference them by index, so a batch of N profiles of the same
-// program carries each string once. Path identifiers are delta-encoded:
-// profile entries as signed deltas in stored order, CCT path-count sums
-// as strictly-ascending gaps. Metric words stay uvarints.
-//
-// String table (secBatchStrings):
-//
-//	uvarint count, count x (uvarint len, bytes)
-//
-// Profile item (secBatchProfile):
-//
-//	uvarint programIdx, uvarint modeIdx,
-//	uvarint numEvents, numEvents x uvarint eventIdx,
-//	uvarint numProcs, per proc:
-//	  varint procID, uvarint nameIdx, varint numPaths, uvarint numEntries,
-//	  per entry: varint dSum (sum - prev, prev starts at 0),
-//	             uvarint freq, numEvents x uvarint metric
-//	[uvarint k, numProcs x uvarint procK]   trailing, only when k > 1
-//
-// The trailing k fields carry a k-iteration profile's degree (and each
-// procedure's effective degree, which clamping may leave below it).
-// Classic profiles omit them and encode byte-identically to before; the
-// decoder detects them by leftover payload bytes.
-//
-// CCT item (secBatchCCT):
-//
-//	uvarint programIdx,
-//	uvarint numProcs, bool distinguishSites, uvarint numMetrics, byte flags,
-//	when structural (flags bit 0): uvarint sizeBytes, uvarint listElems,
-//	uvarint numNodes, per node (preorder, implicit id 1..numNodes):
-//	  uvarint parentID (< id; 0 is the root),
-//	  varint proc,
-//	  uvarint nMetrics, nMetrics x varint,
-//	  uvarint nPathCounts, first: varint sum, varint count,
-//	                       rest:  uvarint gap (sum = prev + gap + 1), varint count,
-//	  when structural: uvarint size, uvarint nSlots,
-//	                   per slot: byte state, varint prefix when one-path
-//	uvarint numBackedges, numBackedges x (uvarint fromID, uvarint toID)
-//
-// The decoder (Frame) parses in place: string-table entries and item
-// payloads are subslices of the caller's buffer, and the item decoders
-// fill caller-owned scratch structs whose backing arrays are reused
-// across frames, so a steady-state batch ingest performs no allocation.
-
 // FrameVersion is the wire version of batched frames.
 const FrameVersion = 3
 
 // KindBatch marks a batched multi-envelope frame.
 const KindBatch Kind = 3
 
-// Batch section IDs (disjoint from the v1/v2 envelope sections).
+// Section IDs. Ids 1-6 belonged to the retired version-1 and version-2
+// envelopes and stay unused.
 const (
 	secBatchStrings = 7
 	secBatchProfile = 8
@@ -88,8 +29,8 @@ const (
 const maxBatchStrings = 1 << 20
 
 // IsFrame reports whether data begins like a version-3 batched frame.
-// Collectors use it to route a request body between the streaming
-// envelope decoder and the frame parser.
+// Collectors use it to refuse a body that is not a frame before the
+// body reaches their log.
 func IsFrame(data []byte) bool {
 	return len(data) >= 6 && [4]byte(data[:4]) == magic &&
 		data[4] == FrameVersion && Kind(data[5]) == KindBatch
@@ -541,7 +482,7 @@ func (bp *BatchProfile) EntryMetrics(j int) []uint64 {
 func (f *Frame) DecodeProfile(i int, s *BatchProfile) error {
 	it := f.items[i]
 	if it.kind != KindProfile {
-		return errKind(KindProfile, it.kind)
+		return &KindError{Want: KindProfile, Got: it.kind}
 	}
 	s.Events = s.Events[:0]
 	s.K = 0
@@ -737,7 +678,7 @@ func (bc *BatchCCT) Children(id int32) []int32 {
 func (f *Frame) DecodeCCT(i int, s *BatchCCT) error {
 	it := f.items[i]
 	if it.kind != KindCCT {
-		return errKind(KindCCT, it.kind)
+		return &KindError{Want: KindCCT, Got: it.kind}
 	}
 	s.Nodes = s.Nodes[:0]
 	s.Metrics = s.Metrics[:0]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"strings"
 	"testing"
 
@@ -106,25 +107,23 @@ func TestBatchRoundTrip(t *testing.T) {
 }
 
 // TestBatchCompact: string sharing and delta coding make a frame of N
-// same-program envelopes materially smaller than N single envelopes.
+// same-program envelopes materially smaller than N one-item frames.
 func TestBatchCompact(t *testing.T) {
 	s := newSession(t)
 	p := realProfile(t, s, "compress")
 	const n = 16
-	var singles bytes.Buffer
+	singles := 0
 	w := wire.NewBatchWriter()
 	for i := 0; i < n; i++ {
-		if err := wire.EncodeProfile(&singles, p); err != nil {
-			t.Fatal(err)
-		}
+		singles += len(frameOf(t, p))
 		if err := w.AddProfile(p); err != nil {
 			t.Fatal(err)
 		}
 	}
 	frame := w.Frame()
-	if len(frame) >= singles.Len() {
-		t.Fatalf("frame of %d profiles is %d bytes, singles total %d — batching should shrink",
-			n, len(frame), singles.Len())
+	if len(frame) >= singles {
+		t.Fatalf("frame of %d profiles is %d bytes, %d one-item frames total %d — batching should shrink",
+			n, len(frame), n, singles)
 	}
 }
 
@@ -164,30 +163,17 @@ func TestBatchWriterReuse(t *testing.T) {
 	}
 }
 
-// TestIsFrame: single envelopes are not frames and vice versa; the
-// streaming decoder refuses frame input with a useful error.
+// TestIsFrame: frames are frames; the retired version-1 and version-2
+// envelopes are not.
 func TestIsFrame(t *testing.T) {
 	s := newSession(t)
-	p := realProfile(t, s, "compress")
-	var single bytes.Buffer
-	if err := wire.EncodeProfile(&single, p); err != nil {
-		t.Fatal(err)
-	}
-	if wire.IsFrame(single.Bytes()) {
-		t.Fatal("IsFrame accepted a v2 single envelope")
-	}
-	w := wire.NewBatchWriter()
-	if err := w.AddProfile(p); err != nil {
-		t.Fatal(err)
-	}
-	frame := w.Frame()
-	if !wire.IsFrame(frame) {
+	if !wire.IsFrame(frameOf(t, realProfile(t, s, "compress"))) {
 		t.Fatal("IsFrame rejected a frame")
 	}
-	if _, err := wire.Decode(bytes.NewReader(frame)); err == nil {
-		t.Fatal("streaming Decode accepted a v3 frame")
-	} else if !strings.Contains(err.Error(), "version") {
-		t.Fatalf("streaming Decode error %q does not mention the version", err)
+	for _, name := range []string{"v1_profile.bin", "v1_cct.bin", "v2_profile.bin"} {
+		if wire.IsFrame(readFixture(t, name)) {
+			t.Fatalf("IsFrame accepted %s", name)
+		}
 	}
 }
 
@@ -249,7 +235,7 @@ func TestBatchCorruption(t *testing.T) {
 		{"truncated mid-frame", reframe(valid[:len(valid)/2]), ""},
 		{"crc flip", flipByte(valid, len(valid)/2), "checksum"},
 		{"bad magic", flipByte(valid, 0), "magic"},
-		{"wrong kind for parse", encodeSingle(t, p), "version"},
+		{"wrong kind for parse", readFixture(t, "v2_profile.bin"), "version"},
 		{
 			"duplicate string table",
 			buildFrame(emptyStrings, emptyStrings),
@@ -339,11 +325,12 @@ func flipByte(data []byte, i int) []byte {
 	return out
 }
 
-func encodeSingle(t *testing.T, p *profile.Profile) []byte {
+// readFixture reads one file of testdata.
+func readFixture(t *testing.T, name string) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := wire.EncodeProfile(&buf, p); err != nil {
+	data, err := os.ReadFile("testdata/" + name)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	return data
 }

@@ -1,9 +1,9 @@
 package wire_test
 
 import (
-	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"os"
 	"testing"
 
 	"pathprof/internal/cct"
@@ -11,8 +11,10 @@ import (
 	"pathprof/internal/wire"
 )
 
-// seedEnvelopes builds small valid envelopes of both kinds without the
-// simulator, so the corpus is cheap and deterministic.
+// seedEnvelopes returns the cheap, deterministic corpus: four envelopes
+// of the retired version-2 format (testdata/v2_seed_*.bin, which frames
+// must refuse at the header), then a frame built without the simulator
+// from the same four payloads and three damaged variants of it.
 func seedEnvelopes() [][]byte {
 	p := &profile.Profile{
 		Program: "seed", Mode: "flow+hw", Events: []string{"dcache-miss", "insts"},
@@ -24,8 +26,8 @@ func seedEnvelopes() [][]byte {
 			{ProcID: 1, Name: "leaf", NumPaths: 2},
 		},
 	}
-	// A wide v2 schema: five events on one entry exercises the schema
-	// section with more metric columns than the classic pair.
+	// A wide schema: five events on one entry exercises more metric
+	// columns than the classic pair.
 	wide := &profile.Profile{
 		Program: "seed5", Mode: "flow+hw",
 		Events: []string{"cycles", "insts", "dcache-miss", "icache-miss", "branches"},
@@ -36,7 +38,7 @@ func seedEnvelopes() [][]byte {
 		},
 	}
 	// A k-iteration profile: degree 2 overall, the second proc clamped
-	// classic — exercises the trailing schema/proc degree fields.
+	// classic — exercises the trailing degree fields.
 	kp := &profile.Profile{
 		Program: "seedk", Mode: "flow", K: 2, Events: []string{"insts"},
 		Procs: []*profile.ProcPaths{
@@ -64,21 +66,16 @@ func seedEnvelopes() [][]byte {
 	tr.Exit(nil)
 	tr.Exit(nil)
 
-	var pb, wb, kb, xb bytes.Buffer
-	if err := wire.EncodeProfile(&pb, p); err != nil {
-		panic(err)
-	}
-	if err := wire.EncodeProfile(&wb, wide); err != nil {
-		panic(err)
-	}
-	if err := wire.EncodeProfile(&kb, kp); err != nil {
-		panic(err)
-	}
-	if err := wire.EncodeExport(&xb, tr.Export("seed")); err != nil {
-		panic(err)
+	var retired [][]byte
+	for _, name := range []string{"profile", "wide", "k2", "cct"} {
+		data, err := os.ReadFile("testdata/v2_seed_" + name + ".bin")
+		if err != nil {
+			panic(err)
+		}
+		retired = append(retired, data)
 	}
 
-	// A v3 batched frame carrying all three payloads twice, so the corpus
+	// A frame carrying all four payloads twice, so the corpus
 	// exercises the shared string table and both item kinds.
 	bw := wire.NewBatchWriter()
 	for i := 0; i < 2; i++ {
@@ -110,13 +107,15 @@ func seedEnvelopes() [][]byte {
 	sum := crc32.Checksum(dupStrings, crc32.MakeTable(crc32.Castagnoli))
 	dupStrings = binary.LittleEndian.AppendUint32(dupStrings, sum)
 
-	return [][]byte{pb.Bytes(), wb.Bytes(), kb.Bytes(), xb.Bytes(), frame, truncated, flipped, dupStrings}
+	return append(retired, frame, truncated, flipped, dupStrings)
 }
 
-// FuzzDecode: arbitrary input must produce either a decoded payload or a
-// descriptive error — never a panic, and never unbounded allocation. A
-// successful decode must also re-encode, and batched frames must both
-// parse structurally and materialize every item (or error cleanly).
+// FuzzDecode: arbitrary input must either parse as a frame or fail with
+// a descriptive error — never a panic, and never unbounded allocation.
+// Input without a version-3 header, the retired envelopes among it, must
+// fail. A parsed frame must materialize every item (or error cleanly),
+// and the items that materialize must re-encode into a frame that
+// parses.
 func FuzzDecode(f *testing.F) {
 	for _, seed := range seedEnvelopes() {
 		f.Add(seed)
@@ -144,56 +143,40 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte("PPWALSNP\x01\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x03"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		if wire.IsFrame(data) {
-			fr, err := wire.ParseFrame(data)
-			if err != nil {
-				return
-			}
-			bw := wire.NewBatchWriter()
-			for i := 0; i < fr.Items(); i++ {
-				switch fr.Kind(i) {
-				case wire.KindProfile:
-					p, err := fr.ProfileAt(i)
-					if err != nil {
-						continue
-					}
-					if err := bw.AddProfile(p); err != nil {
-						t.Fatalf("decoded profile item failed to re-encode: %v", err)
-					}
-				case wire.KindCCT:
-					ex, err := fr.ExportAt(i)
-					if err != nil {
-						continue
-					}
-					if err := bw.AddExport(ex); err != nil {
-						t.Fatalf("decoded cct item failed to re-encode: %v", err)
-					}
-				default:
-					t.Fatalf("frame reported unknown item kind %v", fr.Kind(i))
-				}
-			}
-			if bw.Items() > 0 {
-				if _, err := wire.ParseFrame(bw.Frame()); err != nil {
-					t.Fatalf("re-encoded frame failed to parse: %v", err)
-				}
-			}
-			return
+		fr, err := wire.ParseFrame(data)
+		if !wire.IsFrame(data) && err == nil {
+			t.Fatal("ParseFrame accepted input without a version-3 frame header")
 		}
-		pl, err := wire.Decode(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var buf bytes.Buffer
-		switch pl.Kind {
-		case wire.KindProfile:
-			err = wire.EncodeProfile(&buf, pl.Profile)
-		case wire.KindCCT:
-			err = wire.EncodeExport(&buf, pl.Export)
-		default:
-			t.Fatalf("decode accepted unknown kind %v", pl.Kind)
+		bw := wire.NewBatchWriter()
+		for i := 0; i < fr.Items(); i++ {
+			switch fr.Kind(i) {
+			case wire.KindProfile:
+				p, err := fr.ProfileAt(i)
+				if err != nil {
+					continue
+				}
+				if err := bw.AddProfile(p); err != nil {
+					t.Fatalf("decoded profile item failed to re-encode: %v", err)
+				}
+			case wire.KindCCT:
+				ex, err := fr.ExportAt(i)
+				if err != nil {
+					continue
+				}
+				if err := bw.AddExport(ex); err != nil {
+					t.Fatalf("decoded cct item failed to re-encode: %v", err)
+				}
+			default:
+				t.Fatalf("frame reported unknown item kind %v", fr.Kind(i))
+			}
 		}
-		if err != nil {
-			t.Fatalf("decoded payload failed to re-encode: %v", err)
+		if bw.Items() > 0 {
+			if _, err := wire.ParseFrame(bw.Frame()); err != nil {
+				t.Fatalf("re-encoded frame failed to parse: %v", err)
+			}
 		}
 	})
 }

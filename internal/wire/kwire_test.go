@@ -29,15 +29,15 @@ func kSeedProfile(k int) *profile.Profile {
 	return p
 }
 
-// TestProfileKRoundTrip: the envelope codec preserves the iteration degree
-// and per-proc effective degrees exactly.
+// TestProfileKRoundTrip: a one-item frame preserves the iteration
+// degree and per-proc effective degrees exactly.
 func TestProfileKRoundTrip(t *testing.T) {
 	p := kSeedProfile(3)
-	var bin bytes.Buffer
-	if err := wire.EncodeProfile(&bin, p); err != nil {
+	f, err := wire.ParseFrame(frameOf(t, p))
+	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.DecodeProfile(bytes.NewReader(bin.Bytes()))
+	got, err := f.ProfileAt(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,27 +56,9 @@ func TestProfileKRoundTrip(t *testing.T) {
 // byte-identically whether its K field is 0 (decoded form) or 1 (the
 // instrument default) — the k extension may not disturb existing frames.
 func TestProfileClassicBytesUnchangedByK(t *testing.T) {
-	var b0, b1 bytes.Buffer
-	if err := wire.EncodeProfile(&b0, kSeedProfile(0)); err != nil {
-		t.Fatal(err)
-	}
 	p1 := kSeedProfile(0)
 	p1.K = 1
-	if err := wire.EncodeProfile(&b1, p1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b0.Bytes(), b1.Bytes()) {
-		t.Fatal("K=1 changed a classic profile's envelope bytes")
-	}
-
-	w0, w1 := wire.NewBatchWriter(), wire.NewBatchWriter()
-	if err := w0.AddProfile(kSeedProfile(0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w1.AddProfile(p1); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(w0.Frame(), w1.Frame()) {
+	if !bytes.Equal(frameOf(t, kSeedProfile(0)), frameOf(t, p1)) {
 		t.Fatal("K=1 changed a classic profile's frame bytes")
 	}
 }

@@ -1,7 +1,7 @@
 package wire
 
 import (
-	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -38,9 +38,8 @@ func decodeOneExport(t *testing.T, ex *cct.Export) error {
 	return f.DecodeCCT(0, &bc)
 }
 
-// TestCCTNumProcsBound: a CCT may declare at most maxWireProcs
-// procedures, in a frame item and in a v2 envelope alike, and the
-// rejection is positioned.
+// TestCCTNumProcsBound: a CCT item may declare at most maxWireProcs
+// procedures, and the rejection is positioned.
 func TestCCTNumProcsBound(t *testing.T) {
 	if err := decodeOneExport(t, procExport(maxWireProcs, 0)); err != nil {
 		t.Fatalf("%d procs rejected: %v", maxWireProcs, err)
@@ -48,17 +47,8 @@ func TestCCTNumProcsBound(t *testing.T) {
 	for _, np := range []int{maxWireProcs + 1, 1 << 40} {
 		err := decodeOneExport(t, procExport(np))
 		if err == nil || !strings.HasPrefix(err.Error(), "wire: frame offset ") ||
-			!strings.HasSuffix(err.Error(), "cct item: "+itoa(np)+" procs exceeds limit") {
+			!strings.HasSuffix(err.Error(), "cct item: "+strconv.Itoa(np)+" procs exceeds limit") {
 			t.Fatalf("frame item with %d procs: err = %v", np, err)
-		}
-		var buf bytes.Buffer
-		if err := EncodeExport(&buf, procExport(np)); err != nil {
-			t.Fatal(err)
-		}
-		_, err = DecodeExport(&buf)
-		if err == nil || !strings.HasPrefix(err.Error(), "wire: offset ") ||
-			!strings.HasSuffix(err.Error(), "cct header: "+itoa(np)+" procs exceeds limit") {
-			t.Fatalf("v2 envelope with %d procs: err = %v", np, err)
 		}
 	}
 }

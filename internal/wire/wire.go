@@ -1,61 +1,88 @@
-// Package wire implements the compact binary encoding profiles travel in
-// between producers and the collection tier (internal/collector): a
-// versioned envelope of varint-encoded, length-prefixed sections with a
-// CRC-32C trailer, carrying either a flow-sensitive path profile
-// (profile.Profile) or a calling context tree export (cct.Export).
+// Package wire implements the compact binary frame profiles travel in
+// between producers and the collection tier (internal/collector) and
+// rest in the collector's log (internal/store). One frame carries any
+// number of items, each either a flow-sensitive path profile
+// (profile.Profile) or a calling context tree export (cct.Export): a
+// single push is a one-item frame, a relay flush or a store snapshot a
+// many-item one. Unlike the text formats, a CCT item also carries the
+// structural detail Table 3 needs (record sizes, per-site slot states,
+// heap footprint), so merged aggregates report exact statistics.
 //
-// Layout:
+// Layout (format version 3):
 //
 //	"PPW1"                         magic
-//	version  byte                  format version (currently 2; 1 still decodes)
-//	kind     byte                  1 = profile, 2 = CCT export
-//	sections { id byte, uvarint length, payload }*
-//	end      byte 0                end-of-sections marker
+//	version  byte                  3
+//	kind     byte                  3 (KindBatch)
+//	section  secBatchStrings       shared string table (one, first)
+//	sections { secBatchProfile | secBatchCCT }*   one item per envelope
+//	end      byte 0
 //	crc      uint32 little-endian  CRC-32C of every preceding byte
 //
-// Version 2 replaces the profile header section with a schema-carrying
-// variant (secProfileSchema): instead of exactly two event-name strings it
-// holds the full N-event metric schema, and each path entry carries N
-// metric accumulators. Version 1 envelopes — fixed two-metric layout — are
-// still decoded (the reader maps them onto a two-event schema), so blobs
-// produced by old producers keep working; see testdata/v1_*.bin.
+// Every section is an id byte and a uvarint payload length followed by
+// the payload. All program names, modes and event names live in the
+// string table and items reference them by index, so a frame of N
+// profiles of the same program carries each string once. Path
+// identifiers are delta-encoded: profile entries as signed deltas in
+// stored order, CCT path-count sums as strictly-ascending gaps. Metric
+// words stay uvarints.
 //
-// Sections stream: encoders emit one section per procedure (profiles) or
-// per call record (CCTs), and decoders consume section by section, so
-// neither side holds more than one section's payload beyond the decoded
-// result itself. The codec round-trips byte-identically against the text
-// encoders: re-encoding a decoded value with profile.(*Profile).Write or
-// cct.(*Export).WriteText reproduces the original text file. Unlike the
-// text format, the CCT message also carries the structural detail Table 3
-// needs (record sizes, per-site slot states, heap footprint), so merged
-// aggregates report exact statistics.
+// String table (secBatchStrings):
 //
-// Corrupt, truncated or oversized input yields a descriptive error (never
-// a panic); the trailing checksum rejects bit flips that still parse.
+//	uvarint count, count x (uvarint len, bytes)
+//
+// Profile item (secBatchProfile):
+//
+//	uvarint programIdx, uvarint modeIdx,
+//	uvarint numEvents, numEvents x uvarint eventIdx,
+//	uvarint numProcs, per proc:
+//	  varint procID, uvarint nameIdx, varint numPaths, uvarint numEntries,
+//	  per entry: varint dSum (sum - prev, prev starts at 0),
+//	             uvarint freq, numEvents x uvarint metric
+//	[uvarint k, numProcs x uvarint procK]   trailing, only when k > 1
+//
+// The trailing k fields carry a k-iteration profile's degree (and each
+// procedure's effective degree, which clamping may leave below it).
+// Classic profiles omit them; the decoder detects them by leftover
+// payload bytes.
+//
+// CCT item (secBatchCCT):
+//
+//	uvarint programIdx,
+//	uvarint numProcs, bool distinguishSites, uvarint numMetrics, byte flags,
+//	when structural (flags bit 0): uvarint sizeBytes, uvarint listElems,
+//	uvarint numNodes, per node (preorder, implicit id 1..numNodes):
+//	  uvarint parentID (< id; 0 is the root),
+//	  varint proc,
+//	  uvarint nMetrics, nMetrics x varint,
+//	  uvarint nPathCounts, first: varint sum, varint count,
+//	                       rest:  uvarint gap (sum = prev + gap + 1), varint count,
+//	  when structural: uvarint size, uvarint nSlots,
+//	                   per slot: byte state, varint prefix when one-path
+//	uvarint numBackedges, numBackedges x (uvarint fromID, uvarint toID)
+//
+// The decoder (Frame) parses in place: string-table entries and item
+// payloads are subslices of the caller's buffer, and the item decoders
+// fill caller-owned scratch structs whose backing arrays are reused
+// across frames, so a steady-state ingest performs no allocation.
+//
+// Corrupt, truncated or oversized input yields a positioned error, never
+// a panic; the trailing checksum rejects bit flips that still parse.
+// Input without a version-3 header is refused at the header. That
+// includes the single-payload envelopes of versions 1 and 2, which this
+// package no longer reads.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
 	"hash/crc32"
 	"io"
-
-	"pathprof/internal/cct"
-	"pathprof/internal/profile"
 )
-
-// Version is the format version this package writes.
-const Version = 2
-
-// minVersion is the oldest format version the decoder accepts.
-const minVersion = 1
 
 var magic = [4]byte{'P', 'P', 'W', '1'}
 
-// Kind discriminates the payload carried by an envelope.
+// Kind discriminates the payload carried by a frame item.
 type Kind byte
 
 const (
@@ -74,123 +101,39 @@ func (k Kind) String() string {
 	}
 }
 
-// Section IDs.
-const (
-	secEnd           = 0
-	secProfileHeader = 1 // v1 profile header: exactly two event names
-	secProfileProc   = 2
-	secCCTHeader     = 3
-	secCCTNode       = 4
-	secCCTBackedges  = 5
-	secProfileSchema = 6 // v2 profile header: N-event metric schema
-)
+// KindError reports a frame item carrying the wrong payload kind.
+type KindError struct{ Want, Got Kind }
+
+func (e *KindError) Error() string {
+	return "wire: payload is a " + e.Got.String() + ", want " + e.Want.String()
+}
+
+// secEnd is the end-of-sections marker.
+const secEnd = 0
 
 // maxSectionLen bounds a single section's declared payload length; it is
-// far above anything the encoders produce and exists so hostile length
+// far above anything the encoder produces and exists so hostile length
 // fields cannot demand absurd allocations.
 const maxSectionLen = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// Payload is a decoded envelope: exactly one of Profile / Export is set,
-// per Kind.
-type Payload struct {
-	Kind    Kind
-	Profile *profile.Profile
-	Export  *cct.Export
-}
+// maxWireEvents bounds the schema width a decoded item may declare —
+// generous against hpm.MaxCounters, tight against hostile items.
+const maxWireEvents = 256
 
-// Program returns the name of the program the payload profiles.
-func (p *Payload) Program() string {
-	switch p.Kind {
-	case KindProfile:
-		return p.Profile.Program
-	case KindCCT:
-		return p.Export.Program
-	}
-	return ""
-}
+// maxWireProcs bounds the procedure count a decoded CCT may declare. Its
+// nodes need not mention every procedure, so the count is not bounded by
+// the payload size, yet the collector's fold sizes a per-procedure table
+// from it.
+const maxWireProcs = 1 << 20
 
-// Encode writes v — a *profile.Profile or *cct.Export — as one envelope.
-func Encode(w io.Writer, v any) error {
-	switch v := v.(type) {
-	case *profile.Profile:
-		return EncodeProfile(w, v)
-	case *cct.Export:
-		return EncodeExport(w, v)
-	default:
-		return fmt.Errorf("wire: cannot encode %T", v)
-	}
-}
+// maxWireK bounds the iteration degree a decoded profile may declare —
+// far above instrument's own ceiling, tight against hostile payloads.
+const maxWireK = 255
 
-// Decode reads one envelope and returns its payload.
-func Decode(r io.Reader) (*Payload, error) {
-	d := newDecoder(r)
-	kind, err := d.header()
-	if err != nil {
-		return nil, err
-	}
-	pl := &Payload{Kind: kind}
-	switch kind {
-	case KindProfile:
-		pl.Profile, err = decodeProfileSections(d)
-	case KindCCT:
-		pl.Export, err = decodeExportSections(d)
-	default:
-		return nil, d.errorf("unknown payload kind %d", byte(kind))
-	}
-	if err != nil {
-		return nil, err
-	}
-	if err := d.verifyTrailer(); err != nil {
-		return nil, err
-	}
-	return pl, nil
-}
-
-// --- encoder ---
-
-type encoder struct {
-	w   io.Writer
-	crc hash.Hash32
-	tmp []byte
-}
-
-func newEncoder(w io.Writer) *encoder {
-	return &encoder{w: w, crc: crc32.New(crcTable)}
-}
-
-func (e *encoder) raw(b []byte) error {
-	e.crc.Write(b)
-	_, err := e.w.Write(b)
-	return err
-}
-
-func (e *encoder) header(kind Kind) error {
-	return e.raw([]byte{magic[0], magic[1], magic[2], magic[3], Version, byte(kind)})
-}
-
-// section emits one length-prefixed section. The payload buffer is reused
-// across sections (callers rebuild it via e.tmp).
-func (e *encoder) section(id byte, payload []byte) error {
-	hdr := binary.AppendUvarint([]byte{id}, uint64(len(payload)))
-	if err := e.raw(hdr); err != nil {
-		return err
-	}
-	return e.raw(payload)
-}
-
-// finish writes the end marker and the checksum trailer.
-func (e *encoder) finish() error {
-	if err := e.raw([]byte{secEnd}); err != nil {
-		return err
-	}
-	sum := e.crc.Sum32()
-	var tr [4]byte
-	binary.LittleEndian.PutUint32(tr[:], sum)
-	_, err := e.w.Write(tr[:]) // the trailer is not part of its own checksum
-	return err
-}
+// flagStructure marks a CCT item carrying the structural extras.
+const flagStructure = 1
 
 // Buffer append helpers.
 
@@ -207,132 +150,6 @@ func putBool(b []byte, v bool) []byte {
 		return append(b, 1)
 	}
 	return append(b, 0)
-}
-
-// --- decoder ---
-
-type decoder struct {
-	r       *bufio.Reader
-	crc     hash.Hash32
-	offset  int64
-	version byte   // envelope format version, set by header()
-	buf     []byte // section payload buffer, reused across sections
-}
-
-func newDecoder(r io.Reader) *decoder {
-	return &decoder{r: bufio.NewReader(r), crc: crc32.New(crcTable)}
-}
-
-func (d *decoder) errorf(format string, args ...interface{}) error {
-	return fmt.Errorf("wire: offset %d: %s", d.offset, fmt.Sprintf(format, args...))
-}
-
-// ReadByte implements io.ByteReader over the checksummed stream.
-func (d *decoder) ReadByte() (byte, error) {
-	b, err := d.r.ReadByte()
-	if err != nil {
-		return 0, err
-	}
-	d.crc.Write([]byte{b})
-	d.offset++
-	return b, nil
-}
-
-func (d *decoder) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(d)
-	if err != nil {
-		return 0, d.eof(err, "varint")
-	}
-	return v, nil
-}
-
-// eof normalizes read errors: a clean EOF mid-structure is truncation.
-func (d *decoder) eof(err error, what string) error {
-	if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return d.errorf("truncated input reading %s", what)
-	}
-	return fmt.Errorf("wire: offset %d: reading %s: %w", d.offset, what, err)
-}
-
-// readFull reads exactly n bytes through the checksum into the decoder's
-// reusable payload buffer — section decoders copy everything they keep, so
-// one buffer serves every section of the envelope. Growth is chunked with
-// the bytes actually present, so a lying length field fails at the true
-// end of input instead of pre-allocating n bytes.
-func (d *decoder) readFull(n int) ([]byte, error) {
-	const chunk = 64 << 10
-	buf := d.buf[:0]
-	if cap(buf) < n && cap(buf) < chunk {
-		buf = make([]byte, 0, min(n, chunk))
-	}
-	for len(buf) < n {
-		c := min(n-len(buf), chunk)
-		start := len(buf)
-		buf = append(buf, make([]byte, c)...)
-		if _, err := io.ReadFull(d.r, buf[start:]); err != nil {
-			return nil, d.eof(err, "section payload")
-		}
-		d.crc.Write(buf[start:])
-		d.offset += int64(c)
-	}
-	d.buf = buf
-	return buf, nil
-}
-
-func (d *decoder) header() (Kind, error) {
-	var m [6]byte
-	if _, err := io.ReadFull(d.r, m[:]); err != nil {
-		return 0, d.eof(err, "envelope header")
-	}
-	d.crc.Write(m[:])
-	d.offset += 6
-	if [4]byte(m[:4]) != magic {
-		return 0, d.errorf("bad magic %q", m[:4])
-	}
-	if m[4] < minVersion || m[4] > Version {
-		return 0, d.errorf("unsupported version %d (accept %d..%d)", m[4], minVersion, Version)
-	}
-	d.version = m[4]
-	return Kind(m[5]), nil
-}
-
-// nextSection reads a section header and payload; it returns id secEnd
-// with a nil payload at the end marker.
-func (d *decoder) nextSection() (byte, []byte, error) {
-	id, err := d.ReadByte()
-	if err != nil {
-		return 0, nil, d.eof(err, "section id")
-	}
-	if id == secEnd {
-		return secEnd, nil, nil
-	}
-	n, err := d.uvarint()
-	if err != nil {
-		return 0, nil, err
-	}
-	if n > maxSectionLen {
-		return 0, nil, d.errorf("section %d length %d exceeds limit", id, n)
-	}
-	payload, err := d.readFull(int(n))
-	if err != nil {
-		return 0, nil, err
-	}
-	return id, payload, nil
-}
-
-// verifyTrailer reads the 4-byte checksum (outside the checksummed stream)
-// and compares it with the accumulated CRC.
-func (d *decoder) verifyTrailer() error {
-	want := d.crc.Sum32()
-	var tr [4]byte
-	if _, err := io.ReadFull(d.r, tr[:]); err != nil {
-		return d.eof(err, "checksum trailer")
-	}
-	got := binary.LittleEndian.Uint32(tr[:])
-	if got != want {
-		return d.errorf("checksum mismatch: trailer %08x, computed %08x", got, want)
-	}
-	return nil
 }
 
 // --- section payload cursor ---
@@ -416,19 +233,6 @@ func (c *cursor) bool() (bool, error) {
 		return false, fmt.Errorf("bad bool byte %d", b)
 	}
 	return b == 1, nil
-}
-
-func (c *cursor) string() (string, error) {
-	n, err := c.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if n > uint64(c.remaining()) {
-		return "", fmt.Errorf("string length %d exceeds section", n)
-	}
-	s := string(c.b[c.pos : c.pos+int(n)])
-	c.pos += int(n)
-	return s, nil
 }
 
 // count reads a collection length and validates it against the bytes left

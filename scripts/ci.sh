@@ -72,9 +72,13 @@ fi
 # Wire codec throughput and end-to-end collector ingest. TestMain splits
 # Wire records into BENCH_wire.json; the ingest benchmark exercises the
 # whole collection tier (encode, HTTP POST, decode, sharded merge).
+# Encoding one envelope as a one-item frame into a reused writer must
+# stay allocation-free, for a profile and for a CCT export.
 out="$(go test -run='^$' -bench='BenchmarkWire' -benchmem -benchtime=100x .)"
 echo "$out"
 echo "$out" | grep -q 'BenchmarkWireIngest'
+echo "$out" | grep 'BenchmarkWireEncodeProfile' | grep -q ' 0 allocs/op'
+echo "$out" | grep 'BenchmarkWireEncodeCCT' | grep -q ' 0 allocs/op'
 test -s BENCH_wire.json
 
 # Batched ingest: regenerate BENCH_ingest.json and gate the wire-v3
