@@ -1340,8 +1340,8 @@ func BenchmarkIngestFrameFold(b *testing.B) {
 // profile and a ctx+flow CCT of every suite program at test scale in
 // every shard. warm reads with no fold in between; afterFold first folds,
 // untimed, one frame carrying an envelope of every program, so every row
-// is derived again. ci.sh gates warm /table/4 at no more than half of
-// afterFold's allocs/op.
+// is derived and formatted again. ci.sh gates each table's warm read at
+// no more than a tenth of afterFold's allocs/op.
 func BenchmarkTableQuery(b *testing.B) {
 	const shards = 4
 	s := experiments.NewSession(workload.Test)

@@ -319,8 +319,8 @@ func relay(args []string) {
 	}
 	<-done
 	st := r.Stats()
-	log.Printf("relayed %d envelopes in %d frames (%d flush failures)",
-		st.EnvelopesPushed, st.FramesPushed, st.FlushFailures)
+	log.Printf("relayed %d envelopes in %d frames (%d flush failures, %d refused items dropped on refold)",
+		st.EnvelopesPushed, st.FramesPushed, st.FlushFailures, st.RefoldDropped)
 }
 
 func push(args []string) {

@@ -358,17 +358,23 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 }
 
 // foldEach folds every item of frame as IngestFrame does, except that an
-// item that fails does not keep the later ones out. The relay folds a
-// frame its upstream refused back in through it.
-func (c *Collector) foldEach(frame []byte) {
+// item that fails does not keep the later ones out. It returns how many
+// items folded and the first error. The relay folds a frame its upstream
+// refused back in through it.
+func (c *Collector) foldEach(frame []byte) (folded int, err error) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	if sc.frame.Reset(frame) != nil {
-		return
+	if err := sc.frame.Reset(frame); err != nil {
+		return 0, err
 	}
 	for i := 0; i < sc.frame.Items(); i++ {
-		c.foldItem(sc, i)
+		if e := c.foldItem(sc, i); e == nil {
+			folded++
+		} else if err == nil {
+			err = e
+		}
 	}
+	return folded, err
 }
 
 // foldItem decodes item i of sc.frame and folds it into a shard.

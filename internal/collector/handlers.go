@@ -1,18 +1,17 @@
 package collector
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
-	"pathprof/internal/analysis"
 	"pathprof/internal/experiments"
 	"pathprof/internal/report"
 	"pathprof/internal/store"
@@ -266,57 +265,59 @@ func (c *Collector) requestedPrograms(r *http.Request, profiles bool) []string {
 }
 
 // tableBufs pools the buffers tables render into.
-var tableBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var tableBufs = sync.Pool{New: func() any { return new([]byte) }}
 
-// writeTable renders a table into a pooled buffer and sends it in one
-// write, with its Content-Length.
-func writeTable(w http.ResponseWriter, render func(io.Writer)) {
-	buf := tableBufs.Get().(*bytes.Buffer)
+// writeTable renders t into a pooled buffer and sends it in one write,
+// with its Content-Length.
+func writeTable(w http.ResponseWriter, t *report.Table) {
+	buf := tableBufs.Get().(*[]byte)
 	defer tableBufs.Put(buf)
-	buf.Reset()
-	render(buf)
+	*buf = t.Append((*buf)[:0])
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	w.Header().Set("Content-Length", strconv.Itoa(buf.Len()))
-	w.Write(buf.Bytes())
+	w.Header().Set("Content-Length", strconv.Itoa(len(*buf)))
+	w.Write(*buf)
 }
 
 func (c *Collector) handleTable3(w http.ResponseWriter, r *http.Request) {
-	var rows []experiments.Table3Row
-	for _, name := range c.requestedPrograms(r, false) {
+	names := c.requestedPrograms(r, false)
+	rows := make([][]string, 0, len(names))
+	for _, name := range names {
 		v, ok := c.exportView(name)
 		if !ok {
 			http.Error(w, "no CCT aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		rows = append(rows, experiments.Table3Row{Name: name, Stats: v.stats})
+		rows = append(rows, v.cells)
 	}
-	writeTable(w, func(b io.Writer) { experiments.RenderTable3(rows, b) })
+	writeTable(w, experiments.Table3Of(rows))
 }
 
 func (c *Collector) handleTable4(w http.ResponseWriter, r *http.Request) {
-	var results []experiments.Table4Result
-	for _, name := range c.requestedPrograms(r, true) {
+	names := c.requestedPrograms(r, true)
+	rows := make([][]string, 0, len(names))
+	for _, name := range names {
 		v, ok := c.profileView(name)
 		if !ok {
 			http.Error(w, "no profile aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		results = append(results, v.table4)
+		rows = append(rows, v.table4Cells()...)
 	}
-	writeTable(w, func(b io.Writer) { experiments.RenderTable4(results, b) })
+	writeTable(w, experiments.Table4Of(rows))
 }
 
 func (c *Collector) handleTable5(w http.ResponseWriter, r *http.Request) {
-	var reports []analysis.ProcReport
-	for _, name := range c.requestedPrograms(r, true) {
+	names := c.requestedPrograms(r, true)
+	rows := make([][]string, 0, len(names))
+	for _, name := range names {
 		v, ok := c.profileView(name)
 		if !ok {
 			http.Error(w, "no profile aggregate for "+name, http.StatusNotFound)
 			return
 		}
-		reports = append(reports, v.table5)
+		rows = append(rows, v.table5Cells())
 	}
-	writeTable(w, func(b io.Writer) { experiments.RenderTable5(reports, b) })
+	writeTable(w, experiments.Table5Of(rows))
 }
 
 // handleTableNamedMetrics renders each program's merged totals under the
@@ -342,22 +343,25 @@ func (c *Collector) handleTableNamedMetrics(w http.ResponseWriter, r *http.Reque
 		}
 		views[i] = v
 	}
-	t := &report.Table{
-		Title: "Merged profile totals by named metric",
-		Cols:  append([]string{"Program", "Path execs"}, cols...),
-	}
+	cells := make([]string, 0, len(views)*(2+len(cols)))
+	rows := make([][]string, len(views))
 	for i, v := range views {
-		vals := []interface{}{names[i], v.execs}
+		lo := len(cells)
+		cells = append(cells, names[i], v.execs)
 		for _, ev := range cols {
-			if x, ok := v.totals[ev]; ok {
-				vals = append(vals, x)
+			if j := slices.Index(v.events, ev); j >= 0 {
+				cells = append(cells, v.totals[j])
 			} else {
-				vals = append(vals, "-")
+				cells = append(cells, "-")
 			}
 		}
-		t.AddRow(vals...)
+		rows[i] = cells[lo:len(cells):len(cells)]
 	}
-	writeTable(w, t.Render)
+	writeTable(w, &report.Table{
+		Title: "Merged profile totals by named metric",
+		Cols:  append([]string{"Program", "Path execs"}, cols...),
+		Rows:  rows,
+	})
 }
 
 func (c *Collector) handlePrograms(w http.ResponseWriter, _ *http.Request) {

@@ -456,24 +456,38 @@ func TestRelayForwards(t *testing.T) {
 // TestRelayRefoldPerItem: a frame the upstream refused folds back into
 // the relay's collector item by item, so an item that now conflicts with
 // the local aggregate does not keep the next one out — as a plain
-// IngestFrame, which stops at the first failing item, would.
+// IngestFrame, which stops at the first failing item, would. The
+// conflicting item is lost, and the flush counts and reports it.
 func TestRelayRefoldPerItem(t *testing.T) {
 	prof, _ := fixtures(t)
+	ctx := context.Background()
 	c := New(Config{Shards: 1})
-	held := cloneProfile(prof)
-	held.Mode = "context+hw"
-	if _, _, err := c.IngestFrame(profileFrame(t, held)); err != nil {
-		t.Fatal(err)
-	}
 	other := cloneProfile(prof)
 	other.Program = "otherprog"
-	bw := wire.NewBatchWriter()
 	for _, p := range []*profile.Profile{prof, other} {
-		if err := bw.AddProfile(p); err != nil {
+		if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c.foldEach(bw.Frame())
+	// Between Take and the failed push, a leaf pushes the first program
+	// in another mode.
+	held := cloneProfile(prof)
+	held.Mode = "context+hw"
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if _, _, err := c.IngestFrame(profileFrame(t, held)); err != nil {
+			t.Error(err)
+		}
+		http.Error(w, "upstream down", http.StatusInternalServerError)
+	}))
+	defer upstream.Close()
+	r := &Relay{Local: c, Upstream: &Client{BaseURL: upstream.URL, HTTPClient: upstream.Client()}}
+	err := r.FlushOnce(ctx)
+	if err == nil || !strings.Contains(err.Error(), "1 of 2 refused items no longer fold locally") {
+		t.Fatalf("flush error %v does not name the one dropped item", err)
+	}
+	if st := r.Stats(); st.RefoldDropped != 1 || st.FlushFailures != 1 {
+		t.Fatalf("relay stats: %+v", st)
+	}
 	if got, ok := c.MergedProfile("otherprog"); !ok || !bytes.Equal(profileFrame(t, got), profileFrame(t, other)) {
 		t.Fatal("the item after a conflicting one did not fold")
 	}

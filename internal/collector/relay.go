@@ -2,6 +2,7 @@ package collector
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -23,7 +24,9 @@ import (
 //
 // A failed upstream push (after the client's retries) folds the frame
 // back into the local collector, so data survives upstream outages and
-// rides along with the next flush.
+// rides along with the next flush. An item that no longer folds, because
+// a leaf pushed a conflicting envelope of its program since Take, is
+// lost: FlushOnce counts it in RefoldDropped and names it in its error.
 //
 // With a store mounted on Local the relay becomes a durable spool:
 // leaf pushes are on disk before they are acked, a crash replays
@@ -48,6 +51,7 @@ type Relay struct {
 	framesPushed    atomic.Uint64
 	envelopesPushed atomic.Uint64
 	flushFailures   atomic.Uint64
+	refoldDropped   atomic.Uint64
 	checkpoints     atomic.Uint64
 
 	stop chan struct{}
@@ -59,7 +63,10 @@ type RelayStats struct {
 	FramesPushed    uint64 `json:"frames_pushed"`
 	EnvelopesPushed uint64 `json:"envelopes_pushed"`
 	FlushFailures   uint64 `json:"flush_failures"`
-	Checkpoints     uint64 `json:"checkpoints"`
+	// RefoldDropped counts items of refused frames that could not fold
+	// back into Local and were lost.
+	RefoldDropped uint64 `json:"refold_dropped"`
+	Checkpoints   uint64 `json:"checkpoints"`
 }
 
 func (r *Relay) interval() time.Duration {
@@ -113,6 +120,7 @@ func (r *Relay) Stats() RelayStats {
 		FramesPushed:    r.framesPushed.Load(),
 		EnvelopesPushed: r.envelopesPushed.Load(),
 		FlushFailures:   r.flushFailures.Load(),
+		RefoldDropped:   r.refoldDropped.Load(),
 		Checkpoints:     r.checkpoints.Load(),
 	}
 }
@@ -120,7 +128,8 @@ func (r *Relay) Stats() RelayStats {
 // FlushOnce takes the local aggregate and pushes it upstream in frames
 // of at most MaxItems envelopes. A frame whose push fails is folded back
 // into the local collector, and the first error is returned after the
-// remaining frames are attempted.
+// remaining frames are attempted; it also names how many refused items
+// could not fold back.
 func (r *Relay) FlushOnce(ctx context.Context) error {
 	profiles, exports := r.Local.Take()
 	if len(profiles) == 0 && len(exports) == 0 {
@@ -128,7 +137,8 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 	}
 
 	bw := wire.NewBatchWriter()
-	var firstErr error
+	var firstErr, refoldErr error
+	var refused, dropped int
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
@@ -142,9 +152,15 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 		if _, err := r.Upstream.PushFrame(ctx, frame); err != nil {
 			r.flushFailures.Add(1)
 			fail(err)
+			refused += bw.Items()
 			// Each item folds on its own, so one that conflicts with what
 			// leaves pushed since Take does not keep the others out.
-			r.Local.foldEach(frame)
+			if folded, err := r.Local.foldEach(frame); folded < bw.Items() {
+				dropped += bw.Items() - folded
+				if refoldErr == nil {
+					refoldErr = err
+				}
+			}
 		} else {
 			r.framesPushed.Add(1)
 			r.envelopesPushed.Add(uint64(bw.Items()))
@@ -165,6 +181,11 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 		add(bw.AddExport(ex))
 	}
 	push()
+	if dropped > 0 {
+		r.refoldDropped.Add(uint64(dropped))
+		firstErr = fmt.Errorf("%w; relay: %d of %d refused items no longer fold locally and were dropped: %w",
+			firstErr, dropped, refused, refoldErr)
+	}
 	if firstErr == nil && r.Local.Store() != nil {
 		// Everything taken is delivered upstream: checkpoint the spool so
 		// a crash replay does not re-deliver it. (The snapshot also

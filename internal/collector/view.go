@@ -1,10 +1,11 @@
 package collector
 
 import (
+	"slices"
 	"strconv"
+	"sync"
 
 	"pathprof/internal/analysis"
-	"pathprof/internal/cct"
 	"pathprof/internal/experiments"
 )
 
@@ -16,21 +17,42 @@ import (
 
 // profView holds one program's rows derived from its merged profile:
 // Tables 4 and 5 and the named-metric totals. The hot-path and
-// hot-procedure lists no table prints are dropped. Immutable once
-// stored.
+// hot-procedure lists no table prints are dropped. The named-metric
+// numbers are formatted when the view is built; the Table 4 and Table 5
+// cells on the first read of that table from the view, each under its
+// own Once, so a read of one table formats nothing for the others. Apart
+// from those once-filled cells a view is immutable once stored.
 type profView struct {
 	stamps []uint64 // per shard; 0 where the shard held no aggregate
 	table4 experiments.Table4Result
 	table5 analysis.ProcReport
-	execs  uint64            // path executions
-	events []string          // distinct metric names, in schema order
-	totals map[string]uint64 // per metric name, summed over paths
+	execs  string   // path executions
+	events []string // distinct metric names, in schema order
+	totals []string // per metric name in events order, summed over paths
+
+	t4once  sync.Once
+	t4cells [][]string
+	t5once  sync.Once
+	t5cells []string
 }
 
-// cctView holds one program's Table 3 row, keyed as in profView.
+// table4Cells returns the view's Table 4 rows, formatting them once.
+func (v *profView) table4Cells() [][]string {
+	v.t4once.Do(func() { v.t4cells = experiments.Table4Cells(v.table4) })
+	return v.t4cells
+}
+
+// table5Cells returns the view's Table 5 row, formatting it once.
+func (v *profView) table5Cells() []string {
+	v.t5once.Do(func() { v.t5cells = experiments.Table5Cells(v.table5) })
+	return v.t5cells
+}
+
+// cctView holds one program's Table 3 row, formatted, keyed as in
+// profView.
 type cctView struct {
 	stamps []uint64
-	stats  cct.Stats
+	cells  []string
 }
 
 // fresh reports whether program's aggregates of one kind, CCTs when ccts
@@ -75,23 +97,30 @@ func (c *Collector) profileView(program string) (*profView, bool) {
 		stamps: stamps,
 		table4: experiments.Table4FromProfile(program, p),
 		table5: analysis.ClassifyProcs(p, analysis.DefaultHotThreshold),
-		totals: make(map[string]uint64, len(p.Events)),
 	}
 	v.table4.Std.HotPaths = nil
 	if v.table4.Low != nil {
 		v.table4.Low.HotPaths = nil
 	}
 	v.table5.HotProcs = nil
-	var ms []uint64
-	v.execs, ms = p.Totals()
+	execs, ms := p.Totals()
+	v.execs = strconv.FormatUint(execs, 10)
+	var sums []uint64
 	for i, ev := range p.Events {
 		if ev == "" {
 			ev = "slot" + strconv.Itoa(i)
 		}
-		if _, ok := v.totals[ev]; !ok {
+		j := slices.Index(v.events, ev)
+		if j < 0 {
+			j = len(v.events)
 			v.events = append(v.events, ev)
+			sums = append(sums, 0)
 		}
-		v.totals[ev] += ms[i]
+		sums[j] += ms[i]
+	}
+	v.totals = make([]string, len(sums))
+	for j, x := range sums {
+		v.totals[j] = strconv.FormatUint(x, 10)
 	}
 	c.viewMu.Lock()
 	c.profViews[program] = v
@@ -113,7 +142,8 @@ func (c *Collector) exportView(program string) (*cctView, bool) {
 	if m == nil {
 		return nil, false
 	}
-	v = &cctView{stamps: stamps, stats: m.snapshot().Stats()}
+	row := experiments.Table3Row{Name: program, Stats: m.snapshot().Stats()}
+	v = &cctView{stamps: stamps, cells: experiments.Table3Cells(row)}
 	c.viewMu.Lock()
 	c.cctViews[program] = v
 	c.viewMu.Unlock()

@@ -410,3 +410,51 @@ func TestViewsConcurrent(t *testing.T) {
 		checkTable(t, "after the concurrent reads and folds", c, h, table, nil)
 	}
 }
+
+// TestViewCellsFormattedOnRead: a profile view formats each table's
+// cells on the first read of that table from it, so after a fold a
+// /table/metrics read formats neither Table 4's nor Table 5's cells, and
+// a following /table/4 read formats Table 4's alone.
+func TestViewCellsFormattedOnRead(t *testing.T) {
+	prof, _ := fixtures(t)
+	c := New(Config{Shards: 2})
+	h := c.Handler()
+	view := func() *profView {
+		c.viewMu.Lock()
+		defer c.viewMu.Unlock()
+		return c.profViews[prof.Program]
+	}
+	serve := func(table string) {
+		t.Helper()
+		if code, body := serveTable(h, table, nil); code != http.StatusOK {
+			t.Fatalf("/table/%s answered %d: %s", table, code, body)
+		}
+	}
+	for range 2 {
+		if _, _, err := c.IngestFrame(profileFrame(t, prof)); err != nil {
+			t.Fatal(err)
+		}
+		serve("4")
+		serve("5")
+	}
+	if v := view(); v.t4cells == nil || v.t5cells == nil {
+		t.Fatal("Table 4 and 5 reads left their cells unformatted")
+	}
+
+	if _, _, err := c.IngestFrame(profileFrame(t, prof)); err != nil {
+		t.Fatal(err)
+	}
+	serve("metrics")
+	v := view()
+	if v.t4cells != nil || v.t5cells != nil {
+		t.Fatal("a /table/metrics read formatted Table 4 or Table 5 cells")
+	}
+	serve("4")
+	if view() != v {
+		t.Fatal("the /table/4 read did not answer from the view /table/metrics built")
+	}
+	if v.t4cells == nil || v.t5cells != nil {
+		t.Fatalf("after a /table/4 read: Table 4 cells formatted %v, Table 5 cells formatted %v; want true, false",
+			v.t4cells != nil, v.t5cells != nil)
+	}
+}

@@ -515,7 +515,25 @@ func (s *Session) Table3() ([]Table3Row, error) {
 
 // RenderTable3 writes the Table 3 report.
 func RenderTable3(rows []Table3Row, w io.Writer) {
-	t := &report.Table{
+	cells := make([][]string, len(rows))
+	for i, r := range rows {
+		cells[i] = Table3Cells(r)
+	}
+	Table3Of(cells).Render(w)
+}
+
+// Table3Cells formats one Table 3 row.
+func Table3Cells(r Table3Row) []string {
+	st := r.Stats
+	return []string{r.Name, report.SI(st.SizeBytes), strconv.Itoa(st.Nodes),
+		oneDecimal(st.AvgNodeSize), oneDecimal(st.AvgOutDegree),
+		oneDecimal(st.AvgHeight), strconv.Itoa(st.MaxHeight), strconv.Itoa(st.MaxReplication),
+		strconv.Itoa(st.CallSitesTotal), strconv.Itoa(st.CallSitesUsed), strconv.Itoa(st.OnePathSites)}
+}
+
+// Table3Of is Table 3 over rows formatted by Table3Cells.
+func Table3Of(rows [][]string) *report.Table {
+	return &report.Table{
 		Title: "Table 3: Calling context tree statistics (CCT with intraprocedural path tables in the records)",
 		Cols: []string{"Benchmark", "Size(B)", "Nodes", "AvgNode(B)", "AvgOutDeg",
 			"HtAvg", "HtMax", "MaxRepl", "Sites", "Used", "OnePath"},
@@ -523,15 +541,8 @@ func RenderTable3(rows []Table3Row, w io.Writer) {
 			"number of procedures; Max Replication is the most records any one procedure has. " +
 			"One Path counts used call sites reached by exactly one intraprocedural path, where " +
 			"flow+context profiling equals full interprocedural path profiling.",
+		Rows: rows,
 	}
-	for _, r := range rows {
-		st := r.Stats
-		t.AddRow(r.Name, report.SI(st.SizeBytes), st.Nodes,
-			oneDecimal(st.AvgNodeSize), oneDecimal(st.AvgOutDegree),
-			oneDecimal(st.AvgHeight), st.MaxHeight, st.MaxReplication,
-			st.CallSitesTotal, st.CallSitesUsed, st.OnePathSites)
-	}
-	t.Render(w)
 }
 
 // --- Tables 4 and 5: hot paths and hot procedures ---
@@ -575,28 +586,43 @@ func Table4FromProfile(name string, p *profile.Profile) Table4Result {
 
 // RenderTable4 writes the Table 4 report.
 func RenderTable4(results []Table4Result, w io.Writer) {
-	t := &report.Table{
+	var cells [][]string
+	for _, res := range results {
+		cells = append(cells, Table4Cells(res)...)
+	}
+	Table4Of(cells).Render(w)
+}
+
+// Table4Cells formats one result's Table 4 rows: the standard row, then
+// the @0.1% row when Low is set.
+func Table4Cells(res Table4Result) [][]string {
+	rows := [][]string{table4Row(res.Name, res.Std)}
+	if res.Low != nil {
+		rows = append(rows, table4Row(res.Name+" @0.1%", *res.Low))
+	}
+	return rows
+}
+
+// table4Row formats r as one Table 4 row headed name.
+func table4Row(name string, r analysis.PathReport) []string {
+	return []string{name, strconv.Itoa(r.NumPaths), report.SI(r.TotalInsts), report.SI(r.TotalMisses),
+		strconv.Itoa(r.Hot.Num), report.Pct(r.Hot.InstFrac(r.TotalInsts)), report.Pct(r.Hot.MissFrac(r.TotalMisses)),
+		strconv.Itoa(r.Dense.Num), report.Pct(r.Dense.MissFrac(r.TotalMisses)),
+		strconv.Itoa(r.Sparse.Num), report.Pct(r.Sparse.MissFrac(r.TotalMisses)),
+		strconv.Itoa(r.Cold.Num), report.Pct(r.Cold.MissFrac(r.TotalMisses))}
+}
+
+// Table4Of is Table 4 over rows formatted by Table4Cells.
+func Table4Of(rows [][]string) *report.Table {
+	return &report.Table{
 		Title: "Table 4: L1 data cache misses by path (hot >= 1% of misses; dense = above-average miss ratio)",
 		Cols: []string{"Benchmark", "Paths", "Insts", "Misses",
 			"Hot#", "HotInst", "HotMiss", "Dense#", "DnsMiss", "Sparse#", "SprMiss", "Cold#", "ColdMiss"},
 		Note: "Rows marked @0.1% rerun the classification at the paper's reduced threshold for " +
 			"path-rich programs. (Paper: 3-28 hot paths cover 59-98% of misses except 099.go and " +
 			"126.gcc, which need the 0.1% threshold.)",
+		Rows: rows,
 	}
-	add := func(name string, r analysis.PathReport) {
-		t.AddRow(name, r.NumPaths, report.SI(r.TotalInsts), report.SI(r.TotalMisses),
-			r.Hot.Num, report.Pct(r.Hot.InstFrac(r.TotalInsts)), report.Pct(r.Hot.MissFrac(r.TotalMisses)),
-			r.Dense.Num, report.Pct(r.Dense.MissFrac(r.TotalMisses)),
-			r.Sparse.Num, report.Pct(r.Sparse.MissFrac(r.TotalMisses)),
-			r.Cold.Num, report.Pct(r.Cold.MissFrac(r.TotalMisses)))
-	}
-	for _, res := range results {
-		add(res.Name, res.Std)
-		if res.Low != nil {
-			add(res.Name+" @0.1%", *res.Low)
-		}
-	}
-	t.Render(w)
 }
 
 // Table5 classifies procedures by D-cache misses.
@@ -617,7 +643,25 @@ func (s *Session) Table5() ([]analysis.ProcReport, error) {
 
 // RenderTable5 writes the Table 5 report.
 func RenderTable5(reports []analysis.ProcReport, w io.Writer) {
-	t := &report.Table{
+	cells := make([][]string, len(reports))
+	for i, r := range reports {
+		cells[i] = Table5Cells(r)
+	}
+	Table5Of(cells).Render(w)
+}
+
+// Table5Cells formats one Table 5 row.
+func Table5Cells(r analysis.ProcReport) []string {
+	return []string{r.Program,
+		strconv.Itoa(r.Hot.Num), oneDecimal(r.Hot.PathsPerProc), report.Pct(frac(r.Hot.Misses, r.TotalMisses)),
+		strconv.Itoa(r.Dense.Num), oneDecimal(r.Dense.PathsPerProc), report.Pct(frac(r.Dense.Misses, r.TotalMisses)),
+		strconv.Itoa(r.Sparse.Num), oneDecimal(r.Sparse.PathsPerProc), report.Pct(frac(r.Sparse.Misses, r.TotalMisses)),
+		strconv.Itoa(r.Cold.Num), oneDecimal(r.Cold.PathsPerProc), report.Pct(frac(r.Cold.Misses, r.TotalMisses))}
+}
+
+// Table5Of is Table 5 over rows formatted by Table5Cells.
+func Table5Of(rows [][]string) *report.Table {
+	return &report.Table{
 		Title: "Table 5: L1 data cache misses per procedure (hot >= 1% of misses)",
 		Cols: []string{"Benchmark", "Hot#", "Path/Proc", "Misses",
 			"Dense#", "DnsPath/Proc", "DnsMiss", "Sparse#", "SprPath/Proc", "SprMiss",
@@ -625,15 +669,8 @@ func RenderTable5(reports []analysis.ProcReport, w io.Writer) {
 		Note: "Path/Proc is the average number of executed paths per procedure in the class. " +
 			"(Paper: hot procedures execute roughly ten times as many paths as cold ones and " +
 			"cover 44-99% of misses.)",
+		Rows: rows,
 	}
-	for _, r := range reports {
-		t.AddRow(r.Program,
-			r.Hot.Num, oneDecimal(r.Hot.PathsPerProc), report.Pct(frac(r.Hot.Misses, r.TotalMisses)),
-			r.Dense.Num, oneDecimal(r.Dense.PathsPerProc), report.Pct(frac(r.Dense.Misses, r.TotalMisses)),
-			r.Sparse.Num, oneDecimal(r.Sparse.PathsPerProc), report.Pct(frac(r.Sparse.Misses, r.TotalMisses)),
-			r.Cold.Num, oneDecimal(r.Cold.PathsPerProc), report.Pct(frac(r.Cold.Misses, r.TotalMisses)))
-	}
-	t.Render(w)
 }
 
 // oneDecimal formats x as %.1f does.

@@ -5,6 +5,7 @@ package report
 import (
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"strings"
 	"unicode/utf8"
@@ -47,7 +48,10 @@ func (t *Table) AddSeparator() {
 }
 
 // Render builds the table in one buffer and writes it to w at once.
-func (t *Table) Render(w io.Writer) {
+func (t *Table) Render(w io.Writer) { w.Write(t.Append(nil)) }
+
+// Append appends the rendered table to b and returns the extended slice.
+func (t *Table) Append(b []byte) []byte {
 	widths := make([]int, len(t.Cols))
 	for i, c := range t.Cols {
 		widths[i] = len(c)
@@ -64,7 +68,7 @@ func (t *Table) Render(w io.Writer) {
 		total += wd + 2
 	}
 	rule := min(total, 110)
-	b := make([]byte, 0, len(t.Title)+len(t.Note)+(total+1)*(len(t.Rows)+4))
+	b = slices.Grow(b, len(t.Title)+len(t.Note)+(total+1)*(len(t.Rows)+4))
 	if t.Title != "" {
 		b = append(b, t.Title...)
 		b = append(b, '\n')
@@ -95,8 +99,7 @@ func (t *Table) Render(w io.Writer) {
 		b = appendWrapped(b, t.Note, 100)
 		b = append(b, '\n')
 	}
-	b = append(b, '\n')
-	w.Write(b)
+	return append(b, '\n')
 }
 
 // appendRule appends a line of n copies of c.

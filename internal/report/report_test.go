@@ -312,3 +312,36 @@ func TestFormattersMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendMatchesRender: over TestRenderMatchesReference's seeded
+// tables, Append onto a non-empty buffer keeps the prefix and appends
+// exactly Render's bytes.
+func TestAppendMatchesRender(t *testing.T) {
+	for seed := int64(1); seed <= 2000; seed++ {
+		// The draws of TestRenderMatchesReference, for its got table.
+		rng := rand.New(rand.NewSource(seed))
+		var cols []string
+		for n := 1 + rng.Intn(16); n > 0; n-- {
+			cols = append(cols, randText(rng, 2, 10))
+		}
+		tb := &Table{Title: randText(rng, 30, 12), Note: randText(rng, 80, 30), Cols: cols}
+		for n := rng.Intn(20); n > 0; n-- {
+			if rng.Intn(6) == 0 {
+				tb.AddSeparator()
+				continue
+			}
+			vals := make([]interface{}, rng.Intn(len(cols)+3))
+			for i := range vals {
+				vals[i] = randCell(rng)
+			}
+			tb.AddRow(vals...)
+		}
+		var want bytes.Buffer
+		tb.Render(&want)
+		prefix := []byte(randText(rng, 5, 10) + "\n")
+		got := tb.Append(append([]byte(nil), prefix...))
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("seed %d: Append after %q gave\n%s\nRender gave\n%s", seed, prefix, got, want.Bytes())
+		}
+	}
+}

@@ -1,9 +1,14 @@
 package wire_test
 
 import (
+	"runtime"
 	"testing"
 
+	"pathprof/internal/experiments"
+	"pathprof/internal/instrument"
+	"pathprof/internal/profile"
 	"pathprof/internal/wire"
+	"pathprof/internal/workload"
 )
 
 // TestAddExportAllocs: once a writer has encoded an export, encoding it
@@ -31,6 +36,54 @@ func TestAddExportAllocs(t *testing.T) {
 		if avg != 0 {
 			t.Errorf("%s: AddExport allocates %.1f objects per call after warm-up, want 0", e.name, avg)
 		}
+	}
+}
+
+// TestProfileAtAllocs: Frame.ProfileAt sizes its metric storage from the
+// item. Every entry's metrics are a full-capacity window, and one
+// materialization of the root BenchmarkWireDecodeProfile frame (compiler's
+// ctx+flow profile) allocates well under one 8 KiB per-procedure arena
+// chunk.
+func TestProfileAtAllocs(t *testing.T) {
+	w, _ := workload.ByName("compiler")
+	cell, err := experiments.NewSession(workload.Test).Run(w, instrument.ModeContextFlow,
+		experiments.StandardEvents[0], experiments.StandardEvents[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	profs := []*profile.Profile{cell.Profile}
+	for _, e := range suiteEnvelopes(t) {
+		if e.prof != nil {
+			profs = append(profs, e.prof)
+		}
+	}
+	for _, p := range profs {
+		got, err := parseFrame(t, frameOf(t, p)).ProfileAt(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pp := range got.Procs {
+			for _, e := range pp.Entries {
+				if len(e.Metrics) != len(got.Events) || cap(e.Metrics) != len(got.Events) {
+					t.Fatalf("%s %s: entry metrics len %d cap %d, want both %d",
+						p.Program, p.Mode, len(e.Metrics), cap(e.Metrics), len(got.Events))
+				}
+			}
+		}
+	}
+
+	f := parseFrame(t, frameOf(t, cell.Profile))
+	const runs = 50
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		if _, err := f.ProfileAt(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	if per := (m1.TotalAlloc - m0.TotalAlloc) / runs; per >= 8<<10 {
+		t.Errorf("one ProfileAt allocates %d bytes, want under 8 KiB", per)
 	}
 }
 

@@ -940,6 +940,9 @@ func (f *Frame) ProfileAt(i int) (*profile.Profile, error) {
 			p.Events[k] = string(ev)
 		}
 	}
+	// Every entry's metrics are a full-capacity window of one right-sized
+	// copy of the item's metric column.
+	s.Metrics = slices.Clone(s.Metrics)
 	p.Procs = make([]*profile.ProcPaths, len(s.Procs))
 	for pi := range s.Procs {
 		pr := &s.Procs[pi]
@@ -950,8 +953,7 @@ func (f *Frame) ProfileAt(i int) (*profile.Profile, error) {
 			e.Sum = s.Sums[pr.Off+j]
 			e.Freq = s.Freqs[pr.Off+j]
 			if len(s.Events) > 0 {
-				e.Metrics = pp.NewMetrics(len(s.Events))
-				copy(e.Metrics, s.EntryMetrics(pr.Off+j))
+				e.Metrics = s.EntryMetrics(pr.Off + j)
 			}
 		}
 		p.Procs[pi] = pp

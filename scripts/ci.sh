@@ -96,15 +96,19 @@ echo "$out"
 echo "$out" | grep 'BenchmarkWireFrameDecode' | grep -q ' 0 allocs/op'
 
 # Table queries answer from per-program views until a fold changes the
-# program: a warm whole-table /table/4 must allocate at most half of what
-# the same read allocates when every row has to be derived again.
+# program, and a view keeps its rows' formatted cells: a warm whole-table
+# read of each of /table/3, /4, /5 and /metrics only pads and joins
+# cached strings, so it must allocate at most a tenth of what the same
+# read allocates when every row has to be derived and formatted again.
 out="$(go test -run='^$' -bench='BenchmarkTableQuery' -benchmem -benchtime=20x .)"
 echo "$out"
 allocs() { echo "$out" | awk -v b="$1" '$1 ~ b { for (i = 2; i <= NF; i++) if ($i == "allocs/op") print $(i-1) }'; }
-warm="$(allocs '^BenchmarkTableQuery/warm/table4')"
-cold="$(allocs '^BenchmarkTableQuery/afterFold/table4')"
-awk -v w="$warm" -v c="$cold" 'BEGIN { printf "table 4 allocs/op: warm %d, after a fold %d\n", w, c;
-	exit (w > 0 && c > 0 && 2 * w <= c) ? 0 : 1 }'
+for table in table3 table4 table5 table_metrics; do
+	warm="$(allocs "^BenchmarkTableQuery/warm/$table(-[0-9]+)?\$")"
+	cold="$(allocs "^BenchmarkTableQuery/afterFold/$table(-[0-9]+)?\$")"
+	awk -v t="$table" -v w="$warm" -v c="$cold" 'BEGIN { printf "%s allocs/op: warm %d, after a fold %d\n", t, w, c;
+		exit (w > 0 && c > 0 && 10 * w <= c) ? 0 : 1 }'
+done
 
 # Fan-in load smoke: a scaled-down producer fleet through a two-level
 # relay tree must reproduce the local ground-truth tables byte for byte
@@ -156,25 +160,31 @@ go run ./cmd/ppvet -tv -k 2
 # (corrupt and truncated input may error, never panic). FuzzIngest also
 # requires that an item the collector rejects leaves every merged
 # aggregate byte-identical.
-go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s ./internal/wire
-go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s ./internal/collector
-go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=5s ./internal/profile
-go test -run='^$' -fuzz='^FuzzSegmentReplay$' -fuzztime=5s ./internal/store
+#
+# Every smoke passes -fuzzminimizetime=1x. Go minimizes each input that
+# finds new coverage, for up to 60 s per input by default, and the execs
+# counter does not advance meanwhile, so a 5 s smoke could spend most of
+# its time minimizing (FuzzDecode stalled at about 3 s). A crasher still
+# fails the run, unminimized.
+go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s -fuzzminimizetime=1x ./internal/wire
+go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s -fuzzminimizetime=1x ./internal/collector
+go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=5s -fuzzminimizetime=1x ./internal/profile
+go test -run='^$' -fuzz='^FuzzSegmentReplay$' -fuzztime=5s -fuzzminimizetime=1x ./internal/store
 
 # Differential instrumentation fuzz: random testgen programs, instrumented
 # in every mode at path degrees k in {1,2,3}, must verify clean (any
 # finding is an instrumenter or checker bug).
-go test -run='^$' -fuzz='^FuzzVet$' -fuzztime=5s ./internal/ppvet
+go test -run='^$' -fuzz='^FuzzVet$' -fuzztime=5s -fuzzminimizetime=1x ./internal/ppvet
 
 # Differential optimizer fuzz: random programs through every pgo variant
 # must stay behaviorally identical to their baselines.
-go test -run='^$' -fuzz='^FuzzOptimize$' -fuzztime=5s ./internal/pgo
+go test -run='^$' -fuzz='^FuzzOptimize$' -fuzztime=5s -fuzzminimizetime=1x ./internal/pgo
 
 # Differential validator fuzz: mutated optimized programs and witnesses
 # must either be rejected by tv or still run with baseline-identical
 # output (a clean-accepted behavioral change is a validator soundness
 # hole; a panic is a robustness bug).
-go test -run='^$' -fuzz='^FuzzTV$' -fuzztime=5s ./internal/tv
+go test -run='^$' -fuzz='^FuzzTV$' -fuzztime=5s -fuzzminimizetime=1x ./internal/tv
 
 # Profile-guided optimization gate: the closed loop (profile -> optimize ->
 # verify -> re-measure) must show strict cycle reductions with
