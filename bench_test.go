@@ -1011,11 +1011,14 @@ func buildStepLoop(class string) *ir.Program {
 	return bld.MustFinish()
 }
 
-// BenchmarkStepDispatch measures the simulator's per-instruction dispatch
-// cost by class. The step path must not allocate: any alloc/op here is a
-// regression in the simulator hot loop.
+// stepClasses are the instruction classes buildStepLoop exercises.
+var stepClasses = []string{"alu", "fp", "mem", "branch", "call"}
+
+// BenchmarkStepDispatch measures Step, the single-step wrapper over the
+// block core, by instruction class. The step path must not allocate: any
+// alloc/op here is a regression in the simulator.
 func BenchmarkStepDispatch(b *testing.B) {
-	for _, class := range []string{"alu", "fp", "mem", "branch", "call"} {
+	for _, class := range stepClasses {
 		class := class
 		b.Run(class, func(b *testing.B) {
 			m := sim.New(buildStepLoop(class), sim.DefaultConfig())
@@ -1030,6 +1033,30 @@ func BenchmarkStepDispatch(b *testing.B) {
 				}
 			}
 			b.StopTimer()
+			recordBench(b, nil)
+		})
+	}
+}
+
+// BenchmarkBlockDispatch measures the block core per simulated
+// instruction, by instruction class: one Run of each StepDispatch loop
+// with a step budget of b.N instructions, which it spends and then
+// reports. The core must not allocate per instruction: any alloc/op here
+// is a regression in the simulator's block loop.
+func BenchmarkBlockDispatch(b *testing.B) {
+	for _, class := range stepClasses {
+		class := class
+		b.Run(class, func(b *testing.B) {
+			cfg := sim.DefaultConfig()
+			cfg.MaxSteps = uint64(b.N)
+			m := sim.New(buildStepLoop(class), cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			_, err := m.Run()
+			b.StopTimer()
+			if err == nil || m.Steps() != uint64(b.N) {
+				b.Fatalf("ran %d of %d steps (err %v)", m.Steps(), b.N, err)
+			}
 			recordBench(b, nil)
 		})
 	}

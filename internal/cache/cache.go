@@ -57,35 +57,24 @@ func (s Stats) MissRatio() float64 {
 // write-allocate semantics. It tracks only tags (contents are irrelevant to
 // miss behaviour).
 //
-// State is kept in flat arrays indexed by set*assoc+way rather than
-// per-set slices: the lookup is on the simulator's per-instruction path
-// (every fetch and every data access goes through Read or Write), and the
-// flat layout removes a pointer chase and two bounds checks per probe.
+// Each set is a run of assoc words in one flat array (sets start at a
+// power-of-two stride, so finding one is a shift), kept in recency order:
+// way 0 holds the most recently used line, the last way the least
+// recently used one. A word holds its line number plus one, so tag and
+// valid bit are one compare and 0 marks an empty way. Because a miss
+// evicts the last way and a fill goes to the front, empty ways always sit
+// at the back of their set, and evicting the last way is the same as
+// taking the first invalid way, else the least recently used one. The
+// order alone decides every victim, so the model needs no recency stamps.
 type Cache struct {
 	cfg      Config
-	sets     int
 	assoc    int
 	lineBits uint
 	setMask  uint64
-	tagShift uint
-	// tags/valid/lru are indexed by set*assoc+way; lru holds a recency
-	// stamp (higher = newer).
-	tags  []uint64
-	valid []bool
-	lru   []uint64
-	clock uint64
-	stats Stats
-
-	// last is the line of the most recent access, or noLine. That line is
-	// resident and holds the newest LRU stamp of its set, so Read and
-	// Write count another access to it as a hit with no lookup: stamping
-	// it again would leave the order of every set unchanged.
-	last uint64
+	setShift uint     // a set's ways start at set<<setShift
+	keys     []uint64 // line+1, or 0 for an empty way
+	stats    Stats
 }
-
-// noLine is never a line number: lines are at least 8 bytes, so
-// addr>>lineBits is below 1<<61.
-const noLine = ^uint64(0)
 
 // New builds a cache from cfg. It panics on a non-power-of-two geometry or
 // on lines narrower than one 8-byte word, which are configuration errors.
@@ -102,19 +91,18 @@ func New(cfg Config) *Cache {
 	for 1<<lineBits != cfg.LineBytes {
 		lineBits++
 	}
-	c := &Cache{
+	setShift := uint(0)
+	for 1<<setShift < cfg.Assoc {
+		setShift++
+	}
+	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
 		assoc:    cfg.Assoc,
 		lineBits: lineBits,
 		setMask:  uint64(sets - 1),
-		tagShift: uint(setBits(sets)),
-		last:     noLine,
+		setShift: setShift,
+		keys:     make([]uint64, sets<<setShift),
 	}
-	c.tags = make([]uint64, sets*cfg.Assoc)
-	c.valid = make([]bool, sets*cfg.Assoc)
-	c.lru = make([]uint64, sets*cfg.Assoc)
-	return c
 }
 
 // Config returns the cache's geometry.
@@ -128,118 +116,98 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // Flush invalidates all lines and clears statistics.
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-	}
+	clear(c.keys)
 	c.stats = Stats{}
-	c.clock = 0
-	c.last = noLine
-}
-
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	line := addr >> c.lineBits
-	return int(line & c.setMask), line >> c.tagShift
-}
-
-func setBits(sets int) int {
-	b := 0
-	for 1<<b != sets {
-		b++
-	}
-	return b
 }
 
 // Access simulates one access; write=true for stores. It returns true on a
 // hit. Misses allocate the line (write-allocate for stores).
 func (c *Cache) Access(addr uint64, write bool) bool {
+	if write {
+		return c.Write(addr)
+	}
+	return c.Read(addr)
+}
+
+// Read is Access(addr, false).
+func (c *Cache) Read(addr uint64) bool {
+	return c.TryRead(addr) || c.slow(addr>>c.lineBits, false)
+}
+
+// Write is Access(addr, true).
+func (c *Cache) Write(addr uint64) bool {
+	return c.TryWrite(addr) || c.slow(addr>>c.lineBits, true)
+}
+
+// TryRead is the inline hit path of Read: when addr's line is the most
+// recently used line of its set, the read hits and changes no order, so
+// TryRead counts the hit and returns true. Otherwise it counts nothing and
+// returns false, and the caller completes the access with Read.
+func (c *Cache) TryRead(addr uint64) bool {
 	line := addr >> c.lineBits
-	set := int(line & c.setMask)
-	tag := line >> c.tagShift
-	c.clock++
-	c.last = line
-	if c.assoc == 1 {
-		// Direct-mapped fast path (the default L1D): one compare, no LRU
-		// bookkeeping — the single way is always the victim.
-		if c.tags[set] == tag && c.valid[set] {
-			if write {
-				c.stats.WriteHits++
-			} else {
-				c.stats.ReadHits++
-			}
-			return true
-		}
-		if write {
-			c.stats.WriteMisses++
-		} else {
-			c.stats.ReadMisses++
-		}
-		c.valid[set] = true
-		c.tags[set] = tag
+	if c.keys[int(line&c.setMask)<<c.setShift] != line+1 {
 		return false
 	}
-	base := set * c.assoc
-	for w := base; w < base+c.assoc; w++ {
-		if c.valid[w] && c.tags[w] == tag {
-			c.lru[w] = c.clock
-			if write {
-				c.stats.WriteHits++
-			} else {
-				c.stats.ReadHits++
-			}
-			return true
-		}
+	c.stats.ReadHits++
+	return true
+}
+
+// TryWrite is the inline hit path of Write, as TryRead is of Read.
+func (c *Cache) TryWrite(addr uint64) bool {
+	line := addr >> c.lineBits
+	if c.keys[int(line&c.setMask)<<c.setShift] != line+1 {
+		return false
 	}
-	if write {
-		c.stats.WriteMisses++
-	} else {
-		c.stats.ReadMisses++
-	}
-	// Victim: first invalid way, else least recently used.
-	victim := base
-	var oldest uint64 = ^uint64(0)
-	for w := base; w < base+c.assoc; w++ {
-		if !c.valid[w] {
-			victim = w
+	c.stats.WriteHits++
+	return true
+}
+
+// CountReadHits counts n read hits that changed no cache state: repeated
+// reads of the line the cache read last, which is resident and most
+// recently used in its set. The simulator fetches through the cache only
+// at the first instruction of each line and counts the rest with this.
+func (c *Cache) CountReadHits(n uint64) { c.stats.ReadHits += n }
+
+// slow completes an access that TryRead or TryWrite turned down: it moves
+// line to the front of its set, shifting the more recent ways back one
+// place (a miss shifts the last way out), counts the access and reports
+// whether it hit.
+//
+//go:noinline
+func (c *Cache) slow(line uint64, write bool) bool {
+	base := int(line&c.setMask) << c.setShift
+	ways := c.keys[base : base+c.assoc]
+	key := line + 1
+	j := len(ways) - 1
+	hit := false
+	for w := 1; w < len(ways); w++ {
+		if ways[w] == key {
+			j, hit = w, true
 			break
 		}
-		if c.lru[w] < oldest {
-			oldest = c.lru[w]
-			victim = w
-		}
 	}
-	c.valid[victim] = true
-	c.tags[victim] = tag
-	c.lru[victim] = c.clock
-	return false
-}
-
-// Read is Access(addr, false). A read of the line accessed last hits
-// without a lookup.
-func (c *Cache) Read(addr uint64) bool {
-	if addr>>c.lineBits == c.last {
-		c.stats.ReadHits++
-		return true
-	}
-	return c.Access(addr, false)
-}
-
-// Write is Access(addr, true). A write to the line accessed last hits
-// without a lookup.
-func (c *Cache) Write(addr uint64) bool {
-	if addr>>c.lineBits == c.last {
+	copy(ways[1:j+1], ways[:j])
+	ways[0] = key
+	switch {
+	case hit && write:
 		c.stats.WriteHits++
-		return true
+	case hit:
+		c.stats.ReadHits++
+	case write:
+		c.stats.WriteMisses++
+	default:
+		c.stats.ReadMisses++
 	}
-	return c.Access(addr, true)
+	return hit
 }
 
 // Contains reports whether addr's line is currently cached (no statistics
 // side effects); used by tests.
 func (c *Cache) Contains(addr uint64) bool {
-	set, tag := c.index(addr)
-	base := set * c.assoc
-	for w := base; w < base+c.assoc; w++ {
-		if c.valid[w] && c.tags[w] == tag {
+	line := addr >> c.lineBits
+	base := int(line&c.setMask) << c.setShift
+	for _, k := range c.keys[base : base+c.assoc] {
+		if k == line+1 {
 			return true
 		}
 	}

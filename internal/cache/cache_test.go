@@ -148,14 +148,16 @@ func (r *referenceCache) flush() {
 
 // TestAgainstReferenceModel drives both implementations with random access
 // streams over several geometries and demands identical hit/miss behaviour
-// and statistics. The streams go through Read, Write and Access (the L2
-// path) and repeat lines in runs, as instruction fetch does, so the
-// last-line fast path of Read and Write is exercised alongside full
-// lookups; an occasional Flush must reset that fast path too.
+// and statistics. The streams go through Read, Write, Access (the L2
+// path) and the inline TryRead/TryWrite hit paths, and repeat lines in
+// runs, as instruction fetch does; such a repeat may also be counted with
+// CountReadHits, as the simulator counts the fetches within a line. An
+// occasional Flush must empty every way.
 func TestAgainstReferenceModel(t *testing.T) {
 	configs := []Config{
 		{Name: "dm", SizeBytes: 1024, LineBytes: 32, Assoc: 1},
 		{Name: "2w", SizeBytes: 2048, LineBytes: 32, Assoc: 2},
+		{Name: "3w", SizeBytes: 3072, LineBytes: 32, Assoc: 3},
 		{Name: "4w", SizeBytes: 4096, LineBytes: 64, Assoc: 4},
 		DefaultL1D,
 		DefaultL1I,
@@ -166,7 +168,15 @@ func TestAgainstReferenceModel(t *testing.T) {
 			c := New(cfg)
 			ref := newReference(cfg)
 			var addr uint64
+			lastRead := false
 			for i := 0; i < 4000; i++ {
+				if lastRead && rng.Intn(4) == 0 {
+					// Re-read the line read last, counted in bulk.
+					n := uint64(rng.Intn(5))
+					c.CountReadHits(n)
+					ref.stats.ReadHits += n
+					continue
+				}
 				switch r := rng.Intn(8); {
 				case r < 3:
 					// Stay on the same line, as sequential fetch does.
@@ -181,14 +191,19 @@ func TestAgainstReferenceModel(t *testing.T) {
 				addr &^= 7
 				write := rng.Intn(3) == 0
 				var got bool
-				switch {
-				case rng.Intn(4) == 0:
+				switch r := rng.Intn(8); {
+				case r < 2:
 					got = c.Access(addr, write)
+				case r < 4 && write:
+					got = c.TryWrite(addr) || c.Write(addr)
+				case r < 4:
+					got = c.TryRead(addr) || c.Read(addr)
 				case write:
 					got = c.Write(addr)
 				default:
 					got = c.Read(addr)
 				}
+				lastRead = !write
 				want := ref.access(addr, write)
 				if got != want {
 					t.Logf("seed %d cfg %s access %d addr %#x: got hit=%v want %v", seed, cfg.Name, i, addr, got, want)
@@ -198,9 +213,16 @@ func TestAgainstReferenceModel(t *testing.T) {
 					t.Logf("seed %d cfg %s access %d: stats %+v, want %+v", seed, cfg.Name, i, c.Stats(), ref.stats)
 					return false
 				}
+				for _, l := range ref.lines[int((addr>>ref.lineBits)%uint64(ref.sets))] {
+					if !c.Contains(l << ref.lineBits) {
+						t.Logf("seed %d cfg %s access %d: line %#x missing", seed, cfg.Name, i, l)
+						return false
+					}
+				}
 				if rng.Intn(1000) == 0 {
 					c.Flush()
 					ref.flush()
+					lastRead = false
 				}
 			}
 		}

@@ -261,7 +261,10 @@ func (c *Collector) requestedPrograms(r *http.Request, profiles bool) []string {
 		}
 		return out
 	}
-	return c.programs(profiles, !profiles)
+	if profiles {
+		return c.programs().profiles
+	}
+	return c.programs().ccts
 }
 
 // tableBufs pools the buffers tables render into.
@@ -365,7 +368,7 @@ func (c *Collector) handleTableNamedMetrics(w http.ResponseWriter, r *http.Reque
 }
 
 func (c *Collector) handlePrograms(w http.ResponseWriter, _ *http.Request) {
-	progs := c.Programs()
+	progs := c.programs().all
 	if progs == nil {
 		progs = []string{}
 	}

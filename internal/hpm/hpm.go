@@ -87,16 +87,24 @@ const writeLatency = 3
 // mask is a uint32).
 const MaxCounters = 32
 
-// lazyEvents are the events every simulated instruction charges. Count
-// adds them to their shadow totals only; sync carries the growth since the
-// last sync into the PICs that select them, and runs before anything
-// reads, overwrites or reselects a PIC. A 32-bit counter wraps the same
-// whether increments arrive one at a time or summed, so every PIC value
-// observed is exactly what counting each occurrence eagerly gives.
-var lazyEvents = [...]Event{EvInsts, EvCycles}
+// lazyEvents are the events the simulator charges in bulk: instructions
+// and cycles, which every instruction charges, and the events a block
+// charges by its contents alone (loads, stores, their D-cache accesses,
+// branches and calls). Count adds them to their shadow totals only; sync
+// carries the growth since the last sync into the PICs that select them,
+// and runs before anything reads, overwrites or reselects a PIC. A 32-bit
+// counter wraps the same whether increments arrive one at a time or
+// summed, so every PIC value observed is exactly what counting each
+// occurrence eagerly gives. Miss and stall events stay eager.
+var lazyEvents = [...]Event{EvInsts, EvCycles, EvLoads, EvStores, EvDCacheRead, EvDCacheWrite, EvBranches, EvCalls}
 
-// isLazy reports whether ev is one of lazyEvents.
-func isLazy(ev Event) bool { return ev == EvInsts || ev == EvCycles }
+// lazyMask has bit ev set for each of lazyEvents.
+const lazyMask = 1<<EvInsts | 1<<EvCycles | 1<<EvLoads | 1<<EvStores |
+	1<<EvDCacheRead | 1<<EvDCacheWrite | 1<<EvBranches | 1<<EvCalls
+
+// isLazy reports whether ev is one of lazyEvents. With a constant ev, as in
+// the simulator's bulk charges, it folds away.
+func isLazy(ev Event) bool { return lazyMask>>ev&1 != 0 }
 
 // Unit is the performance monitor: K selectable 32-bit PICs plus full
 // 64-bit shadow totals for every event (the shadow totals stand in for the
@@ -114,8 +122,10 @@ type Unit struct {
 	totals [NumEvents]uint64
 
 	// synced[ev], for each lazy event, is the shadow total its PICs were
-	// last brought up to.
-	synced [NumEvents]uint64
+	// last brought up to; lazySel lists the lazy events some PIC selects,
+	// the only ones sync has to carry.
+	synced  [NumEvents]uint64
+	lazySel []Event
 
 	// Buffered write state (see package comment). At most one pair write is
 	// pending at a time; a write to a different pair drains the old one.
@@ -154,6 +164,9 @@ func (u *Unit) NumCounters() int { return len(u.pic) }
 // deselected; events beyond the bank width are ignored.
 func (u *Unit) SelectAll(events []Event) {
 	u.sync()
+	for _, ev := range lazyEvents {
+		u.synced[ev] = u.totals[ev] // a newly selected event counts from now
+	}
 	for i := range u.sel {
 		if i < len(events) {
 			u.sel[i] = events[i]
@@ -169,6 +182,12 @@ func (u *Unit) SelectAll(events []Event) {
 			}
 		}
 		u.picMask[ev] = m
+	}
+	u.lazySel = u.lazySel[:0]
+	for _, ev := range lazyEvents {
+		if u.picMask[ev] != 0 {
+			u.lazySel = append(u.lazySel, ev)
+		}
 	}
 }
 
@@ -213,19 +232,34 @@ func (u *Unit) Count(ev Event, n uint64) {
 	}
 }
 
-// Retire notes that an instruction retired, aging any buffered write. The
-// simulator calls this once per instruction.
-func (u *Unit) Retire() {
+// Retire notes that an instruction retired, aging any buffered write.
+func (u *Unit) Retire() { u.RetireN(1) }
+
+// RetireN notes that n instructions retired. It is n calls of Retire, for
+// a caller that counts nothing between those retirements: the buffered
+// write drains at the same retirement, and every event counted so far
+// lands in the old values first.
+func (u *Unit) RetireN(n uint64) {
 	if u.pendingWrite {
-		u.pendingFuel--
-		if u.pendingFuel <= 0 {
+		if uint64(u.pendingFuel) <= n {
 			u.applyPending()
+		} else {
+			u.pendingFuel -= int(n)
 		}
 	}
 }
 
+// DrainsIn returns after how many more retirements the buffered write
+// drains on its own, or the largest uint64 when no write is buffered.
+func (u *Unit) DrainsIn() uint64 {
+	if u.pendingWrite {
+		return uint64(u.pendingFuel)
+	}
+	return ^uint64(0)
+}
+
 // applyPending drains the buffered write. It stays out of line so that
-// Retire, which runs once per simulated instruction, inlines.
+// RetireN inlines.
 //
 //go:noinline
 func (u *Unit) applyPending() {
@@ -233,9 +267,11 @@ func (u *Unit) applyPending() {
 	u.pendingWrite = false
 }
 
-// sync brings every PIC that selects a lazy event up to date.
+// sync brings every PIC that selects a lazy event up to date. It leaves
+// the watermarks of unselected lazy events behind; SelectAll moves them up
+// before it selects them.
 func (u *Unit) sync() {
-	for _, ev := range lazyEvents {
+	for _, ev := range u.lazySel {
 		d := uint32(u.totals[ev] - u.synced[ev])
 		u.synced[ev] = u.totals[ev]
 		for m := u.picMask[ev]; m != 0; m &= m - 1 {

@@ -128,11 +128,19 @@ func (u *eagerUnit) ResetTotals() { u.totals = [NumEvents]uint64{} }
 // TestLazyCountsMatchEagerModel drives Unit and the eager model with the
 // same random operation sequences, at bank widths 1, 2 and 4 with strict
 // write buffering on and off, and demands identical PIC readings and
-// shadow totals throughout. Selections put instructions and cycles on one
-// or several PICs, and counts and writes straddle the 32-bit wrap.
+// shadow totals throughout. Selections put lazy and eager events on one or
+// several PICs, and counts and writes straddle the 32-bit wrap. A block
+// charge counts a run of instructions the way the simulator does, each
+// lazy event summed over the run and then RetireN once, while the model
+// counts and retires instruction by instruction; the run never goes past
+// the retirement at which a buffered write drains, as the simulator stops
+// there.
 func TestLazyCountsMatchEagerModel(t *testing.T) {
-	menu := []Event{EvNone, EvCycles, EvInsts, EvDCacheMiss, EvDCacheReadMiss, EvDCacheWriteMiss, EvLoads}
-	counted := []Event{EvCycles, EvInsts, EvDCacheReadMiss, EvDCacheWriteMiss, EvLoads, EvStoreBufStalls}
+	menu := []Event{EvNone, EvCycles, EvInsts, EvDCacheMiss, EvDCacheReadMiss, EvDCacheWriteMiss, EvLoads,
+		EvStores, EvDCacheRead, EvDCacheWrite, EvBranches, EvCalls}
+	counted := []Event{EvCycles, EvInsts, EvDCacheReadMiss, EvDCacheWriteMiss, EvLoads, EvStoreBufStalls,
+		EvStores, EvDCacheRead, EvDCacheWrite, EvBranches, EvCalls}
+	blockEvents := []Event{EvLoads, EvStores, EvDCacheRead, EvDCacheWrite, EvBranches, EvCalls}
 	// amount draws an event count: usually small, sometimes large enough
 	// to wrap a PIC on its own.
 	amount := func(rng *rand.Rand) uint64 {
@@ -157,8 +165,33 @@ func TestLazyCountsMatchEagerModel(t *testing.T) {
 				u.Strict, ref.Strict = strict, strict
 				pairs := (k + 1) / 2
 				for step := 0; step < 2000; step++ {
-					op := rng.Intn(20)
+					op := rng.Intn(22)
 					switch {
+					case op >= 20:
+						// A block charge of n instructions.
+						n := 1 + uint64(rng.Intn(12))
+						if d := u.DrainsIn(); n > d {
+							n = d
+						}
+						var sum [NumEvents]uint64
+						for i := uint64(0); i < n; i++ {
+							ref.Count(EvInsts, 1)
+							sum[EvInsts]++
+							c := uint64(rng.Intn(3))
+							ref.Count(EvCycles, c)
+							sum[EvCycles] += c
+							for _, ev := range blockEvents {
+								if rng.Intn(4) == 0 {
+									ref.Count(ev, 1)
+									sum[ev]++
+								}
+							}
+							ref.Retire()
+						}
+						for ev, c := range sum {
+							u.Count(Event(ev), c)
+						}
+						u.RetireN(n)
 					case op < 8:
 						// One simulated instruction: its instruction and
 						// cycle charge, maybe a stall or another event,
@@ -186,6 +219,13 @@ func TestLazyCountsMatchEagerModel(t *testing.T) {
 					case op < 12:
 						u.Retire()
 						ref.Retire()
+						if rng.Intn(2) == 0 {
+							n := uint64(rng.Intn(5))
+							u.RetireN(n)
+							for i := uint64(0); i < n; i++ {
+								ref.Retire()
+							}
+						}
 					case op < 14:
 						p := rng.Intn(pairs)
 						if got, want := u.ReadPair(p), ref.ReadPair(p); got != want {
@@ -224,6 +264,48 @@ func TestLazyCountsMatchEagerModel(t *testing.T) {
 				if got, want := u.ReadAll(nil), ref.ReadAll(); !slices.Equal(got, want) {
 					t.Fatalf("k=%d strict=%v seed %d: final ReadAll = %#x, want %#x", k, strict, seed, got, want)
 				}
+			}
+		}
+	}
+}
+
+// TestRetireNMatchesRetire: RetireN(n) leaves the unit exactly as n calls
+// of Retire do when nothing is counted between them, also when a buffered
+// write drains partway through the n retirements or on the last of them.
+func TestRetireNMatchesRetire(t *testing.T) {
+	for fuel := 0; fuel <= writeLatency; fuel++ {
+		for n := uint64(0); n <= writeLatency+2; n++ {
+			bulk, single := New(), New()
+			for _, u := range []*Unit{bulk, single} {
+				u.Select(EvInsts, EvCycles)
+				u.Count(EvInsts, 100)
+				u.Count(EvCycles, 250)
+				if fuel > 0 {
+					u.WritePair(0, Pack(7, 9))
+					for i := fuel; i < writeLatency; i++ {
+						u.Retire() // age the write to fuel retirements left
+					}
+				}
+				u.Count(EvInsts, 5)
+				u.Count(EvCycles, 11)
+			}
+			bulk.RetireN(n)
+			for i := uint64(0); i < n; i++ {
+				single.Retire()
+			}
+			// Instructions after a drain count on top of the written
+			// value; before it, the drain at the read below loses them.
+			bulk.Count(EvInsts, 3)
+			single.Count(EvInsts, 3)
+			if bulk.DrainsIn() != single.DrainsIn() {
+				t.Fatalf("fuel %d, n %d: drains in %d, want %d", fuel, n, bulk.DrainsIn(), single.DrainsIn())
+			}
+			drained := fuel > 0 && n >= uint64(fuel)
+			if got := bulk.DrainsIn() == ^uint64(0); got != (fuel == 0 || drained) {
+				t.Fatalf("fuel %d, n %d: buffered write still pending = %v", fuel, n, !got)
+			}
+			if bulk.ReadPair(0) != single.ReadPair(0) || bulk.Totals() != single.Totals() {
+				t.Fatalf("fuel %d, n %d: PICs %#x, want %#x", fuel, n, bulk.ReadPair(0), single.ReadPair(0))
 			}
 		}
 	}

@@ -26,6 +26,7 @@ const (
 	pageWordShift = 9 // 512 words = 4 KiB pages
 	pageWords     = 1 << pageWordShift
 	wordShift     = 3 // 8-byte words
+	pageShift     = pageWordShift + wordShift
 )
 
 type page [pageWords]int64
@@ -50,19 +51,33 @@ type Memory struct {
 	// hashing into pages. Pages are never freed, so a cached pointer
 	// stays valid for the life of the Memory.
 	recent [1 << recentBits]recentPage
+
+	// lastPN and lastP hold the page the latest access found, for the
+	// same reason. lastPN starts at noPage, which no address maps to, so
+	// lastP is only read once it is set.
+	lastPN uint64
+	lastP  *page
 }
+
+// noPage is never a page number: addresses are 64 bits wide, so a page
+// number is below 1<<52.
+const noPage = ^uint64(0)
 
 // New returns an empty address space.
 func New() *Memory {
-	return &Memory{pages: make(map[uint64]*page)}
+	return &Memory{pages: make(map[uint64]*page), lastPN: noPage}
 }
 
-func split(addr uint64) (pageNo uint64, idx uint64) {
+// checkAligned panics on an address that is not 8-byte aligned.
+func checkAligned(addr uint64) {
 	if addr&7 != 0 {
-		panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
+		unaligned(addr)
 	}
-	w := addr >> wordShift
-	return w >> pageWordShift, w & (pageWords - 1)
+}
+
+//go:noinline
+func unaligned(addr uint64) {
+	panic(fmt.Sprintf("mem: unaligned access at %#x", addr))
 }
 
 // slot returns pn's entry in recent. The multiplicative hash spreads the
@@ -86,24 +101,59 @@ func (m *Memory) lookup(pn uint64) *page {
 
 // Load reads the 64-bit word at addr (0 if never written).
 func (m *Memory) Load(addr uint64) int64 {
-	pn, idx := split(addr)
-	p := m.lookup(pn)
-	if p == nil {
-		return 0
-	}
-	return p[idx]
+	checkAligned(addr)
+	return m.LoadAligned(addr)
 }
 
 // Store writes the 64-bit word at addr.
 func (m *Memory) Store(addr uint64, v int64) {
-	pn, idx := split(addr)
+	checkAligned(addr)
+	m.StoreAligned(addr, v)
+}
+
+// LoadAligned is Load for an address the caller has already checked is
+// 8-byte aligned, as the simulator does before every load. An access to
+// the page the latest access found skips the page lookup.
+func (m *Memory) LoadAligned(addr uint64) int64 {
+	if addr>>pageShift == m.lastPN {
+		return m.lastP[addr>>wordShift&(pageWords-1)]
+	}
+	return m.loadPage(addr)
+}
+
+// StoreAligned is Store for an address the caller has already checked is
+// 8-byte aligned, with LoadAligned's page memo.
+func (m *Memory) StoreAligned(addr uint64, v int64) {
+	if addr>>pageShift == m.lastPN {
+		m.lastP[addr>>wordShift&(pageWords-1)] = v
+		return
+	}
+	m.storePage(addr, v)
+}
+
+// loadPage reads the word at addr through the page lookup.
+func (m *Memory) loadPage(addr uint64) int64 {
+	pn := addr >> pageShift
+	p := m.lookup(pn)
+	if p == nil {
+		return 0
+	}
+	m.lastPN, m.lastP = pn, p
+	return p[addr>>wordShift&(pageWords-1)]
+}
+
+// storePage writes the word at addr through the page lookup, creating its
+// page on the first write.
+func (m *Memory) storePage(addr uint64, v int64) {
+	pn := addr >> pageShift
 	p := m.lookup(pn)
 	if p == nil {
 		p = new(page)
 		m.pages[pn] = p
 		*m.slot(pn) = recentPage{pn, p}
 	}
-	p[idx] = v
+	m.lastPN, m.lastP = pn, p
+	p[addr>>wordShift&(pageWords-1)] = v
 }
 
 // Add adds delta to the word at addr and returns the new value; a common

@@ -38,7 +38,10 @@ func TestUnalignedPanics(t *testing.T) {
 
 // TestAgainstMapModel: the paged memory behaves like a plain map. The
 // addresses spread over every region and above 4 GiB, many more pages than
-// the page-pointer cache has slots, so slots are shared and refilled.
+// the page-pointer cache has slots, so slots are shared and refilled; runs
+// of accesses stay on one page, as the simulator's do, so the last-page
+// memo of LoadAligned and StoreAligned serves many of them, among them
+// loads of pages never written.
 func TestAgainstMapModel(t *testing.T) {
 	regions := []uint64{0, GlobalBase, StackTop - 1<<16, CounterBase, CCTBase, 1 << 32, 1<<40 + 1<<32}
 	check := func(seed int64) bool {
@@ -46,17 +49,33 @@ func TestAgainstMapModel(t *testing.T) {
 		m := New()
 		ref := map[uint64]int64{}
 		var used []uint64
+		var prev uint64
 		for i := 0; i < 3000; i++ {
 			addr := (regions[rng.Intn(len(regions))] + uint64(rng.Intn(1<<16))) &^ 7
-			if len(used) > 0 && rng.Intn(2) == 0 {
+			switch r := rng.Intn(4); {
+			case r < 2 && len(used) > 0:
 				addr = used[rng.Intn(len(used))] // revisit a written word
+			case r == 2 && i > 0:
+				addr = prev&^(pageWords*8-1) | uint64(rng.Intn(pageWords))*8 // stay on the page
 			}
+			prev = addr
+			aligned := rng.Intn(2) == 0
 			if rng.Intn(2) == 0 {
 				used = append(used, addr)
 				v := rng.Int63()
-				m.Store(addr, v)
+				if aligned {
+					m.StoreAligned(addr, v)
+				} else {
+					m.Store(addr, v)
+				}
 				ref[addr] = v
-			} else if m.Load(addr) != ref[addr] {
+				continue
+			}
+			got := m.Load(addr)
+			if aligned {
+				got = m.LoadAligned(addr)
+			}
+			if got != ref[addr] {
 				return false
 			}
 		}

@@ -14,7 +14,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 
 	"pathprof/internal/branch"
 	"pathprof/internal/cache"
@@ -132,18 +131,20 @@ type Tracer interface {
 	Exit(proc int)
 }
 
-// activation is one procedure activation's complete state.
+// activation is one procedure activation's complete state: where it
+// resumes and its registers. While it runs, exec holds its position in
+// locals, so blk may lag behind, but blk.proc is always the activation's
+// procedure.
 type activation struct {
-	proc *ir.Proc
-	blk  ir.BlockID
-	idx  int // next instruction index within blk
+	blk  *dblock
+	idx  int // next op within blk
 	regs [ir.NumRegs]int64
 }
 
 type jmpbuf struct {
 	depth int // stack depth (suspended callers) when SetJmp ran
 	blk   ir.BlockID
-	idx   int // resume index (instruction after the SetJmp)
+	idx   int // resume index within blk (the instruction after the SetJmp)
 	rt    ir.Reg
 }
 
@@ -162,26 +163,21 @@ type Machine struct {
 	cycles uint64
 	steps  uint64
 
-	cur   activation
-	stack []activation
+	// frames holds every live activation, outermost first; the last one
+	// runs.
+	frames []activation
 
-	// Hot-loop block cache: the current block and its base instruction
-	// address, refreshed on every control transfer so the per-instruction
-	// path avoids re-indexing proc.Blocks and blockAddr each step.
-	curBlock *ir.Block
-	curBase  uint64
-
-	// Instruction addresses: base address per (proc, block); instruction i
-	// of a block sits at blockAddr + 4*i.
-	blockAddr [][]uint64
+	// blocks[proc][block] is the first decoded block of each IR block (see
+	// decode.go).
+	blocks [][]*dblock
 
 	// Store buffer slot free times, and the slot the next store tries
 	// first (see storeBufferPush).
 	storeFree []uint64
 	storeNext int
 
-	// Superscalar issue slot accumulator (see Config.IssueWidth).
-	issueSlots int
+	// Superscalar issue slot accumulator (see Config.IssueWidth and tick).
+	issueSlots uint64
 
 	// FP scoreboard: cycle at which each register's value is ready.
 	fpReady [ir.NumRegs]uint64
@@ -203,8 +199,9 @@ type Machine struct {
 	halted bool
 }
 
-// New builds a machine for prog: lays out instruction addresses, maps the
-// global segment, and initializes the stack pointer.
+// New builds a machine for prog: decodes its blocks and lays out their
+// instruction addresses, maps the global segment, and initializes the
+// stack pointer.
 func New(prog *ir.Program, cfg Config) *Machine {
 	if cfg.MaxSteps == 0 {
 		cfg.MaxSteps = DefaultConfig().MaxSteps
@@ -231,17 +228,7 @@ func New(prog *ir.Program, cfg Config) *Machine {
 		m.l2 = cache.New(cfg.L2)
 	}
 	m.storeFree = make([]uint64, cfg.StoreBufDepth)
-
-	addr := mem.TextBase
-	m.blockAddr = make([][]uint64, len(prog.Procs))
-	for pi, p := range prog.Procs {
-		m.blockAddr[pi] = make([]uint64, len(p.Blocks))
-		for bi, b := range p.Blocks {
-			m.blockAddr[pi][bi] = addr
-			addr += uint64(len(b.Instrs)) * InstrBytes
-		}
-		addr = (addr + ProcAlign - 1) &^ (ProcAlign - 1) // procedures start on fresh cache lines
-	}
+	m.blocks = decode(prog, uint64(cfg.L1I.LineBytes))
 
 	base := prog.GlobalBase
 	if base == 0 {
@@ -249,17 +236,10 @@ func New(prog *ir.Program, cfg Config) *Machine {
 	}
 	m.memory.CopyRegion(base, prog.Globals)
 
-	m.cur = activation{proc: prog.Procs[prog.Main]}
-	m.cur.regs[ir.RegSP] = int64(mem.StackTop)
-	m.reloadBlock()
+	m.frames = make([]activation, 1, 16)
+	m.frames[0].blk = m.blocks[prog.Main][0]
+	m.frames[0].regs[ir.RegSP] = int64(mem.StackTop)
 	return m
-}
-
-// reloadBlock refreshes the cached current-block state after any change to
-// m.cur's procedure or block.
-func (m *Machine) reloadBlock() {
-	m.curBlock = m.cur.proc.Blocks[m.cur.blk]
-	m.curBase = m.blockAddr[m.cur.proc.ID][m.cur.blk]
 }
 
 // PMU returns the machine's performance monitor (to program event
@@ -327,7 +307,7 @@ func (m *Machine) SetTracer(t Tracer) { m.tracer = t }
 func (m *Machine) Mem() *mem.Memory { return m.memory }
 
 // Depth returns the current activation depth (1 = main only).
-func (m *Machine) Depth() int { return len(m.stack) + 1 }
+func (m *Machine) Depth() int { return len(m.frames) }
 
 // Cycles returns the current cycle count.
 func (m *Machine) Cycles() uint64 { return m.cycles }
@@ -337,20 +317,36 @@ func (m *Machine) Cycles() uint64 { return m.cycles }
 // profiler baseline walks it the way Goldberg and Hall walked the process
 // stack.
 func (m *Machine) CallStack() []int {
-	out := make([]int, 0, len(m.stack)+1)
-	for _, a := range m.stack {
-		out = append(out, a.proc.ID)
+	out := make([]int, len(m.frames))
+	for i := range m.frames {
+		out[i] = m.frames[i].blk.proc.ID
 	}
-	return append(out, m.cur.proc.ID)
+	return out
 }
 
 // TouchRead simulates a D-cache read access.
 func (m *Machine) TouchRead(addr uint64) {
 	m.pmu.Count(hpm.EvLoads, 1)
 	m.pmu.Count(hpm.EvDCacheRead, 1)
+	if !m.l1d.TryRead(addr) {
+		m.readSlow(addr)
+	}
+}
+
+// readSlow completes a D-cache read that missed the inline hit path.
+func (m *Machine) readSlow(addr uint64) {
 	if !m.l1d.Read(addr) {
 		m.pmu.Count(hpm.EvDCacheReadMiss, 1)
 		m.addCycles(m.missPenalty(addr, false))
+	}
+}
+
+// fetchSlow completes an instruction fetch that missed the L1I's inline
+// hit path.
+func (m *Machine) fetchSlow(addr uint64) {
+	if !m.l1i.Read(addr) {
+		m.pmu.Count(hpm.EvICacheMiss, 1)
+		m.addCycles(m.cfg.IMissPenalty)
 	}
 }
 
@@ -371,7 +367,13 @@ func (m *Machine) missPenalty(addr uint64, write bool) uint64 {
 func (m *Machine) TouchWrite(addr uint64) {
 	m.pmu.Count(hpm.EvStores, 1)
 	m.pmu.Count(hpm.EvDCacheWrite, 1)
-	hit := m.l1d.Write(addr)
+	m.write(addr)
+}
+
+// write is a store's D-cache access and store-buffer push, without the
+// store and D-cache write counts, which the store's block charges.
+func (m *Machine) write(addr uint64) {
+	hit := m.l1d.TryWrite(addr) || m.l1d.Write(addr)
 	if !hit {
 		m.pmu.Count(hpm.EvDCacheWriteMiss, 1)
 		if m.l2 != nil {
@@ -387,9 +389,7 @@ func (m *Machine) TouchWrite(addr uint64) {
 func (m *Machine) ChargeInstrs(n uint64) {
 	m.pmu.Count(hpm.EvInsts, n)
 	m.addCycles(n)
-	for i := uint64(0); i < n; i++ {
-		m.pmu.Retire()
-	}
+	m.pmu.RetireN(n)
 }
 
 // --- core accounting ---
@@ -397,6 +397,21 @@ func (m *Machine) ChargeInstrs(n uint64) {
 func (m *Machine) addCycles(n uint64) {
 	m.cycles += n
 	m.pmu.Count(hpm.EvCycles, n)
+}
+
+// tick charges the base cycles of n retired instructions: one each, or
+// one per IssueWidth of them on a superscalar front end. n instructions
+// from s issue slots already taken end ⌊(s+n)/w⌋ issue groups and leave
+// (s+n) mod w slots taken, as charging them one at a time does.
+func (m *Machine) tick(n uint64) {
+	if m.cfg.IssueWidth <= 1 {
+		m.addCycles(n)
+		return
+	}
+	w := uint64(m.cfg.IssueWidth)
+	s := m.issueSlots + n
+	m.addCycles(s / w)
+	m.issueSlots = s % w
 }
 
 // storeBufferPush queues one store: it takes the earliest-free slot,
@@ -456,16 +471,27 @@ type Result struct {
 // exceeded, invalid longjmp, or an unknown probe.
 func (m *Machine) Run() (Result, error) {
 	if m.tracer != nil {
-		m.tracer.Enter(m.cur.proc.ID)
+		m.tracer.Enter(m.top().blk.proc.ID)
 	}
-	for !m.halted {
-		if m.steps >= m.cfg.MaxSteps {
-			return Result{}, fmt.Errorf("sim: %s: step budget %d exhausted in %s", m.prog.Name, m.cfg.MaxSteps, m.cur.proc.Name)
-		}
-		if err := m.step(); err != nil {
+	if !m.halted {
+		if err := m.exec(m.cfg.MaxSteps); err != nil {
 			return Result{}, fmt.Errorf("sim: %s: %w", m.prog.Name, err)
 		}
 	}
+	if !m.halted {
+		return Result{}, m.budgetError()
+	}
+	return m.result(), nil
+}
+
+// budgetError is the error of a run that spent its step budget.
+func (m *Machine) budgetError() error {
+	return fmt.Errorf("sim: %s: step budget %d exhausted in %s", m.prog.Name, m.cfg.MaxSteps, m.top().blk.proc.Name)
+}
+
+// result closes the scheduler's final interval and summarizes a completed
+// run.
+func (m *Machine) result() Result {
 	if m.mux != nil && m.muxSpent > 0 {
 		m.mux.Finish(m.muxSpent)
 		m.muxSpent = 0
@@ -482,14 +508,14 @@ func (m *Machine) Run() (Result, error) {
 	if m.l2 != nil {
 		res.L2 = m.l2.Stats()
 	}
-	return res, nil
+	return res
 }
 
 // Step executes exactly one instruction. It is the single-step form of Run
 // for debuggers and micro-benchmarks; unlike Run it does not enforce the
 // step budget. Step does not check Halted: on a halted machine it executes
 // the final Halt or Ret again, so callers check Halted first.
-func (m *Machine) Step() error { return m.step() }
+func (m *Machine) Step() error { return m.exec(m.steps + 1) }
 
 // Halted reports whether the machine has executed Halt (or returned from
 // main).
@@ -498,328 +524,8 @@ func (m *Machine) Halted() bool { return m.halted }
 // Steps returns the number of instructions executed so far.
 func (m *Machine) Steps() uint64 { return m.steps }
 
-func (m *Machine) step() error {
-	blk := m.curBlock
-	in := &blk.Instrs[m.cur.idx]
-	iaddr := m.curBase + uint64(m.cur.idx)*4
-
-	// Fetch.
-	if !m.l1i.Read(iaddr) {
-		m.pmu.Count(hpm.EvICacheMiss, 1)
-		m.addCycles(m.cfg.IMissPenalty)
-	}
-
-	// Retire accounting: one instruction; the base cycle is shared across
-	// IssueWidth instructions when a superscalar width is configured.
-	m.steps++
-	m.pmu.Count(hpm.EvInsts, 1)
-	if m.cfg.IssueWidth <= 1 {
-		m.addCycles(1)
-	} else {
-		m.issueSlots++
-		if m.issueSlots >= m.cfg.IssueWidth {
-			m.addCycles(1)
-			m.issueSlots = 0
-		}
-	}
-
-	regs := &m.cur.regs
-	advance := true
-
-	switch in.Op {
-	case ir.Nop:
-
-	case ir.Add:
-		regs[in.Rd] = regs[in.Rs] + regs[in.Rt]
-	case ir.Sub:
-		regs[in.Rd] = regs[in.Rs] - regs[in.Rt]
-	case ir.Mul:
-		regs[in.Rd] = regs[in.Rs] * regs[in.Rt]
-	case ir.Div:
-		if regs[in.Rt] == 0 {
-			regs[in.Rd] = 0
-		} else {
-			regs[in.Rd] = regs[in.Rs] / regs[in.Rt]
-		}
-	case ir.Rem:
-		if regs[in.Rt] == 0 {
-			regs[in.Rd] = 0
-		} else {
-			regs[in.Rd] = regs[in.Rs] % regs[in.Rt]
-		}
-	case ir.And:
-		regs[in.Rd] = regs[in.Rs] & regs[in.Rt]
-	case ir.Or:
-		regs[in.Rd] = regs[in.Rs] | regs[in.Rt]
-	case ir.Xor:
-		regs[in.Rd] = regs[in.Rs] ^ regs[in.Rt]
-	case ir.Shl:
-		regs[in.Rd] = regs[in.Rs] << (uint64(regs[in.Rt]) & 63)
-	case ir.Shr:
-		regs[in.Rd] = int64(uint64(regs[in.Rs]) >> (uint64(regs[in.Rt]) & 63))
-
-	case ir.AddI:
-		regs[in.Rd] = regs[in.Rs] + in.Imm
-	case ir.MulI:
-		regs[in.Rd] = regs[in.Rs] * in.Imm
-	case ir.AndI:
-		regs[in.Rd] = regs[in.Rs] & in.Imm
-	case ir.OrI:
-		regs[in.Rd] = regs[in.Rs] | in.Imm
-	case ir.XorI:
-		regs[in.Rd] = regs[in.Rs] ^ in.Imm
-	case ir.ShlI:
-		regs[in.Rd] = regs[in.Rs] << (uint64(in.Imm) & 63)
-	case ir.ShrI:
-		regs[in.Rd] = int64(uint64(regs[in.Rs]) >> (uint64(in.Imm) & 63))
-
-	case ir.MovI:
-		regs[in.Rd] = in.Imm
-	case ir.Mov:
-		regs[in.Rd] = regs[in.Rs]
-
-	case ir.CmpLT:
-		regs[in.Rd] = b2i(regs[in.Rs] < regs[in.Rt])
-	case ir.CmpLE:
-		regs[in.Rd] = b2i(regs[in.Rs] <= regs[in.Rt])
-	case ir.CmpEQ:
-		regs[in.Rd] = b2i(regs[in.Rs] == regs[in.Rt])
-	case ir.CmpNE:
-		regs[in.Rd] = b2i(regs[in.Rs] != regs[in.Rt])
-	case ir.CmpLTI:
-		regs[in.Rd] = b2i(regs[in.Rs] < in.Imm)
-	case ir.CmpLEI:
-		regs[in.Rd] = b2i(regs[in.Rs] <= in.Imm)
-	case ir.CmpEQI:
-		regs[in.Rd] = b2i(regs[in.Rs] == in.Imm)
-	case ir.CmpNEI:
-		regs[in.Rd] = b2i(regs[in.Rs] != in.Imm)
-
-	case ir.FAdd, ir.FSub, ir.FMul, ir.FDiv, ir.FCmpLT:
-		m.waitFP(in.Rs)
-		m.waitFP(in.Rt)
-		a := math.Float64frombits(uint64(regs[in.Rs]))
-		b := math.Float64frombits(uint64(regs[in.Rt]))
-		var v float64
-		switch in.Op {
-		case ir.FAdd:
-			v = a + b
-		case ir.FSub:
-			v = a - b
-		case ir.FMul:
-			v = a * b
-		case ir.FDiv:
-			v = a / b
-		case ir.FCmpLT:
-			regs[in.Rd] = b2i(a < b)
-		}
-		if in.Op != ir.FCmpLT {
-			regs[in.Rd] = int64(math.Float64bits(v))
-			m.fpReady[in.Rd] = m.cycles + m.cfg.FPLatency
-		}
-	case ir.FNeg:
-		m.waitFP(in.Rs)
-		regs[in.Rd] = int64(math.Float64bits(-math.Float64frombits(uint64(regs[in.Rs]))))
-		m.fpReady[in.Rd] = m.cycles + m.cfg.FPLatency
-	case ir.FSqrt:
-		m.waitFP(in.Rs)
-		regs[in.Rd] = int64(math.Float64bits(math.Sqrt(math.Float64frombits(uint64(regs[in.Rs])))))
-		m.fpReady[in.Rd] = m.cycles + 2*m.cfg.FPLatency
-	case ir.CvtIF:
-		regs[in.Rd] = int64(math.Float64bits(float64(regs[in.Rs])))
-		m.fpReady[in.Rd] = m.cycles + m.cfg.FPLatency
-	case ir.CvtFI:
-		m.waitFP(in.Rs)
-		f := math.Float64frombits(uint64(regs[in.Rs]))
-		regs[in.Rd] = int64(f)
-
-	case ir.Load:
-		addr := uint64(regs[in.Rs] + in.Imm)
-		if addr&7 != 0 {
-			return fmt.Errorf("unaligned load at %#x in %s b%d", addr, m.cur.proc.Name, m.cur.blk)
-		}
-		m.TouchRead(addr)
-		regs[in.Rd] = m.memory.Load(addr)
-	case ir.LoadIdx:
-		addr := uint64(regs[in.Rs] + regs[in.Rt]*8 + in.Imm)
-		if addr&7 != 0 {
-			return fmt.Errorf("unaligned load at %#x in %s b%d", addr, m.cur.proc.Name, m.cur.blk)
-		}
-		m.TouchRead(addr)
-		regs[in.Rd] = m.memory.Load(addr)
-	case ir.Store:
-		addr := uint64(regs[in.Rs] + in.Imm)
-		if addr&7 != 0 {
-			return fmt.Errorf("unaligned store at %#x in %s b%d", addr, m.cur.proc.Name, m.cur.blk)
-		}
-		m.TouchWrite(addr)
-		m.memory.Store(addr, regs[in.Rd])
-	case ir.StoreIdx:
-		addr := uint64(regs[in.Rs] + regs[in.Rt]*8 + in.Imm)
-		if addr&7 != 0 {
-			return fmt.Errorf("unaligned store at %#x in %s b%d", addr, m.cur.proc.Name, m.cur.blk)
-		}
-		m.TouchWrite(addr)
-		m.memory.Store(addr, regs[in.Rd])
-
-	case ir.Call, ir.CallInd:
-		target := in.Imm
-		if in.Op == ir.CallInd {
-			target = regs[in.Rs]
-		}
-		if target < 0 || int(target) >= len(m.prog.Procs) {
-			return fmt.Errorf("call to invalid procedure %d at %s b%d", target, m.cur.proc.Name, m.cur.blk)
-		}
-		if len(m.stack)+1 >= m.cfg.MaxDepth {
-			return fmt.Errorf("call depth limit %d exceeded calling %s", m.cfg.MaxDepth, m.prog.Procs[target].Name)
-		}
-		m.pmu.Count(hpm.EvCalls, 1)
-		m.addCycles(1) // call overhead
-		if m.tracer != nil {
-			m.tracer.Enter(int(target))
-		}
-		caller := m.cur
-		caller.idx++ // resume after the call
-		m.stack = append(m.stack, caller)
-		next := activation{proc: m.prog.Procs[target]}
-		for r := ir.RegArg0; r < ir.RegArg0+ir.NumArgRegs; r++ {
-			next.regs[r] = caller.regs[r]
-		}
-		next.regs[ir.RegSP] = caller.regs[ir.RegSP]
-		m.cur = next
-		m.reloadBlock()
-		m.fpReady = [ir.NumRegs]uint64{}
-		advance = false
-
-	case ir.Ret:
-		if m.tracer != nil {
-			m.tracer.Exit(m.cur.proc.ID)
-		}
-		if len(m.stack) == 0 {
-			// Returning from main halts the machine.
-			m.halted = true
-			advance = false
-			break
-		}
-		rv := regs[ir.RegRV]
-		sp := regs[ir.RegSP]
-		m.cur = m.stack[len(m.stack)-1]
-		m.stack = m.stack[:len(m.stack)-1]
-		m.cur.regs[ir.RegRV] = rv
-		m.cur.regs[ir.RegSP] = sp
-		m.reloadBlock()
-		m.fpReady = [ir.NumRegs]uint64{}
-		advance = false
-
-	case ir.Out:
-		if len(m.output) >= m.cfg.MaxOutput {
-			return fmt.Errorf("output limit %d exceeded", m.cfg.MaxOutput)
-		}
-		m.output = append(m.output, regs[in.Rs])
-
-	case ir.RdPIC:
-		// Imm selects the counter pair; the classic instrumentation leaves
-		// it zero (PIC0/PIC1), wider metric sets address pairs 1, 2, ...
-		regs[in.Rd] = int64(m.pmu.ReadPair(int(in.Imm)))
-	case ir.WrPIC:
-		m.pmu.WritePair(int(in.Imm), uint64(regs[in.Rs]))
-	case ir.RdTick:
-		regs[in.Rd] = int64(m.cycles)
-
-	case ir.SetJmp:
-		m.jmpbufs = append(m.jmpbufs, jmpbuf{
-			depth: len(m.stack),
-			blk:   m.cur.blk,
-			idx:   m.cur.idx + 1,
-			rt:    in.Rt,
-		})
-		regs[in.Rd] = int64(len(m.jmpbufs)) // handle (1-based)
-		regs[in.Rt] = 0
-	case ir.LongJmp:
-		h := regs[in.Rs]
-		if h < 1 || int(h) > len(m.jmpbufs) {
-			return fmt.Errorf("longjmp with invalid handle %d", h)
-		}
-		buf := m.jmpbufs[h-1]
-		if buf.depth > len(m.stack) {
-			return fmt.Errorf("longjmp to dead frame (handle %d)", h)
-		}
-		val := regs[in.Rt]
-		for len(m.stack) > buf.depth {
-			m.cur = m.stack[len(m.stack)-1]
-			m.stack = m.stack[:len(m.stack)-1]
-		}
-		m.cur.blk = buf.blk
-		m.cur.idx = buf.idx
-		m.cur.regs[buf.rt] = val
-		m.reloadBlock()
-		for _, fn := range m.onUnwind {
-			fn(len(m.stack) + 1)
-		}
-		m.fpReady = [ir.NumRegs]uint64{}
-		advance = false
-
-	case ir.Probe:
-		var fn Probe
-		if uint64(in.Imm) < uint64(len(m.probes)) {
-			fn = m.probes[in.Imm]
-		}
-		if fn == nil {
-			return fmt.Errorf("unknown probe %d in %s", in.Imm, m.cur.proc.Name)
-		}
-		regs[in.Rd] = fn(m, regs[in.Rs])
-
-	case ir.Br:
-		taken := regs[in.Rs] != 0
-		m.pmu.Count(hpm.EvBranches, 1)
-		if !m.pred.Predict(iaddr, taken) {
-			m.pmu.Count(hpm.EvMispredict, 1)
-			m.pmu.Count(hpm.EvMispredictStalls, m.cfg.MispredictPenalty)
-			m.addCycles(m.cfg.MispredictPenalty)
-		}
-		slot := 1
-		if taken {
-			slot = 0
-		}
-		m.issueSlots = 0 // control transfers end an issue group
-		if m.tracer != nil {
-			m.tracer.Edge(m.cur.proc.ID, m.cur.blk, slot)
-		}
-		m.cur.blk = blk.Succs[slot]
-		m.cur.idx = 0
-		m.reloadBlock()
-		advance = false
-
-	case ir.Jmp:
-		if m.tracer != nil {
-			m.tracer.Edge(m.cur.proc.ID, m.cur.blk, 0)
-		}
-		m.cur.blk = blk.Succs[0]
-		m.cur.idx = 0
-		m.reloadBlock()
-		advance = false
-
-	case ir.Halt:
-		m.halted = true
-		advance = false
-
-	default:
-		return fmt.Errorf("unimplemented opcode %s", in.Op)
-	}
-
-	m.pmu.Retire()
-	if m.mux != nil {
-		m.muxSpent++
-		if m.muxSpent >= m.muxQuantum {
-			m.mux.Rotate(m.muxSpent)
-			m.muxSpent = 0
-		}
-	}
-	if advance {
-		m.cur.idx++
-	}
-	return nil
-}
+// top returns the running activation.
+func (m *Machine) top() *activation { return &m.frames[len(m.frames)-1] }
 
 func b2i(b bool) int64 {
 	if b {

@@ -59,15 +59,18 @@ echo "$out" | grep 'BenchmarkCCTEnterExit/N=2' | grep -q ' 0 allocs/op'
 # k-path id space without rehashing in the hot loop (k=3 is the widest row).
 echo "$out" | grep 'BenchmarkCCTHashedKPaths/k=3' | grep -q ' 0 allocs/op'
 
-# The simulator's per-instruction step must stay allocation-free in every
-# instruction class.
-out="$(go test -run='^$' -bench='BenchmarkStepDispatch' -benchmem -benchtime=100000x .)"
+# The simulator must stay allocation-free in every instruction class, both
+# in the block loop that Run drives (BenchmarkBlockDispatch: one Run over a
+# step budget) and through the single-step wrapper (BenchmarkStepDispatch).
+out="$(go test -run='^$' -bench='BenchmarkStepDispatch|BenchmarkBlockDispatch' -benchmem -benchtime=100000x .)"
 echo "$out"
-test "$(echo "$out" | grep -c '^BenchmarkStepDispatch/')" -eq 5
-if echo "$out" | grep '^BenchmarkStepDispatch/' | grep -v ' 0 allocs/op'; then
-	echo "BenchmarkStepDispatch allocates"
-	exit 1
-fi
+for bench in BenchmarkStepDispatch BenchmarkBlockDispatch; do
+	test "$(echo "$out" | grep -c "^$bench/")" -eq 5
+	if echo "$out" | grep "^$bench/" | grep -v ' 0 allocs/op'; then
+		echo "$bench allocates"
+		exit 1
+	fi
+done
 
 # Wire codec throughput and end-to-end collector ingest. TestMain splits
 # Wire records into BENCH_wire.json; the ingest benchmark exercises the
