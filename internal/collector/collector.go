@@ -31,7 +31,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -168,17 +167,6 @@ type Collector struct {
 	profViews map[string]*profView
 	cctViews  map[string]*cctView
 
-	// names holds the sorted program lists that whole-table reads,
-	// Programs and SnapshotFrame use, so a read does not walk and sort
-	// every shard's programs. A fold that gives a program its first
-	// aggregate in a shard, and Take, mark the lists stale after changing
-	// the shard maps; a read of stale lists clears the mark before it
-	// walks the shards again, so a change that races the walk leaves them
-	// stale for the next read. namesMu is taken before shard locks.
-	namesMu    sync.Mutex
-	names      programLists
-	namesStale atomic.Bool
-
 	ingestedProfiles  atomic.Uint64
 	ingestedCCTs      atomic.Uint64
 	ingestedFrames    atomic.Uint64
@@ -208,7 +196,6 @@ func New(cfg Config) *Collector {
 		cctViews:  make(map[string]*cctView),
 	}
 	c.scratch.New = func() any { return &foldScratch{} }
-	c.namesStale.Store(true)
 	for i := range c.shards {
 		c.shards[i] = newShard()
 	}
@@ -309,7 +296,6 @@ func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile) error {
 		a = newProfAggBatch(bp)
 		a.gen = sh.gen
 		sh.profiles[a.program] = a
-		c.namesStale.Store(true)
 		c.ingestedProfiles.Add(1)
 		return nil
 	}
@@ -335,7 +321,6 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 		}
 		agg.gen = sh.gen
 		sh.exports[agg.program] = agg
-		c.namesStale.Store(true)
 		c.ingestedCCTs.Add(1)
 		return nil
 	}
@@ -417,50 +402,28 @@ func (c *Collector) pick() *shard {
 }
 
 // Programs returns every program with any aggregated data, sorted.
-func (c *Collector) Programs() []string { return slices.Clone(c.programs().all) }
+func (c *Collector) Programs() []string { return c.programs(true, true) }
 
-// programLists are the programs holding a profile aggregate, those holding
-// a CCT aggregate, and those holding either, each sorted. The slices are
-// never written after they are built, so readers share them.
-type programLists struct {
-	profiles, ccts, all []string
-}
-
-// programs returns the current program lists, walking the shards again
-// when a fold or Take has marked them stale.
-func (c *Collector) programs() programLists {
-	c.namesMu.Lock()
-	defer c.namesMu.Unlock()
-	if c.namesStale.Swap(false) {
-		c.names = c.walkPrograms()
-	}
-	return c.names
-}
-
-// walkPrograms builds the program lists from every shard's aggregates.
-func (c *Collector) walkPrograms() programLists {
-	profs, ccts := map[string]bool{}, map[string]bool{}
+// programs returns the programs holding a profile aggregate (when
+// profiles is set) or a CCT aggregate (when ccts is set), sorted.
+func (c *Collector) programs(profiles, ccts bool) []string {
+	seen := map[string]bool{}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for name := range sh.profiles {
-			profs[name] = true
+		if profiles {
+			for name := range sh.profiles {
+				seen[name] = true
+			}
 		}
-		for name := range sh.exports {
-			ccts[name] = true
+		if ccts {
+			for name := range sh.exports {
+				seen[name] = true
+			}
 		}
 		sh.mu.Unlock()
 	}
-	l := programLists{profiles: sortedNames(profs), ccts: sortedNames(ccts)}
-	for name := range ccts {
-		profs[name] = true
-	}
-	l.all = sortedNames(profs)
-	return l
-}
-
-func sortedNames(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for name := range set {
+	out := make([]string, 0, len(seen))
+	for name := range seen {
 		out = append(out, name)
 	}
 	sort.Strings(out)
@@ -573,7 +536,6 @@ func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 			exportParts[name] = append(exportParts[name], a)
 		}
 	}
-	c.namesStale.Store(true)
 	c.viewMu.Lock()
 	clear(c.profViews)
 	clear(c.cctViews)

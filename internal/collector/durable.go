@@ -130,7 +130,7 @@ func checkFrameHeader(data []byte) error {
 // (folding is associative and commutative, so the pre-merge does not
 // change any table). Returns nil when nothing has been aggregated.
 func (c *Collector) SnapshotFrame() ([]byte, error) {
-	progs := c.programs().all
+	progs := c.Programs()
 	if len(progs) == 0 {
 		return nil, nil
 	}

@@ -261,10 +261,7 @@ func (c *Collector) requestedPrograms(r *http.Request, profiles bool) []string {
 		}
 		return out
 	}
-	if profiles {
-		return c.programs().profiles
-	}
-	return c.programs().ccts
+	return c.programs(profiles, !profiles)
 }
 
 // tableBufs pools the buffers tables render into.
@@ -368,7 +365,7 @@ func (c *Collector) handleTableNamedMetrics(w http.ResponseWriter, r *http.Reque
 }
 
 func (c *Collector) handlePrograms(w http.ResponseWriter, _ *http.Request) {
-	progs := c.programs().all
+	progs := c.Programs()
 	if progs == nil {
 		progs = []string{}
 	}

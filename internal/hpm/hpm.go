@@ -87,23 +87,21 @@ const writeLatency = 3
 // mask is a uint32).
 const MaxCounters = 32
 
-// lazyEvents are the events the simulator charges in bulk: instructions
-// and cycles, which every instruction charges, and the events a block
-// charges by its contents alone (loads, stores, their D-cache accesses,
-// branches and calls). Count adds them to their shadow totals only; sync
-// carries the growth since the last sync into the PICs that select them,
-// and runs before anything reads, overwrites or reselects a PIC. A 32-bit
-// counter wraps the same whether increments arrive one at a time or
-// summed, so every PIC value observed is exactly what counting each
-// occurrence eagerly gives. Miss and stall events stay eager.
-var lazyEvents = [...]Event{EvInsts, EvCycles, EvLoads, EvStores, EvDCacheRead, EvDCacheWrite, EvBranches, EvCalls}
-
-// lazyMask has bit ev set for each of lazyEvents.
+// lazyMask has bit ev set for each lazy event: the events the simulator
+// charges in bulk, namely instructions and cycles, which every instruction
+// charges, and the events a block charges by its contents alone (loads,
+// stores, their D-cache accesses, branches and calls). Count adds them to
+// their shadow totals only; sync carries the growth since the last sync
+// into the PICs that select them, and runs before anything reads,
+// overwrites or reselects a PIC. A 32-bit counter wraps the same whether
+// increments arrive one at a time or summed, so every PIC value observed
+// is exactly what counting each occurrence eagerly gives. Miss and stall
+// events stay eager.
 const lazyMask = 1<<EvInsts | 1<<EvCycles | 1<<EvLoads | 1<<EvStores |
 	1<<EvDCacheRead | 1<<EvDCacheWrite | 1<<EvBranches | 1<<EvCalls
 
-// isLazy reports whether ev is one of lazyEvents. With a constant ev, as in
-// the simulator's bulk charges, it folds away.
+// isLazy reports whether ev is a lazy event. With a constant ev, as in the
+// simulator's bulk charges, it folds away.
 func isLazy(ev Event) bool { return lazyMask>>ev&1 != 0 }
 
 // Unit is the performance monitor: K selectable 32-bit PICs plus full
@@ -164,9 +162,7 @@ func (u *Unit) NumCounters() int { return len(u.pic) }
 // deselected; events beyond the bank width are ignored.
 func (u *Unit) SelectAll(events []Event) {
 	u.sync()
-	for _, ev := range lazyEvents {
-		u.synced[ev] = u.totals[ev] // a newly selected event counts from now
-	}
+	u.synced = u.totals // a newly selected lazy event counts from now
 	for i := range u.sel {
 		if i < len(events) {
 			u.sel[i] = events[i]
@@ -184,8 +180,8 @@ func (u *Unit) SelectAll(events []Event) {
 		u.picMask[ev] = m
 	}
 	u.lazySel = u.lazySel[:0]
-	for _, ev := range lazyEvents {
-		if u.picMask[ev] != 0 {
+	for ev := Event(0); ev < NumEvents; ev++ {
+		if isLazy(ev) && u.picMask[ev] != 0 {
 			u.lazySel = append(u.lazySel, ev)
 		}
 	}
@@ -218,7 +214,7 @@ func matches(sel, ev Event) bool {
 }
 
 // Count records n occurrences of ev. The 32-bit PICs wrap silently.
-// Occurrences of lazyEvents reach the PICs at the next sync.
+// Occurrences of lazy events reach the PICs at the next sync.
 func (u *Unit) Count(ev Event, n uint64) {
 	u.totals[ev] += n
 	if isLazy(ev) {

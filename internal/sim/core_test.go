@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"pathprof/internal/cache"
@@ -21,11 +22,13 @@ import (
 // The tests in this file hold the block core (Run, Step) to the reference
 // per-instruction loop kept in refstep_test.go (RefRun, RefStep): the same
 // program, plan and configuration run on both must agree on every Result
-// field, Steps(), the error text, the tracer's event sequence with the
-// cycle count at each event, the PMU's totals and cycle count at every
-// probe call (which fix every PIC value the probe reads), the probe's
-// result, the extracted profile and CCT, the scheduler's raw counts and
-// estimates, and the final memory image.
+// field, Steps(), the error text, the cache statistics, the tracer's event
+// sequence with the cycle count at each event, the PMU's totals and cycle
+// count at every probe call (which fix every PIC value the probe reads),
+// the probe's result, the extracted profile and CCT, the scheduler's raw
+// counts and estimates, the buffered counter write still pending and the
+// PIC values at the end, the final memory image, and, after a fault, what
+// running the machine once more does.
 
 // variant is one way to run a program.
 type variant struct {
@@ -39,17 +42,21 @@ type variant struct {
 
 // outcome is everything one run is compared on.
 type outcome struct {
-	res     sim.Result
-	err     string
-	steps   uint64
-	cycles  uint64
-	totals  [hpm.NumEvents]uint64
-	trace   []string
-	probes  []uint64 // a digest of each probe call
-	profile string
-	raw     []uint64
-	est     []uint64
-	memory  *mem.Memory
+	res          sim.Result
+	err          string
+	steps        uint64
+	cycles       uint64
+	totals       [hpm.NumEvents]uint64
+	l1i, l1d, l2 cache.Stats
+	trace        []string
+	probes       []uint64 // a digest of each probe call
+	profile      string
+	raw          []uint64
+	est          []uint64
+	drainsIn     uint64 // the buffered PIC write's remaining retirements
+	again        string // after a fault: running once more
+	pics         []uint32
+	memory       *mem.Memory
 }
 
 type traceLog struct {
@@ -111,34 +118,53 @@ func run(prog *ir.Program, plan *instrument.Plan, v variant, maxSteps uint64, re
 		tl = &traceLog{m: m}
 		m.SetTracer(tl)
 	}
+	step := func() error {
+		if ref {
+			return m.RefStep()
+		}
+		return m.Step()
+	}
+	runAll := func() (sim.Result, error) {
+		if ref {
+			return m.RefRun()
+		}
+		return m.Run()
+	}
 	var err error
-	switch {
-	case v.step:
+	if v.step {
 		for !m.Halted() && err == nil {
-			if ref {
-				err = m.RefStep()
-			} else {
-				err = m.Step()
-			}
+			err = step()
 		}
 		if err == nil {
 			o.res, err = m.Run()
 		}
-	case ref:
-		o.res, err = m.RefRun()
-	default:
-		o.res, err = m.Run()
+	} else {
+		o.res, err = runAll()
 	}
 	if err != nil {
 		o.err = err.Error()
 	}
 	o.steps, o.cycles, o.totals = m.Steps(), m.Cycles(), m.PMU().Totals()
+	o.l1i, o.l1d, o.l2 = m.CacheStats()
+	o.drainsIn = m.PMU().DrainsIn()
 	if tl != nil {
 		o.trace = tl.events
 	}
-	if sched != nil && err == nil {
+	if sched != nil {
 		o.raw, o.est = sched.Raw(), sched.Estimates()
 	}
+	if err != nil {
+		// A faulted machine stays at the faulting instruction: running it
+		// again charges and faults the same way.
+		if v.step {
+			err = step()
+		} else {
+			_, err = runAll()
+		}
+		l1i, _, _ := m.CacheStats()
+		o.again = fmt.Sprint(err, m.Steps(), m.Cycles(), m.PMU().Totals(), l1i, m.PMU().DrainsIn())
+	}
+	o.pics = m.PMU().ReadAll(nil)
 	if rt != nil && err == nil {
 		var buf bytes.Buffer
 		if plan.Mode.UsesPaths() {
@@ -169,6 +195,14 @@ func diff(got, want outcome) string {
 		return fmt.Sprintf("Cycles() %d, want %d", got.cycles, want.cycles)
 	case got.totals != want.totals:
 		return fmt.Sprintf("totals %v, want %v", got.totals, want.totals)
+	case got.l1i != want.l1i || got.l1d != want.l1d || got.l2 != want.l2:
+		return fmt.Sprintf("L1I %+v L1D %+v L2 %+v, want %+v %+v %+v", got.l1i, got.l1d, got.l2, want.l1i, want.l1d, want.l2)
+	case got.drainsIn != want.drainsIn:
+		return fmt.Sprintf("buffered write drains in %d, want %d", got.drainsIn, want.drainsIn)
+	case got.again != want.again:
+		return fmt.Sprintf("running again after the fault: %s, want %s", got.again, want.again)
+	case !reflect.DeepEqual(got.pics, want.pics):
+		return fmt.Sprintf("PICs %v, want %v", got.pics, want.pics)
 	case !reflect.DeepEqual(got.res, want.res):
 		return fmt.Sprintf("result %+v, want %+v", got.res, want.res)
 	case got.profile != want.profile:
@@ -359,6 +393,138 @@ func TestBlockCoreMatchesReferenceOnSuite(t *testing.T) {
 				}
 				if d := diff(got, want); d != "" {
 					t.Fatalf("%s %s instrumented=%v: %s", w.Name, v.name, p != nil, d)
+				}
+			}
+		}
+	}
+}
+
+// faults are the ways faultProgram ends, four plain ops and four exit ops
+// that fail, each with a phrase of its error.
+var faults = []struct{ name, err string }{
+	{"unaligned-load", "unaligned load"},
+	{"unaligned-store", "unaligned store"},
+	{"unaligned-store-idx", "unaligned store"},
+	{"output", "output limit 6 exceeded"},
+	{"call-ind", "call to invalid procedure 999"},
+	{"depth", "call depth limit 5 exceeded"},
+	{"longjmp", "longjmp with invalid handle 42"},
+	{"probe", "unknown probe 99"},
+}
+
+// faultProgram builds a program that loops over memory six times, with a
+// load, a store and an output each time, then writes a counter pair, runs
+// gap plain ops and faults in the given way. A plain op that faults sits
+// in the middle of a decoded block, with plain ops after it; with a small
+// gap the counter write is still buffered when it faults. For "depth" the
+// write, the gap and the call that fails sit in a procedure that recurses
+// until the call depth limit of 5.
+func faultProgram(fault string, gap int) *ir.Program {
+	b := ir.NewBuilder("fault-" + fault)
+	f := b.NewProc("f", 1)
+	main := b.NewProc("main", 0)
+	e, h, body, x := main.NewBlock(), main.NewBlock(), main.NewBlock(), main.NewBlock()
+	e.MovI(2, int64(mem.GlobalBase))
+	e.MovI(3, 0)
+	e.MovI(7, int64(mem.GlobalBase)+3) // unaligned
+	e.MovI(8, 999)                     // no such procedure
+	e.MovI(9, 42)                      // no such setjmp handle
+	e.Jmp(h)
+	h.CmpLTI(4, 3, 6)
+	h.Br(4, body, x)
+	body.Load(5, 2, 0)
+	body.Add(5, 5, 3)
+	body.Store(2, 8, 5)
+	body.Out(5)
+	body.AddI(2, 2, 16)
+	body.AddI(3, 3, 1)
+	body.Jmp(h)
+	at := x
+	if fault == "depth" {
+		x.Call(f)
+		x.Halt()
+		at = f.NewBlock()
+	} else {
+		f.NewBlock().Ret()
+	}
+	at.WrPIC(5)
+	for k := 0; k < gap; k++ {
+		at.AddI(6, 6, 1)
+	}
+	switch fault {
+	case "unaligned-load":
+		at.Load(10, 7, 0)
+	case "unaligned-store":
+		at.Store(7, 8, 6)
+	case "unaligned-store-idx":
+		at.StoreIdx(2, 3, 3, 6)
+	case "output":
+		at.Out(6)
+	case "call-ind":
+		at.CallInd(8)
+	case "depth":
+		at.Call(f)
+	case "longjmp":
+		at.LongJmp(9, 3)
+	case "probe":
+		at.Probe(99, 3, 4)
+	}
+	at.AddI(6, 6, 1)
+	at.Load(10, 2, 0)
+	if fault == "depth" {
+		at.Ret()
+	} else {
+		at.Halt()
+	}
+	b.SetMain(main)
+	return b.MustFinish()
+}
+
+// TestBlockCoreMatchesReferenceOnFaults runs programs that fault — in a
+// plain op in the middle of a decoded block, or in an exit op — at
+// assorted distances from a buffered counter write, plain, under
+// schedulers rotating close to the fault, superscalar, with tiny caches, a
+// tracer and Step, and compares the whole outcome on both loops.
+func TestBlockCoreMatchesReferenceOnFaults(t *testing.T) {
+	limits := func(c *sim.Config) { c.MaxOutput, c.MaxDepth = 6, 5 }
+	with := func(fs ...func(*sim.Config)) func(*sim.Config) {
+		return func(c *sim.Config) {
+			for _, f := range fs {
+				f(c)
+			}
+		}
+	}
+	variants := []variant{
+		{name: "default"},
+		{name: "mux-1", quantum: 1},
+		{name: "mux-2", quantum: 2},
+		{name: "mux-3", quantum: 3},
+		{name: "mux-5", quantum: 5},
+		{name: "mux-7", quantum: 7},
+		{name: "issue-4", cfg: width(4)},
+		{name: "l2", cfg: withL2},
+		{name: "tiny-caches", cfg: tiny},
+		{name: "tracer", tracer: true},
+		{name: "step", step: true},
+		{name: "step-mux-3", step: true, quantum: 3},
+	}
+	for _, fault := range faults {
+		for gap := 0; gap <= 5; gap++ {
+			prog := faultProgram(fault.name, gap)
+			for vi, v := range variants {
+				v.events = selections[(gap+vi)%len(selections)]
+				if v.cfg == nil {
+					v.cfg = limits
+				} else {
+					v.cfg = with(limits, v.cfg)
+				}
+				want := run(prog, nil, v, 0, true)
+				got := run(prog, nil, v, 0, false)
+				if !strings.Contains(want.err, fault.err) {
+					t.Fatalf("%s gap %d %s: reference run gave error %q, want %q", fault.name, gap, v.name, want.err, fault.err)
+				}
+				if d := diff(got, want); d != "" {
+					t.Fatalf("%s gap %d %s: %s", fault.name, gap, v.name, d)
 				}
 			}
 		}

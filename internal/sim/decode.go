@@ -21,11 +21,12 @@ type op struct {
 
 // fLine marks an op whose fetch must go through the L1I: it starts an
 // I-cache line, or control can reach it from elsewhere — the first op of
-// an IR block, the op after a call, where the return resumes, and the op a
-// longjmp resumes at, which locate marks. Any other op sits in the line of
+// an IR block, the op after a call, where the return resumes, and the op
+// after a SetJmp, where a longjmp resumes. Any other op sits in the line of
 // the op before it, which was fetched just before, is resident and most
 // recently used in its set, so its fetch is a hit that changes nothing but
-// the hit count.
+// the hit count. Marking an op that is reached only in sequence is exact
+// too: its fetch through the L1I is that same hit.
 const fLine uint8 = 1
 
 // dblock is a decoded block: a run of ops of one IR block that ends at the
@@ -95,7 +96,7 @@ func decode(prog *ir.Program, lineBytes uint64) [][]*dblock {
 				o := &ops[j]
 				*o = op{code: in.Op, rd: in.Rd, rs: in.Rs, rt: in.Rt, imm: in.Imm}
 				a := addr + uint64(j)*InstrBytes
-				if j == 0 || a%lineBytes == 0 || b.Instrs[j-1].Op.IsCall() {
+				if j == 0 || a%lineBytes == 0 || b.Instrs[j-1].Op.IsCall() || b.Instrs[j-1].Op == ir.SetJmp {
 					o.flags |= fLine
 				}
 				if !exitOp(in.Op) && j < len(b.Instrs)-1 {
@@ -162,18 +163,11 @@ func (d *dblock) census(from, to int) (loads, stores, hits uint64) {
 }
 
 // locate returns the decoded block of proc that holds instruction idx of
-// IR block blk, and the op's index in it. A longjmp resumes there, after
-// a fetch from elsewhere, so locate makes sure the op fetches through the
-// L1I.
+// IR block blk, and the op's index in it.
 func (m *Machine) locate(proc *ir.Proc, blk ir.BlockID, idx int) (*dblock, int) {
 	d := m.blocks[proc.ID][blk]
 	for idx >= d.off+len(d.ops) {
 		d = d.succ[0]
 	}
-	i := idx - d.off
-	if o := &d.ops[i]; o.flags&fLine == 0 {
-		o.flags |= fLine
-		d.hits--
-	}
-	return d, i
+	return d, idx - d.off
 }

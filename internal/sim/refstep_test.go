@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"pathprof/internal/cache"
 	"pathprof/internal/hpm"
 	"pathprof/internal/ir"
 )
@@ -42,13 +43,13 @@ func (m *Machine) RefStep() error { return m.refStep() }
 // test can wrap them.
 func (m *Machine) Probes() []Probe { return m.probes }
 
-// refAt returns the decoded position of instruction idx of IR block blk.
-func (m *Machine) refAt(proc *ir.Proc, blk ir.BlockID, idx int) (*dblock, int) {
-	d := m.blocks[proc.ID][blk]
-	for idx >= d.off+len(d.ops) {
-		d = d.succ[0]
+// CacheStats returns the L1I, L1D and L2 statistics so far, which Result
+// carries only for a run that completes.
+func (m *Machine) CacheStats() (l1i, l1d, l2 cache.Stats) {
+	if m.l2 != nil {
+		l2 = m.l2.Stats()
 	}
-	return d, idx - d.off
+	return m.l1i.Stats(), m.l1d.Stats(), l2
 }
 
 func (m *Machine) refStep() error {
@@ -81,7 +82,7 @@ func (m *Machine) refStep() error {
 	regs := &f.regs
 	advance := true
 	goTo := func(b ir.BlockID) {
-		f.blk, f.idx = m.refAt(proc, b, 0)
+		f.blk, f.idx = m.locate(proc, b, 0)
 		advance = false
 	}
 
@@ -237,7 +238,7 @@ func (m *Machine) refStep() error {
 		if m.tracer != nil {
 			m.tracer.Enter(int(target))
 		}
-		f.blk, f.idx = m.refAt(proc, blkID, idx+1) // resume after the call
+		f.blk, f.idx = m.locate(proc, blkID, idx+1) // resume after the call
 		m.push(m.blocks[target][0])
 		m.fpReady = [ir.NumRegs]uint64{}
 		advance = false
@@ -294,7 +295,7 @@ func (m *Machine) refStep() error {
 		val := regs[in.Rt]
 		m.frames = m.frames[:buf.depth+1]
 		t := m.top()
-		t.blk, t.idx = m.refAt(t.blk.proc, buf.blk, buf.idx)
+		t.blk, t.idx = m.locate(t.blk.proc, buf.blk, buf.idx)
 		t.regs[buf.rt] = val
 		for _, fn := range m.onUnwind {
 			fn(len(m.frames))
@@ -353,7 +354,7 @@ func (m *Machine) refStep() error {
 		}
 	}
 	if advance {
-		f.blk, f.idx = m.refAt(proc, blkID, idx+1)
+		f.blk, f.idx = m.locate(proc, blkID, idx+1)
 	}
 	return nil
 }
