@@ -150,8 +150,8 @@ func (sf *storeFlags) mount(c *collector.Collector) *store.Log {
 	if err != nil {
 		log.Fatalf("opening store: %v", err)
 	}
-	log.Printf("store %s: recovered %d records (%d segments, %d dup, %d torn bytes dropped) in %.1fms%s",
-		*sf.dataDir, rec.Records, rec.Segments, rec.Duplicates, rec.TruncatedBytes,
+	log.Printf("store %s: recovered %d records (%d segments, %d dup, %d rejected by the fold, %d torn bytes dropped) in %.1fms%s",
+		*sf.dataDir, rec.Records, rec.Segments, rec.Duplicates, rec.ApplyErrors, rec.TruncatedBytes,
 		float64(rec.Nanos)/1e6, snapNote(rec))
 	return l
 }

@@ -18,6 +18,11 @@
 // associative and commutative over these aggregates, the fully merged
 // result is independent of how requests were spread across shards.
 //
+// A collector with a store mounted (durable.go) replays its log on
+// start-up differently: record i of the log folds whole into shard
+// i mod Config.Shards, one goroutine per shard, so the shards fold side
+// by side and every reopen places every record the same way.
+//
 // Table queries answer from per-program views (see view.go): the rows
 // derived from one such merge, kept with the fold stamps of the shard
 // aggregates they came from and recomputed on the first read after a
@@ -285,9 +290,8 @@ func (e *conflictError) Unwrap() error { return e.err }
 func (c *Collector) getScratch() *foldScratch   { return c.scratch.Get().(*foldScratch) }
 func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
 
-// ingestBatchProfile folds one decoded batch profile item into a shard.
-func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile) error {
-	sh := c.pick()
+// foldProfile folds one decoded batch profile item into sh.
+func (sh *shard) foldProfile(bp *wire.BatchProfile) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.gen++
@@ -296,20 +300,14 @@ func (c *Collector) ingestBatchProfile(bp *wire.BatchProfile) error {
 		a = newProfAggBatch(bp)
 		a.gen = sh.gen
 		sh.profiles[a.program] = a
-		c.ingestedProfiles.Add(1)
 		return nil
 	}
 	a.gen = sh.gen
-	if err := a.foldBatch(bp); err != nil {
-		return err
-	}
-	c.ingestedProfiles.Add(1)
-	return nil
+	return a.foldBatch(bp)
 }
 
-// ingestBatchCCT folds one decoded batch CCT item into a shard.
-func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
-	sh := c.pick()
+// foldCCT folds one decoded batch CCT item into sh.
+func (sh *shard) foldCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	sh.gen++
@@ -321,15 +319,10 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 		}
 		agg.gen = sh.gen
 		sh.exports[agg.program] = agg
-		c.ingestedCCTs.Add(1)
 		return nil
 	}
 	a.gen = sh.gen
-	if err := a.foldBatch(bc, sc); err != nil {
-		return err
-	}
-	c.ingestedCCTs.Add(1)
-	return nil
+	return a.foldBatch(bc, sc)
 }
 
 // IngestFrame decodes a version-3 batched frame and folds every item
@@ -340,11 +333,24 @@ func (c *Collector) ingestBatchCCT(bc *wire.BatchCCT, sc *foldScratch) error {
 func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	if err := sc.frame.Reset(data); err != nil {
+	profiles, ccts, err = c.foldFrame(sc, nil, data)
+	if err == nil {
+		c.ingestedFrames.Add(1)
+	}
+	c.countItems(profiles, ccts)
+	return profiles, ccts, err
+}
+
+// foldFrame folds the items of frame in order into sh, or each into the
+// next shard in round-robin order when sh is nil, and stops at the first
+// item that fails. It returns how many items of each kind folded; the
+// caller counts them.
+func (c *Collector) foldFrame(sc *foldScratch, sh *shard, frame []byte) (profiles, ccts int, err error) {
+	if err := sc.frame.Reset(frame); err != nil {
 		return 0, 0, err
 	}
 	for i := 0; i < sc.frame.Items(); i++ {
-		if err := c.foldItem(sc, i); err != nil {
+		if err := c.foldItem(sc, sh, i); err != nil {
 			return profiles, ccts, err
 		}
 		if sc.frame.Kind(i) == wire.KindProfile {
@@ -353,8 +359,13 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 			ccts++
 		}
 	}
-	c.ingestedFrames.Add(1)
 	return profiles, ccts, nil
+}
+
+// countItems adds folded items to the ingest counters.
+func (c *Collector) countItems(profiles, ccts int) {
+	c.ingestedProfiles.Add(uint64(profiles))
+	c.ingestedCCTs.Add(uint64(ccts))
 }
 
 // foldEach folds every item of frame as IngestFrame does, except that an
@@ -367,18 +378,27 @@ func (c *Collector) foldEach(frame []byte) (folded int, err error) {
 	if err := sc.frame.Reset(frame); err != nil {
 		return 0, err
 	}
+	var profiles, ccts int
 	for i := 0; i < sc.frame.Items(); i++ {
-		if e := c.foldItem(sc, i); e == nil {
-			folded++
-		} else if err == nil {
-			err = e
+		switch e := c.foldItem(sc, nil, i); {
+		case e != nil:
+			if err == nil {
+				err = e
+			}
+		case sc.frame.Kind(i) == wire.KindProfile:
+			profiles++
+		default:
+			ccts++
 		}
 	}
-	return folded, err
+	c.countItems(profiles, ccts)
+	return profiles + ccts, err
 }
 
-// foldItem decodes item i of sc.frame and folds it into a shard.
-func (c *Collector) foldItem(sc *foldScratch, i int) error {
+// foldItem decodes item i of sc.frame and folds it into sh, or into the
+// next shard in round-robin order when sh is nil. The round-robin cursor
+// advances only for an item that decodes.
+func (c *Collector) foldItem(sc *foldScratch, sh *shard, i int) error {
 	if sc.frame.Kind(i) == wire.KindProfile {
 		if err := sc.frame.DecodeProfile(i, &sc.bp); err != nil {
 			return err
@@ -386,7 +406,10 @@ func (c *Collector) foldItem(sc *foldScratch, i int) error {
 		if len(sc.bp.Program) == 0 {
 			return fmt.Errorf("frame item %d names no program", i)
 		}
-		return c.ingestBatchProfile(&sc.bp)
+		if sh == nil {
+			sh = c.pick()
+		}
+		return sh.foldProfile(&sc.bp)
 	}
 	if err := sc.frame.DecodeCCT(i, &sc.bc); err != nil {
 		return err
@@ -394,9 +417,16 @@ func (c *Collector) foldItem(sc *foldScratch, i int) error {
 	if len(sc.bc.Program) == 0 {
 		return fmt.Errorf("frame item %d names no program", i)
 	}
-	return c.ingestBatchCCT(&sc.bc, sc)
+	if sh == nil {
+		sh = c.pick()
+	}
+	return sh.foldCCT(&sc.bc, sc)
 }
 
+// pick returns the next shard in round-robin order. Live ingest spreads
+// each frame over the shards item by item through it, so a frame that
+// repeats an envelope once per shard puts a copy in every shard; the
+// table-query benchmarks preload their aggregates that way.
 func (c *Collector) pick() *shard {
 	return c.shards[c.next.Add(1)%uint64(len(c.shards))]
 }

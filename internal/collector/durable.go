@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"pathprof/internal/store"
 	"pathprof/internal/wire"
@@ -77,7 +78,12 @@ func (c *Collector) AckMode() AckMode { return c.ackMode }
 // surviving state into this collector, and mounts the log. opts.Apply,
 // opts.Snapshot and opts.Compact are overwritten.
 func (c *Collector) OpenStore(dir string, opts store.Options) (*store.Log, store.Recovery, error) {
-	opts.Apply = c.ApplyPayload
+	var replayed int // records handed to Apply so far, across files
+	opts.Apply = func(payloads [][]byte) []error {
+		errs := c.replay(replayed, payloads)
+		replayed += len(payloads)
+		return errs
+	}
 	opts.Snapshot = c.SnapshotFrame
 	opts.Compact = c.CompactPayloads
 	l, rec, err := store.Open(dir, opts)
@@ -99,19 +105,62 @@ func (c *Collector) Checkpoint() error {
 	return c.store.SnapshotNow()
 }
 
-// ApplyPayload folds one logged payload, a version-3 frame, into the
-// shard aggregates — the store's replay callback. Re-applying the log
-// through it reproduces the in-memory state the acks described. A
-// payload without a frame header can only come from a build that logged
-// the retired version-1 and version-2 envelopes; its error wraps
+// replay folds logged payloads, version-3 frames, into the shard
+// aggregates and returns one error per payload — the store's replay
+// callback, through OpenStore, which numbers the records across calls so
+// that first is the number of payloads[0]. Re-applying the log through
+// it reproduces the in-memory state the acks described.
+//
+// Record first+j folds whole, in log order with the shard's other
+// records, into shard (first+j) mod Shards, and each shard has one
+// goroutine with its own scratch, so shards fold side by side without
+// sharing a lock or a counter. Placement by record number makes every
+// reopen of a log build the same shard aggregates, whatever GOMAXPROCS
+// is; merged reads of a conflict-free log do not depend on the
+// placement, because the fold is associative and commutative. Live
+// ingest keeps spreading each frame item by item instead (see pick).
+//
+// A payload without a frame header can only come from a build that
+// logged the retired version-1 and version-2 envelopes. Its error wraps
 // store.ErrUnreadable, so replay refuses the log instead of skipping the
-// record.
-func (c *Collector) ApplyPayload(data []byte) error {
-	if err := checkFrameHeader(data); err != nil {
-		return fmt.Errorf("%w: %w", store.ErrUnreadable, err)
+// record, and then no payload of the batch is folded.
+func (c *Collector) replay(first int, payloads [][]byte) []error {
+	errs := make([]error, len(payloads))
+	unreadable := false
+	for j, p := range payloads {
+		if err := checkFrameHeader(p); err != nil {
+			errs[j] = fmt.Errorf("%w: %w", store.ErrUnreadable, err)
+			unreadable = true
+		}
 	}
-	_, _, err := c.IngestFrame(data)
-	return err
+	if unreadable {
+		return errs
+	}
+	n := len(c.shards)
+	var wg sync.WaitGroup
+	for s := 0; s < n && s < len(payloads); s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sh := c.shards[(first+s)%n]
+			sc := c.getScratch()
+			defer c.putScratch(sc)
+			var frames, profiles, ccts int
+			for j := s; j < len(payloads); j += n {
+				p, cc, err := c.foldFrame(sc, sh, payloads[j])
+				if err == nil {
+					frames++
+				}
+				profiles += p
+				ccts += cc
+				errs[j] = err
+			}
+			c.ingestedFrames.Add(uint64(frames))
+			c.countItems(profiles, ccts)
+		}(s)
+	}
+	wg.Wait()
+	return errs
 }
 
 // checkFrameHeader returns nil when data begins with a version-3 frame
@@ -161,10 +210,10 @@ func (c *Collector) SnapshotFrame() ([]byte, error) {
 // replaying the originals.
 func (c *Collector) CompactPayloads(payloads [][]byte) ([]byte, error) {
 	scratch := New(Config{Shards: 1})
-	for _, p := range payloads {
+	for _, err := range scratch.replay(0, payloads) {
 		// A rejected payload contributes nothing to the aggregate, here
 		// as in replay, which counts and skips it.
-		if err := scratch.ApplyPayload(p); errors.Is(err, store.ErrUnreadable) {
+		if errors.Is(err, store.ErrUnreadable) {
 			return nil, err
 		}
 	}

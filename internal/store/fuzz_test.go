@@ -121,12 +121,12 @@ func FuzzSegmentReplay(f *testing.F) {
 			var state []byte
 			l, rec, err := Open(dir, Options{
 				CompactAfter: -1,
-				Apply: func(p []byte) error {
+				Apply: eachPayload(func(p []byte) error {
 					mu.Lock()
 					state = append(state, p...)
 					mu.Unlock()
 					return nil
-				},
+				}),
 			})
 			if err != nil {
 				return nil, rec, err

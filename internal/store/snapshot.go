@@ -109,14 +109,11 @@ func (l *Log) loadSnapshot(w uint64) error {
 	if err != nil {
 		return err
 	}
+	var payloads [][]byte
 	for _, r := range recs {
 		switch r.kind {
 		case recKindPayload:
-			if l.opts.Apply != nil {
-				if err := l.opts.Apply(r.payload); err != nil {
-					return fmt.Errorf("store: %s: restoring state: %w", name, err)
-				}
-			}
+			payloads = append(payloads, r.payload)
 			l.recovery.SnapshotBytes += int64(len(r.payload))
 		case recKindManifest:
 			ids, err := parseManifest(name, r.off, 0, r.payload)
@@ -126,6 +123,14 @@ func (l *Log) loadSnapshot(w uint64) error {
 			for _, id := range ids {
 				l.markApplied(id)
 			}
+		}
+	}
+	if l.opts.Apply == nil || len(payloads) == 0 {
+		return nil
+	}
+	for _, err := range l.opts.Apply(payloads) {
+		if err != nil {
+			return fmt.Errorf("store: %s: restoring state: %w", name, err)
 		}
 	}
 	return nil

@@ -4,11 +4,12 @@
 // compaction and snapshot/restore.
 //
 // The store knows nothing about profiles. Payloads are byte strings;
-// the mounting layer supplies three callbacks — Apply folds one payload
-// into its in-memory state (used by startup replay), Snapshot dumps
-// that state as one payload, and Compact pre-merges many payloads into
-// one — so the collector keeps its fold logic and the store keeps the
-// files. In-memory collectors simply never mount a store.
+// the mounting layer supplies three callbacks — Apply folds a batch of
+// payloads into its in-memory state (startup replay hands it each
+// file's surviving records at once), Snapshot dumps that state as one
+// payload, and Compact pre-merges many payloads into one — so the
+// collector keeps its fold logic and the store keeps the files.
+// In-memory collectors simply never mount a store.
 //
 // Durability contract: Ingest appends the payload to the active
 // segment, waits for the group committer to fsync it, folds it via the
@@ -27,12 +28,13 @@
 // in the log folds once.
 //
 // Recovery: Open restores the newest snapshot, replays every surviving
-// segment record at or after the snapshot watermark through Apply, and
-// truncates a torn tail (an unacked, partially written group commit) in
-// the final segment instead of failing. Corruption anywhere acked data
-// could live surfaces as a positioned *CorruptError, and so does a
-// record the mounting layer cannot read (ErrUnreadable). See segment.go
-// for the on-disk format and the exact torn-tail rules.
+// segment record at or after the snapshot watermark through Apply, one
+// batch per file in log order, and truncates a torn tail (an unacked,
+// partially written group commit) in the final segment instead of
+// failing. Corruption anywhere acked data could live surfaces as a
+// positioned *CorruptError, and so does a record the mounting layer
+// cannot read (ErrUnreadable). See segment.go for the on-disk format and
+// the exact torn-tail rules.
 package store
 
 import (
@@ -69,12 +71,15 @@ type Options struct {
 	// [0 = manual snapshots only].
 	SnapshotEvery time.Duration
 
-	// Apply folds one payload into the mounting layer's state; replay
-	// and restore call it for every surviving record. Apply errors are
-	// counted and skipped (they reproduce ingest-time rejections, which
-	// also left the record in the log), except those wrapping
-	// ErrUnreadable, which fail Open.
-	Apply func(payload []byte) error
+	// Apply folds a batch of payloads into the mounting layer's state
+	// and returns one error per payload, in order. Snapshot restore and
+	// replay call it once per file, with the file's surviving payloads in
+	// log order, duplicate push IDs already dropped; Ingest with a nil
+	// fold calls it with one payload. Replay counts and skips Apply
+	// errors (they reproduce ingest-time rejections, which also left the
+	// record in the log), except those wrapping ErrUnreadable: the
+	// lowest-indexed one fails Open. Any error fails snapshot restore.
+	Apply func(payloads [][]byte) []error
 	// Snapshot returns a point-in-time dump of the mounted state as one
 	// payload (nil when there is nothing to dump). Called under the
 	// ingest barrier: no Ingest is mid append-or-fold.
@@ -353,6 +358,8 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 		return err
 	}
 	l.recovery.Segments++
+	var payloads [][]byte
+	var at []int // index in recs of each payload handed to Apply
 	for i, r := range recs {
 		switch r.kind {
 		case recKindPayload:
@@ -360,18 +367,9 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 				l.recovery.Duplicates++
 				continue
 			}
-			if l.opts.Apply != nil {
-				if err := l.opts.Apply(r.payload); errors.Is(err, ErrUnreadable) {
-					return corrupt(sf.name, r.off, i, "%v", err)
-				} else if err != nil {
-					l.recovery.ApplyErrors++
-				}
-			}
-			l.recovery.Records++
-			l.recovery.Bytes += int64(len(r.payload))
-			if r.id != 0 {
-				l.markApplied(r.id)
-			}
+			l.markApplied(r.id)
+			payloads = append(payloads, r.payload)
+			at = append(at, i)
 		case recKindManifest:
 			ids, err := parseManifest(sf.name, r.off, 0, r.payload)
 			if err != nil {
@@ -381,6 +379,21 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 				l.markApplied(id)
 			}
 		}
+	}
+	var errs []error
+	if l.opts.Apply != nil && len(payloads) > 0 {
+		errs = l.opts.Apply(payloads)
+	}
+	for j, p := range payloads {
+		if errs != nil {
+			if err := errs[j]; errors.Is(err, ErrUnreadable) {
+				return corrupt(sf.name, recs[at[j]].off, at[j], "%v", err)
+			} else if err != nil {
+				l.recovery.ApplyErrors++
+			}
+		}
+		l.recovery.Records++
+		l.recovery.Bytes += int64(len(p))
 	}
 	if truncAt >= 0 {
 		l.recovery.TruncatedBytes += int64(len(data)) - truncAt
@@ -447,11 +460,10 @@ func (l *Log) Ingest(ctx context.Context, id uint64, payload []byte, apply func(
 	if err := l.append(ctx, id, payload); err != nil {
 		return false, err
 	}
-	if apply == nil {
-		apply = l.opts.Apply
-	}
 	if apply != nil {
 		err = apply(payload)
+	} else if l.opts.Apply != nil {
+		err = l.opts.Apply([][]byte{payload})[0]
 	}
 	l.markApplied(id)
 	return false, err

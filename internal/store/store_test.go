@@ -29,6 +29,17 @@ func (s *testState) apply(p []byte) error {
 	return nil
 }
 
+// eachPayload adapts a one-payload fold to the batch Apply callback.
+func eachPayload(fold func([]byte) error) func([][]byte) []error {
+	return func(payloads [][]byte) []error {
+		errs := make([]error, len(payloads))
+		for i, p := range payloads {
+			errs[i] = fold(p)
+		}
+		return errs
+	}
+}
+
 func (s *testState) snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -51,7 +62,7 @@ func (s *testState) bytes() []byte {
 
 func (s *testState) options() Options {
 	return Options{
-		Apply:    s.apply,
+		Apply:    eachPayload(s.apply),
 		Snapshot: s.snapshot,
 		Compact:  s.compact,
 	}
@@ -390,7 +401,7 @@ func TestApplyErrorStillDurable(t *testing.T) {
 		}
 		return nil
 	}
-	l, _ := mustOpen(t, dir, Options{Apply: apply})
+	l, _ := mustOpen(t, dir, Options{Apply: eachPayload(apply)})
 	if _, err := l.Ingest(context.Background(), 1, bad, nil); err == nil {
 		t.Fatalf("fold error not propagated")
 	}
@@ -410,7 +421,7 @@ func TestApplyErrorStillDurable(t *testing.T) {
 		}
 		return nil
 	}
-	l2, rec := mustOpen(t, dir, Options{Apply: apply2})
+	l2, rec := mustOpen(t, dir, Options{Apply: eachPayload(apply2)})
 	defer l2.Close()
 	if replayErrs != 1 || rec.ApplyErrors != 1 {
 		t.Fatalf("replay apply errors = %d (recovery %d), want 1", replayErrs, rec.ApplyErrors)
@@ -430,8 +441,8 @@ func TestApplyUnreadableFailsReplay(t *testing.T) {
 		}
 	}
 	l.Close()
-	apply := func(unreadable error) func([]byte) error {
-		return func(p []byte) error {
+	apply := func(unreadable error) func([][]byte) []error {
+		return eachPayload(func(p []byte) error {
 			switch string(p) {
 			case "reject-me|":
 				return errors.New("rejected")
@@ -439,7 +450,7 @@ func TestApplyUnreadableFailsReplay(t *testing.T) {
 				return unreadable
 			}
 			return nil
-		}
+		})
 	}
 
 	_, _, err := Open(dir, Options{Apply: apply(fmt.Errorf("%w: old format", ErrUnreadable))})
@@ -457,6 +468,99 @@ func TestApplyUnreadableFailsReplay(t *testing.T) {
 	defer l2.Close()
 	if rec.Records != 3 || rec.ApplyErrors != 1 {
 		t.Fatalf("replayed %d records with %d apply errors, want 3 and 1", rec.Records, rec.ApplyErrors)
+	}
+}
+
+// testRecord is one record of a hand-written log file: a payload with
+// its push ID, or a manifest when ids is set.
+type testRecord struct {
+	id      uint64
+	payload string
+	ids     []uint64
+}
+
+// writeLogFile writes a segment file of the given records under name.
+func writeLogFile(t *testing.T, dir, name string, recs ...testRecord) {
+	t.Helper()
+	data := fileHeader(segMagic)
+	for _, r := range recs {
+		if r.ids != nil {
+			data = appendRecord(data, recKindManifest, 0, appendManifest(nil, r.ids))
+		} else {
+			data = appendRecord(data, recKindPayload, r.id, []byte(r.payload))
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReplayBatchesPerFile: replay hands Apply one batch per file, the
+// file's payloads in log order, and drops every record whose push ID an
+// earlier record or a compacted segment's manifest already applied.
+func TestReplayBatchesPerFile(t *testing.T) {
+	dir := t.TempDir()
+	writeLogFile(t, dir, "wal-00000001.cmp",
+		testRecord{payload: "a|b|"}, testRecord{ids: []uint64{1, 2}})
+	writeLogFile(t, dir, "wal-00000002.seg",
+		testRecord{id: 3, payload: "c|"},
+		testRecord{id: 1, payload: "dup-a|"}, // in the manifest
+		testRecord{id: 4, payload: "d|"},
+		testRecord{id: 3, payload: "dup-c|"}, // earlier in the file
+		testRecord{payload: "e|"},
+		testRecord{payload: "e|"}) // no push ID: never a duplicate
+	writeLogFile(t, dir, "wal-00000003.seg",
+		testRecord{id: 4, payload: "dup-d|"}, // an earlier file
+		testRecord{id: 5, payload: "f|"})
+
+	var calls [][]string
+	l, rec := mustOpen(t, dir, Options{CompactAfter: -1, Apply: func(payloads [][]byte) []error {
+		var call []string
+		for _, p := range payloads {
+			call = append(call, string(p))
+		}
+		calls = append(calls, call)
+		return make([]error, len(payloads))
+	}})
+	defer l.Close()
+	want := [][]string{{"a|b|"}, {"c|", "d|", "e|", "e|"}, {"f|"}}
+	if fmt.Sprint(calls) != fmt.Sprint(want) {
+		t.Fatalf("Apply calls = %q, want %q", calls, want)
+	}
+	if rec.Segments != 3 || rec.Records != 6 || rec.Duplicates != 3 || rec.Bytes != 14 {
+		t.Fatalf("recovery = %+v, want 3 segments, 6 records of 14 bytes, 3 duplicates", rec)
+	}
+}
+
+// TestApplyLowestUnreadableReported: when Apply reports several
+// unreadable payloads in one batch, Open fails at the lowest-indexed
+// one, positioned at its record in the file (duplicates dropped before
+// Apply still count in the record index).
+func TestApplyLowestUnreadableReported(t *testing.T) {
+	dir := t.TempDir()
+	writeLogFile(t, dir, "wal-00000001.seg",
+		testRecord{id: 1, payload: "good|"},
+		testRecord{id: 1, payload: "good|"},
+		testRecord{id: 2, payload: "old-1|"},
+		testRecord{id: 3, payload: "reject-me|"},
+		testRecord{id: 4, payload: "old-2|"})
+	_, _, err := Open(dir, Options{CompactAfter: -1, Apply: eachPayload(func(p []byte) error {
+		switch string(p) {
+		case "reject-me|":
+			return errors.New("rejected")
+		case "old-1|", "old-2|":
+			return fmt.Errorf("%w: %s", ErrUnreadable, p)
+		}
+		return nil
+	})})
+	var ce *CorruptError
+	if !errors.As(err, &ce) {
+		t.Fatalf("Open over two unreadable records: err = %v, want *CorruptError", err)
+	}
+	wantOff := int64(headerLen + 2*(recHdrLen+len("good|")))
+	if ce.File != "wal-00000001.seg" || ce.Offset != wantOff || ce.Record != 2 ||
+		ce.Reason != "unreadable record: old-1|" {
+		t.Fatalf("CorruptError = %+v, want wal-00000001.seg offset %d record 2 naming old-1|", ce, wantOff)
 	}
 }
 

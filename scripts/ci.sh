@@ -34,6 +34,11 @@ else
 fi
 
 go test -race ./...
+
+# Replay folds a log's records on one goroutine per shard. One race run
+# sees one interleaving, so the replay tests run ten times.
+go test -race -count=10 -run Replay ./internal/collector ./internal/store
+
 go test -run='^$' -bench=. -benchtime=1x ./...
 
 # The benchmark harness is a nested module, so ./... above never enters
