@@ -613,35 +613,6 @@ func BenchmarkCCTHashedKPaths(b *testing.B) {
 	}
 }
 
-// BenchmarkCCTMergeTrees measures the sharded-collection reduction: build k
-// identical trees and fold them together pairwise.
-func BenchmarkCCTMergeTrees(b *testing.B) {
-	ops := cctOpSequence(1 << 12)
-	build := func() *cct.Tree {
-		tree := newBenchTree()
-		for j := 0; j != len(ops)-1; {
-			j = playCCTOps(tree, ops, j)
-		}
-		return tree
-	}
-	const k = 4
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		shards := make([]*cct.Tree, k)
-		for s := range shards {
-			shards[s] = build()
-		}
-		b.StartTimer()
-		if _, err := cct.MergeTrees(shards); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	recordBench(b, map[string]float64{"shards": k})
-}
-
 func BenchmarkCacheAccess(b *testing.B) {
 	c := cache.New(cache.DefaultL1D)
 	rng := rand.New(rand.NewSource(2))

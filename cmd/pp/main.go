@@ -7,8 +7,13 @@
 //
 //	pp -workload compress[,go,...] [-mode flow|flowhw|context|combined|edge]
 //	   [-scale ref|test] [-events dcache-miss,insts] [-top 10]
-//	   [-profile out.prof] [-cct] [-parallel N]
+//	   [-out run.frame] [-cct] [-parallel N]
 //	   [-optimize] [-dot procname]
+//
+// -out saves the run: every named workload's path profile and calling
+// context tree (whichever the mode collects) go into one wire-v3 frame,
+// the paper's program-exit file. cmd/ppreport reloads such frames and
+// merges the runs they hold.
 //
 // -optimize closes the profiling loop: each workload is profiled,
 // rewritten by the profile-guided optimizer (internal/pgo), verified
@@ -25,8 +30,7 @@
 // Runs go through the concurrent experiment engine: with several
 // workloads, simulations execute on a bounded worker pool (-parallel, 0 =
 // GOMAXPROCS) while reports are printed in the order the workloads were
-// named. With multiple workloads, -profile and -cctout paths get a
-// ".<workload>" suffix per workload.
+// named.
 package main
 
 import (
@@ -49,6 +53,7 @@ import (
 	"pathprof/internal/pgo"
 	"pathprof/internal/report"
 	"pathprof/internal/sim"
+	"pathprof/internal/wire"
 	"pathprof/internal/workload"
 )
 
@@ -61,9 +66,8 @@ func main() {
 	scaleStr := flag.String("scale", "test", "workload scale: ref or test")
 	events := flag.String("events", "dcache-miss,insts", "comma-separated event selection (any number of names)")
 	top := flag.Int("top", 10, "hot paths to list")
-	profileOut := flag.String("profile", "", "write the raw profile to this file")
+	out := flag.String("out", "", "save every workload's profile and calling context tree to this frame (read by ppreport)")
 	showCCT := flag.Bool("cct", false, "print calling context tree statistics")
-	cctOut := flag.String("cctout", "", "write the calling context tree to this file (context modes)")
 	cctDump := flag.Bool("cctdump", false, "print the calling context tree as an indented listing")
 	parallel := flag.Int("parallel", 0, "worker pool size for multi-workload runs (0 = GOMAXPROCS)")
 	optimize := flag.Bool("optimize", false, "profile, optimize and re-measure each workload (the PGO round trip)")
@@ -135,17 +139,33 @@ func main() {
 		if i > 0 {
 			fmt.Println()
 		}
-		profPath, cctPath := *profileOut, *cctOut
-		if len(suite) > 1 {
-			if profPath != "" {
-				profPath += "." + w.Name
-			}
-			if cctPath != "" {
-				cctPath += "." + w.Name
+		reportWorkload(w, mode, set, cells[i], *top, *showCCT, *cctDump)
+	}
+	if *out != "" {
+		save(*out, suite, cells)
+	}
+}
+
+// save writes every cell's profile and calling context tree into one
+// frame at path.
+func save(path string, suite []workload.Workload, cells []*experiments.Cell) {
+	bw := wire.NewBatchWriter()
+	for i, cell := range cells {
+		if cell.Profile != nil {
+			if err := bw.AddProfile(cell.Profile); err != nil {
+				log.Fatal(err)
 			}
 		}
-		reportWorkload(w, mode, set, cells[i], *top, profPath, *showCCT, cctPath, *cctDump)
+		if cell.Tree != nil {
+			if err := bw.AddExport(cell.Tree.Export(suite[i].Name)); err != nil {
+				log.Fatal(err)
+			}
+		}
 	}
+	if err := os.WriteFile(path, bw.Frame(), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\n%d profiles and calling context trees written to %s\n", bw.Items(), path)
 }
 
 // optimizeReport runs the full PGO round trip on every named workload and
@@ -216,7 +236,7 @@ func dotReport(suite []workload.Workload, scale workload.Scale, procName string)
 
 // reportWorkload prints one workload's profile report from its cached cell.
 func reportWorkload(w workload.Workload, mode instrument.Mode, set hpm.MetricSet,
-	cell *experiments.Cell, top int, profileOut string, showCCT bool, cctOut string, cctDump bool) {
+	cell *experiments.Cell, top int, showCCT bool, cctDump bool) {
 	res := cell.Result
 	plan := cell.Plan
 
@@ -227,19 +247,6 @@ func reportWorkload(w workload.Workload, mode instrument.Mode, set hpm.MetricSet
 
 	if mode.UsesPaths() || mode == instrument.ModePathHW || mode == instrument.ModeBlockHW {
 		prof := cell.Profile
-		if profileOut != "" {
-			f, err := os.Create(profileOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := prof.Write(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Printf("profile written to %s\n\n", profileOut)
-		}
 		numberings := map[int]*bl.Numbering{}
 		for _, pp := range plan.Procs {
 			if pp.Numbering != nil {
@@ -326,21 +333,6 @@ func reportWorkload(w workload.Workload, mode instrument.Mode, set hpm.MetricSet
 			}
 			return plan.Prog.Procs[id].Name
 		})
-	}
-	if cell.Tree != nil && cctOut != "" {
-		// The paper's program-exit instrumentation writes the CCT heap to a
-		// file from which the tree can be reconstructed.
-		f, err := os.Create(cctOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := cell.Tree.Write(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("calling context tree written to %s\n", cctOut)
 	}
 }
 

@@ -4,16 +4,17 @@ package pathprof
 // package can check alone.
 
 import (
-	"bytes"
 	"reflect"
-	"slices"
+	"strings"
 	"testing"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/cct"
 	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
 	"pathprof/internal/sim"
+	"pathprof/internal/wire"
 	"pathprof/internal/workload"
 )
 
@@ -74,35 +75,86 @@ func TestPathFrequenciesAgreeAcrossModes(t *testing.T) {
 	}
 }
 
-// TestCCTFileRoundTripThroughTools: the paper's program-exit flow — write
-// the CCT heap, reload it, and verify the reloaded statistics match — plus
-// a two-run merge doubling every count.
+// saveRun writes one run's profile and CCT export (either may be nil)
+// into a frame, the saved-run file pp -out writes.
+func saveRun(t *testing.T, prof *profile.Profile, ex *cct.Export) []byte {
+	t.Helper()
+	bw := wire.NewBatchWriter()
+	if prof != nil {
+		if err := bw.AddProfile(prof); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ex != nil {
+		if err := bw.AddExport(ex); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bw.Frame()
+}
+
+// foldRuns folds saved frames through the aggregate fold, as ppreport -in
+// does.
+func foldRuns(t *testing.T, frames ...[]byte) *agg.Set {
+	t.Helper()
+	var set agg.Set
+	var sc agg.Scratch
+	for _, f := range frames {
+		if err := set.FoldFrame(&sc, f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return &set
+}
+
+func cctText(t *testing.T, ex *cct.Export) string {
+	t.Helper()
+	var b strings.Builder
+	if err := ex.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func profileText(t *testing.T, p *profile.Profile) string {
+	t.Helper()
+	var b strings.Builder
+	if err := p.Write(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestCCTFileRoundTripThroughTools: the paper's program-exit flow — save
+// the CCT, reload it with statistics intact — plus a two-run merge. Two
+// combined-mode runs saved as frames and folded through the aggregate
+// must equal cct.MergeExports of their trees byte for byte, with every
+// count doubled and the shape unchanged.
 func TestCCTFileRoundTripThroughTools(t *testing.T) {
-	_, rt := runMode(t, "objdb", instrument.ModeContextFlow)
+	const name = "objdb"
+	prof1, rt1 := runMode(t, name, instrument.ModeContextFlow)
+	prof2, rt2 := runMode(t, name, instrument.ModeContextFlow)
+	frame1, frame2 := saveRun(t, prof1, rt1.Tree.Export(name)), saveRun(t, prof2, rt2.Tree.Export(name))
 
-	var buf bytes.Buffer
-	if err := rt.Tree.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-
-	ex1, err := cct.Read(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := rt.Tree.ComputeStats()
-	got := ex1.Stats()
-	if got.Nodes != want.Nodes || got.MaxHeight != want.MaxHeight || got.MaxReplication != want.MaxReplication {
+	reloaded := foldRuns(t, frame1).CCTs[name].Snapshot()
+	if got, want := reloaded.Stats(), rt1.Tree.ComputeStats(); got != want {
 		t.Fatalf("reloaded stats diverge: %+v vs %+v", got, want)
 	}
+	if cctText(t, reloaded) != cctText(t, rt1.Tree.Export(name)) {
+		t.Fatal("reloaded CCT differs from the saved tree")
+	}
 
-	ex2, err := cct.Read(bytes.NewReader([]byte(text)))
+	merged := foldRuns(t, frame1, frame2).CCTs[name].Snapshot()
+	ex1 := rt1.Tree.Export(name)
+	want, err := cct.MergeExports(ex1, rt2.Tree.Export(name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := cct.MergeExports(ex1, ex2)
-	if err != nil {
-		t.Fatal(err)
+	if cctText(t, merged) != cctText(t, want) {
+		t.Fatal("folded CCT differs from cct.MergeExports")
+	}
+	if merged.Stats() != want.Stats() {
+		t.Fatalf("folded CCT stats %+v, cct.MergeExports %+v", merged.Stats(), want.Stats())
 	}
 	if merged.NumNodes() != ex1.NumNodes() {
 		t.Fatalf("merge changed shape: %d vs %d nodes", merged.NumNodes(), ex1.NumNodes())
@@ -112,28 +164,29 @@ func TestCCTFileRoundTripThroughTools(t *testing.T) {
 	}
 }
 
-// TestProfileFileRoundTripThroughTools: extract, encode, decode, merge —
-// the multi-run path-profile workflow end to end.
+// TestProfileFileRoundTripThroughTools: extract, save, reload, merge — the
+// multi-run path-profile workflow end to end. Two flow+hw runs saved as
+// frames and folded through the aggregate must equal profile.Merge of the
+// runs byte for byte, with every total doubled.
 func TestProfileFileRoundTripThroughTools(t *testing.T) {
-	prof, _ := runMode(t, "strhash", instrument.ModePathHW)
-	var buf bytes.Buffer
-	if err := prof.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := profile.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f0, ms0 := prof.Totals()
-	f1, ms1 := loaded.Totals()
-	if f0 != f1 || !slices.Equal(ms0, ms1) {
-		t.Fatal("profile totals changed across encode/decode")
-	}
+	prof1, _ := runMode(t, "strhash", instrument.ModePathHW)
 	prof2, _ := runMode(t, "strhash", instrument.ModePathHW)
-	if err := loaded.Merge(prof2); err != nil {
+	frame1, frame2 := saveRun(t, prof1, nil), saveRun(t, prof2, nil)
+
+	reloaded := foldRuns(t, frame1).Profiles[prof1.Program].Materialize()
+	if profileText(t, reloaded) != profileText(t, prof1) {
+		t.Fatal("reloaded profile differs from the saved one")
+	}
+
+	merged := foldRuns(t, frame1, frame2).Profiles[prof1.Program].Materialize()
+	f0, ms0 := prof1.Totals()
+	if err := prof1.Merge(prof2); err != nil {
 		t.Fatal(err)
 	}
-	f2, ms2 := loaded.Totals()
+	if profileText(t, merged) != profileText(t, prof1) {
+		t.Fatal("folded profile differs from profile.Merge")
+	}
+	f2, ms2 := merged.Totals()
 	if f2 != 2*f0 || ms2[0] != 2*ms0[0] || ms2[1] != 2*ms0[1] {
 		t.Fatalf("merged totals not doubled: %d/%v vs %d/%v", f2, ms2, f0, ms0)
 	}

@@ -1,4 +1,28 @@
-package collector
+// Package agg holds the fold-in-place aggregates every merge of path
+// profiles and CCT exports goes through. Instead of keeping one merged
+// profile.Profile / cct.Export per program and rebuilding it on every
+// push, an aggregate folds decoded wire-v3 items in place:
+//
+//   - Profile keys path entries by sum through a flat.Table, so folding a
+//     decoded batch item is hash-probe + add per path, no allocation once
+//     the path set is stable;
+//   - CCT mutates its tree in place (metrics +=, PathCounts.Add,
+//     slot-state fold), allocating only when a push grafts records the
+//     aggregate has not seen.
+//
+// A Set holds one aggregate of each kind per program and is the
+// new-or-fold step every caller shares: a collector shard folds pushes
+// into its Set, and the offline tools (Session.CollectSharded, ppreport)
+// fold a saved frame into one the same way. Merging aggregates goes
+// through the same functions: a Profile folds into another with FoldAgg,
+// and a CCT reaches Fold by being written back into batch form
+// (WriteBatch, the inverse of graft). Materialize and Snapshot build an
+// aggregate once into a fresh profile.Profile / cct.Export that shares no
+// mutable state with it. The fold rules match profile.(*Profile).Merge
+// and cct.MergeExports, the independent reference merges, on well-formed
+// input; TestMergedReadsMatchReference and the integration round-trip
+// tests hold them to it byte for byte.
+package agg
 
 import (
 	"fmt"
@@ -10,35 +34,120 @@ import (
 	"pathprof/internal/wire"
 )
 
-// This file holds the shard-resident aggregate forms. Instead of keeping
-// one merged profile.Profile / cct.Export per program and rebuilding it on
-// every push, each shard folds pushes in place into flat aggregates:
-//
-//   - profAgg keys path entries by sum through a flat.Table, so folding a
-//     decoded batch item is hash-probe + add per path, no allocation once
-//     the path set is stable;
-//   - cctAgg mutates its tree in place (metrics +=, PathCounts.Add,
-//     slot-state fold), allocating only when a push grafts records the
-//     aggregate has not seen.
-//
-// The same fold serves every merge the collector does. Reads
-// (MergedProfile, MergedExport, and through them store snapshots) and the
-// relay's Take merge shard aggregates by folding them into one aggregate
-// with foldAgg / foldBatch, the functions pushes go through; a CCT
-// aggregate reaches foldBatch by being written back into batch form
-// (writeBatch, the inverse of graft). The merged aggregate is then built
-// once into a fresh profile.Profile / cct.Export that shares no mutable
-// state with any shard. The fold rules match profile.(*Profile).Merge and
-// cct.MergeExports on well-formed input — the correctness oracle is
-// byte-identity of the rendered tables against Table3Sharded/Table5 at any
-// batch size and shard count (see TestBatchIngestMatchesSingles, the relay
-// e2e and TestMergedReadsMatchReference).
+// ConflictError marks an item whose mode, schema or shape contradicts the
+// aggregate already held for its program. A collector answers it with
+// 409; the aggregate is left untouched.
+type ConflictError struct{ err error }
+
+func (e *ConflictError) Error() string { return e.err.Error() }
+func (e *ConflictError) Unwrap() error { return e.err }
+
+// Scratch bundles the reusable decode state one fold needs: the
+// zero-copy frame parser, the item scratch structs and the ancestor map
+// for CCT folds. Callers pool it so steady-state folds allocate nothing.
+type Scratch struct {
+	Frame wire.Frame
+	BP    wire.BatchProfile
+	BC    wire.BatchCCT
+	kind  wire.Kind // of the item the last Decode left in BP or BC
+	anc   []*node
+	name  []byte // program name of an aggregate written into BC
+}
+
+// Decode decodes item i of sc.Frame into sc.BP or sc.BC, by its kind, and
+// refuses an item that names no program.
+func (sc *Scratch) Decode(i int) error {
+	sc.kind = sc.Frame.Kind(i)
+	var program []byte
+	if sc.kind == wire.KindProfile {
+		if err := sc.Frame.DecodeProfile(i, &sc.BP); err != nil {
+			return err
+		}
+		program = sc.BP.Program
+	} else {
+		if err := sc.Frame.DecodeCCT(i, &sc.BC); err != nil {
+			return err
+		}
+		program = sc.BC.Program
+	}
+	if len(program) == 0 {
+		return fmt.Errorf("frame item %d names no program", i)
+	}
+	return nil
+}
+
+// Set holds one profile and one CCT aggregate per program. The zero value
+// is an empty set.
+type Set struct {
+	Profiles map[string]*Profile
+	CCTs     map[string]*CCT
+	// gen advances on every fold into one of the set's aggregates, failed
+	// folds included, and the aggregate records the new value as its fold
+	// stamp (Gen). It never goes back, so a stamp is never reused, not
+	// even by aggregates that replace ones a caller removed from the maps.
+	gen uint64
+}
+
+// Fold folds the item the last Decode left in sc into its program's
+// aggregate of that kind, seeding the aggregate when the set holds none.
+func (s *Set) Fold(sc *Scratch) error {
+	s.gen++
+	if sc.kind == wire.KindProfile {
+		bp := &sc.BP
+		a, ok := s.Profiles[string(bp.Program)] // string(…) key lookup does not allocate
+		if !ok {
+			if s.Profiles == nil {
+				s.Profiles = make(map[string]*Profile)
+			}
+			a = newProfile(bp)
+			a.gen = s.gen
+			s.Profiles[a.program] = a
+			return nil
+		}
+		a.gen = s.gen
+		return a.fold(bp)
+	}
+	bc := &sc.BC
+	a, ok := s.CCTs[string(bc.Program)]
+	if !ok {
+		n, err := NewCCT(bc, sc)
+		if err != nil {
+			return err
+		}
+		if s.CCTs == nil {
+			s.CCTs = make(map[string]*CCT)
+		}
+		n.gen = s.gen
+		s.CCTs[n.program] = n
+		return nil
+	}
+	a.gen = s.gen
+	return a.Fold(bc, sc)
+}
+
+// FoldFrame folds every item of frame into the set in frame order, as a
+// collector shard folds a push, and stops at the first item that fails;
+// the items before it stay folded.
+func (s *Set) FoldFrame(sc *Scratch, frame []byte) error {
+	if err := sc.Frame.Reset(frame); err != nil {
+		return err
+	}
+	for i := 0; i < sc.Frame.Items(); i++ {
+		if err := sc.Decode(i); err != nil {
+			return err
+		}
+		if err := s.Fold(sc); err != nil {
+			return fmt.Errorf("frame item %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 // --- profile aggregates ---
 
-// procAgg is one procedure's folded path table in column form: row j is
+// procRows is one procedure's folded path table in column form: row j is
 // (sums[j], freqs[j], metrics[j*width:(j+1)*width]), indexed by path sum.
-type procAgg struct {
+type procRows struct {
 	procID   int
 	name     string
 	numPaths int64
@@ -49,16 +158,21 @@ type procAgg struct {
 	metrics  []uint64
 }
 
-// profAgg is one program's folded flow-sensitive profile.
-type profAgg struct {
+// Profile is one program's folded flow-sensitive profile.
+type Profile struct {
 	program string
 	mode    string
 	events  []string
 	k       int    // iteration degree; 0 when classic (see aggK)
 	schema  string // SchemaKey of (k, events)
-	procs   []*procAgg
-	gen     uint64 // fold stamp: the shard's gen at the last fold into it
+	procs   []*procRows
+	gen     uint64 // fold stamp: the set's gen at the last fold into it
 }
+
+// Gen returns the aggregate's fold stamp: the value of its Set's fold
+// counter at the last fold into it. A reader that kept the stamp knows
+// the aggregate has not changed while it still reads the same one.
+func (a *Profile) Gen() uint64 { return a.gen }
 
 // aggK normalizes an iteration degree for aggregation: 0 and 1 both mean
 // classic single-iteration paths and must compare (and fold) as equal.
@@ -71,9 +185,9 @@ func aggK(k int) int {
 	return k
 }
 
-// newProfAggBatch seeds an aggregate from a decoded batch item.
-func newProfAggBatch(bp *wire.BatchProfile) *profAgg {
-	a := &profAgg{
+// newProfile seeds an aggregate from a decoded batch item.
+func newProfile(bp *wire.BatchProfile) *Profile {
+	a := &Profile{
 		program: string(bp.Program),
 		mode:    string(bp.Mode),
 		events:  make([]string, len(bp.Events)),
@@ -84,10 +198,10 @@ func newProfAggBatch(bp *wire.BatchProfile) *profAgg {
 	a.k = aggK(bp.K)
 	a.schema = profile.SchemaKeyFor(a.k, a.events)
 	w := len(a.events)
-	a.procs = make([]*procAgg, len(bp.Procs))
+	a.procs = make([]*procRows, len(bp.Procs))
 	for i := range bp.Procs {
 		pr := &bp.Procs[i]
-		pa := &procAgg{
+		pa := &procRows{
 			procID:   pr.ProcID,
 			name:     string(pr.Name),
 			numPaths: pr.NumPaths,
@@ -109,19 +223,19 @@ func newProfAggBatch(bp *wire.BatchProfile) *profAgg {
 // mutation, reproducing the exact rejection messages of the old
 // clone-and-merge path (a rejected push must leave the aggregate
 // untouched, which for an in-place fold means validating up front).
-func (a *profAgg) checkShape(mode, schema string, numProcs int, procID func(int) int) error {
+func (a *Profile) checkShape(mode, schema string, numProcs int, procID func(int) int) error {
 	if a.mode != mode {
-		return &conflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", mode, a.mode)}
+		return &ConflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", mode, a.mode)}
 	}
 	if a.schema != schema {
-		return &conflictError{fmt.Errorf("profile metric schema %q conflicts with aggregated schema %q", schema, a.schema)}
+		return &ConflictError{fmt.Errorf("profile metric schema %q conflicts with aggregated schema %q", schema, a.schema)}
 	}
 	if len(a.procs) != numProcs {
-		return &conflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), numProcs)}
+		return &ConflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), numProcs)}
 	}
 	for i, pa := range a.procs {
 		if pa.procID != procID(i) {
-			return &conflictError{fmt.Errorf("profile: merge proc mismatch at %d", i)}
+			return &ConflictError{fmt.Errorf("profile: merge proc mismatch at %d", i)}
 		}
 	}
 	return nil
@@ -129,7 +243,7 @@ func (a *profAgg) checkShape(mode, schema string, numProcs int, procID func(int)
 
 // foldRow adds one path observation to the procedure (hash hit: pure
 // adds; miss: append a row).
-func (pa *procAgg) foldRow(sum int64, freq uint64, metrics []uint64) {
+func (pa *procRows) foldRow(sum int64, freq uint64, metrics []uint64) {
 	if j, ok := pa.index.Get(sum); ok {
 		pa.freqs[j] += freq
 		base := int(j) * len(metrics)
@@ -144,11 +258,11 @@ func (pa *procAgg) foldRow(sum int64, freq uint64, metrics []uint64) {
 	pa.metrics = append(pa.metrics, metrics...)
 }
 
-// foldBatch merges a decoded batch item in place. Steady state (stable
+// fold merges a decoded batch item in place. Steady state (stable
 // path set per program) performs no allocation: the shape check compares
 // frame bytes against aggregate strings directly, and every row lands in
 // an existing slot.
-func (a *profAgg) foldBatch(bp *wire.BatchProfile) error {
+func (a *Profile) fold(bp *wire.BatchProfile) error {
 	if a.mode != string(bp.Mode) { // comparison does not allocate
 		return a.checkShapeBatch(bp)
 	}
@@ -185,7 +299,7 @@ func (a *profAgg) foldBatch(bp *wire.BatchProfile) error {
 
 // checkShapeBatch rebuilds the failing batch item's identity as strings
 // (error paths may allocate) and returns the precise conflict.
-func (a *profAgg) checkShapeBatch(bp *wire.BatchProfile) error {
+func (a *Profile) checkShapeBatch(bp *wire.BatchProfile) error {
 	events := make([]string, len(bp.Events))
 	for i, ev := range bp.Events {
 		events[i] = string(ev)
@@ -194,11 +308,12 @@ func (a *profAgg) checkShapeBatch(bp *wire.BatchProfile) error {
 		func(i int) int { return bp.Procs[i].ProcID })
 }
 
-// clone deep-copies the aggregate's columns so a reader can fold other
-// shards into the copy while the shard keeps folding pushes into its own.
-func (a *profAgg) clone() *profAgg {
+// Clone deep-copies the aggregate's columns so a collector read can fold
+// other shards into the copy while the shard keeps folding pushes into
+// its own.
+func (a *Profile) Clone() *Profile {
 	c := *a
-	c.procs = make([]*procAgg, len(a.procs))
+	c.procs = make([]*procRows, len(a.procs))
 	for i, pa := range a.procs {
 		cp := *pa
 		cp.index = pa.index.Clone()
@@ -210,9 +325,10 @@ func (a *profAgg) clone() *profAgg {
 	return &c
 }
 
-// foldAgg folds every row of b into a, after the shape check a push gets;
-// on a conflict a is left untouched. Reads and Take merge through it.
-func (a *profAgg) foldAgg(b *profAgg) error {
+// FoldAgg folds every row of b into a, after the shape check a push gets;
+// on a conflict a is left untouched. The collector's reads and Take merge
+// shards through it.
+func (a *Profile) FoldAgg(b *Profile) error {
 	err := a.checkShape(b.mode, b.schema, len(b.procs), func(i int) int { return b.procs[i].procID })
 	if err != nil {
 		return err
@@ -227,11 +343,11 @@ func (a *profAgg) foldAgg(b *profAgg) error {
 	return nil
 }
 
-// materialize builds the aggregate as a fresh profile sharing no storage
+// Materialize builds the aggregate as a fresh profile sharing no storage
 // with it: per procedure one Entries slice and one metrics array, sorted
 // by path sum — the order every merged profile has (Merge sorts after
 // folding, and producers emit sorted profiles).
-func (a *profAgg) materialize() *profile.Profile {
+func (a *Profile) Materialize() *profile.Profile {
 	p := &profile.Profile{
 		Program: a.program,
 		Mode:    a.mode,
@@ -260,20 +376,20 @@ func (a *profAgg) materialize() *profile.Profile {
 
 // --- CCT aggregates ---
 
-// aggNode is one record of the folded calling context tree.
-type aggNode struct {
+// node is one record of the folded calling context tree.
+type node struct {
 	proc      int32
 	metrics   []int64
 	pc        *flat.Table
-	children  []*aggNode
-	backedges []*aggNode // resolved targets (ancestors)
+	children  []*node
+	backedges []*node // resolved targets (ancestors)
 	size      uint64
 	slots     []cct.SlotStat
-	snapID    int // transient preorder id, valid only during snapshot or writeBatch
+	snapID    int // transient preorder id, valid only during Snapshot or WriteBatch
 }
 
-// cctAgg is one program's folded CCT.
-type cctAgg struct {
+// CCT is one program's folded CCT.
+type CCT struct {
 	program          string
 	numProcs         int
 	distinguishSites bool
@@ -281,18 +397,21 @@ type cctAgg struct {
 	hasStructure     bool
 	sizeBytes        uint64
 	listElems        int
-	root             *aggNode
-	gen              uint64 // fold stamp, as in profAgg
+	root             *node
+	gen              uint64 // fold stamp, as in Profile
 }
+
+// Gen returns the aggregate's fold stamp, as Profile.Gen does.
+func (a *CCT) Gen() uint64 { return a.gen }
 
 // ancestors is the fold-time proc -> nearest-enclosing-record map,
 // reused across folds (procs are dense small integers, so a slice
 // replaces cct.MergeExports' map).
-type ancestors []*aggNode
+type ancestors []*node
 
-func (sc *foldScratch) ancestorsFor(numProcs int) ancestors {
+func (sc *Scratch) ancestorsFor(numProcs int) ancestors {
 	if cap(sc.anc) < numProcs {
-		sc.anc = make([]*aggNode, numProcs)
+		sc.anc = make([]*node, numProcs)
 	}
 	sc.anc = sc.anc[:numProcs]
 	for i := range sc.anc {
@@ -301,10 +420,10 @@ func (sc *foldScratch) ancestorsFor(numProcs int) ancestors {
 	return sc.anc
 }
 
-// newCCTAgg seeds an aggregate from a decoded batch item by grafting the
+// NewCCT seeds an aggregate from a decoded batch item by grafting the
 // whole tree.
-func newCCTAgg(bc *wire.BatchCCT, sc *foldScratch) (*cctAgg, error) {
-	a := &cctAgg{
+func NewCCT(bc *wire.BatchCCT, sc *Scratch) (*CCT, error) {
+	a := &CCT{
 		program:          string(bc.Program),
 		numProcs:         bc.NumProcs,
 		distinguishSites: bc.DistinguishSites,
@@ -313,7 +432,7 @@ func newCCTAgg(bc *wire.BatchCCT, sc *foldScratch) (*cctAgg, error) {
 		sizeBytes:        bc.SizeBytes,
 		listElems:        bc.ListElems,
 	}
-	a.root = &aggNode{proc: -1, pc: flat.New(0)}
+	a.root = &node{proc: -1, pc: flat.New(0)}
 	anc := sc.ancestorsFor(a.numProcs)
 	var grafted uint64
 	for _, cid := range bc.Children(0) {
@@ -328,12 +447,12 @@ func newCCTAgg(bc *wire.BatchCCT, sc *foldScratch) (*cctAgg, error) {
 
 // graft deep-copies the batch subtree rooted at node id into new
 // aggregate records, resolving backedges against anc.
-func (a *cctAgg) graft(bc *wire.BatchCCT, id int32, anc ancestors, grafted *uint64) (*aggNode, error) {
+func (a *CCT) graft(bc *wire.BatchCCT, id int32, anc ancestors, grafted *uint64) (*node, error) {
 	bn := &bc.Nodes[id-1]
 	if bn.Proc < 0 || int(bn.Proc) >= a.numProcs {
 		return nil, fmt.Errorf("cct node proc %d out of range (program has %d procs)", bn.Proc, a.numProcs)
 	}
-	n := &aggNode{proc: bn.Proc, size: bn.Size}
+	n := &node{proc: bn.Proc, size: bn.Size}
 	if bn.MetN > 0 {
 		n.metrics = append([]int64(nil), bc.Metrics[bn.MetOff:bn.MetOff+bn.MetN]...)
 	}
@@ -376,13 +495,13 @@ func (a *cctAgg) graft(bc *wire.BatchCCT, id int32, anc ancestors, grafted *uint
 	return n, nil
 }
 
-// foldBatch merges a decoded batch item into the aggregate in place,
+// Fold merges a decoded batch item into the aggregate in place,
 // replicating cct.MergeExports record for record. Same-shape pushes (the
 // sharded-collection steady state) allocate nothing: metrics and path
 // counts fold into existing storage and no records are grafted.
-func (a *cctAgg) foldBatch(bc *wire.BatchCCT, sc *foldScratch) error {
+func (a *CCT) Fold(bc *wire.BatchCCT, sc *Scratch) error {
 	if a.numProcs != bc.NumProcs || a.distinguishSites != bc.DistinguishSites {
-		return &conflictError{fmt.Errorf("cct: merge shape mismatch: %d/%v procs vs %d/%v",
+		return &ConflictError{fmt.Errorf("cct: merge shape mismatch: %d/%v procs vs %d/%v",
 			a.numProcs, a.distinguishSites, bc.NumProcs, bc.DistinguishSites)}
 	}
 	if a.program == "" {
@@ -399,7 +518,7 @@ func (a *cctAgg) foldBatch(bc *wire.BatchCCT, sc *foldScratch) error {
 }
 
 // foldNode merges batch node yID (0 = the implicit root) into x.
-func (a *cctAgg) foldNode(x *aggNode, bc *wire.BatchCCT, yID int32, anc ancestors, grafted *uint64) error {
+func (a *CCT) foldNode(x *node, bc *wire.BatchCCT, yID int32, anc ancestors, grafted *uint64) error {
 	if yID > 0 {
 		bn := &bc.Nodes[yID-1]
 		for k := int32(0); k < bn.MetN; k++ {
@@ -418,7 +537,7 @@ func (a *cctAgg) foldNode(x *aggNode, bc *wire.BatchCCT, yID int32, anc ancestor
 	}
 
 	// Install self before backedge resolution and child folds.
-	var prev *aggNode
+	var prev *node
 	if x.proc >= 0 && int(x.proc) < len(anc) {
 		prev = anc[x.proc]
 		anc[x.proc] = x
@@ -562,12 +681,12 @@ func foldSlots(xs []cct.SlotStat, ys []cct.SlotStat) []cct.SlotStat {
 	return xs
 }
 
-// writeBatch writes the aggregate into sc.bc in preorder — the inverse of
-// graft — so that another aggregate can fold it with foldBatch. Node
+// WriteBatch writes the aggregate into sc.BC in preorder — the inverse of
+// graft — so that another aggregate can fold it with Fold. Node
 // sizes and slots are written even when the aggregate has no structure,
-// as snapshot carries them.
-func (a *cctAgg) writeBatch(sc *foldScratch) {
-	bc := &sc.bc
+// as Snapshot carries them.
+func (a *CCT) WriteBatch(sc *Scratch) {
+	bc := &sc.BC
 	sc.name = append(sc.name[:0], a.program...)
 	bc.Program = sc.name
 	bc.NumProcs = a.numProcs
@@ -589,7 +708,7 @@ func (a *cctAgg) writeBatch(sc *foldScratch) {
 // writeChildren appends the subtrees under an, whose batch ID is parent.
 // Backedge targets are ancestors, so their IDs are assigned before the
 // records that reference them.
-func writeChildren(bc *wire.BatchCCT, an *aggNode, parent int32) {
+func writeChildren(bc *wire.BatchCCT, an *node, parent int32) {
 	for _, ch := range an.children {
 		id := int32(len(bc.Nodes) + 1)
 		ch.snapID = int(id)
@@ -618,9 +737,9 @@ func writeChildren(bc *wire.BatchCCT, an *aggNode, parent int32) {
 	}
 }
 
-// snapshot materializes the aggregate as a fresh export with preorder
+// Snapshot materializes the aggregate as a fresh export with preorder
 // node IDs, sharing no mutable state with the aggregate.
-func (a *cctAgg) snapshot() *cct.Export {
+func (a *CCT) Snapshot() *cct.Export {
 	ex := &cct.Export{
 		NumProcs:         a.numProcs,
 		DistinguishSites: a.distinguishSites,
@@ -634,8 +753,8 @@ func (a *cctAgg) snapshot() *cct.Export {
 		ex.ListElems = a.listElems
 	}
 	next := 1
-	var walk func(an *aggNode, parentID int) *cct.ExportedNode
-	walk = func(an *aggNode, parentID int) *cct.ExportedNode {
+	var walk func(an *node, parentID int) *cct.ExportedNode
+	walk = func(an *node, parentID int) *cct.ExportedNode {
 		id := 0
 		if parentID >= 0 {
 			id = next

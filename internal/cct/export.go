@@ -5,79 +5,28 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"strconv"
 	"strings"
 
 	"pathprof/internal/flat"
 )
 
-// This file implements what the paper's "Program exit" instrumentation
-// does: "the instrumentation writes the heap containing the CCT to a file
-// from which the CCT can be reconstructed" — a line-oriented encoding plus
-// the inverse reader, a structural snapshot for the binary wire format
-// (package wire), and a human-readable tree dump.
-
-// Write encodes the tree:
-//
-//	cct <numProcs> <distinguishSites> <numMetrics>
-//	node <id> <parent-id> <proc> <site> <backedge-parent 0|1-unused> <metrics...>
-//	path <node-id> <sum> <count>
-//	back <from-id> <to-id>
-//
-// Node IDs are depth-first preorder numbers; the root is 0 and is not
-// emitted as a node line.
-func (t *Tree) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "cct %d %t %d\n", len(t.procs), t.opts.DistinguishCallSites, t.opts.NumMetrics)
-
-	ids := map[*Node]int{t.root: 0}
-	next := 1
-	var backedges [][2]int
-
-	var rec func(n *Node)
-	rec = func(n *Node) {
-		tree, backs := n.Children()
-		for _, ch := range tree {
-			ids[ch] = next
-			next++
-			fmt.Fprintf(bw, "node %d %d %d", ids[ch], ids[n], ch.Proc)
-			for _, m := range ch.Metrics {
-				fmt.Fprintf(bw, " %d", m)
-			}
-			fmt.Fprintln(bw)
-			sums := make([]int64, 0, ch.NumPathCounts())
-			ch.RangePathCounts(func(s, _ int64) bool {
-				sums = append(sums, s)
-				return true
-			})
-			slices.Sort(sums)
-			for _, s := range sums {
-				fmt.Fprintf(bw, "path %d %d %d\n", ids[ch], s, ch.PathCount(s))
-			}
-			rec(ch)
-		}
-		for _, b := range backs {
-			backedges = append(backedges, [2]int{ids[n], ids[b]})
-		}
-	}
-	rec(t.root)
-	for _, be := range backedges {
-		fmt.Fprintf(bw, "back %d %d\n", be[0], be[1])
-	}
-	return bw.Flush()
-}
+// This file holds what the paper's "Program exit" instrumentation needs:
+// "the instrumentation writes the heap containing the CCT to a file from
+// which the CCT can be reconstructed". Export snapshots the tree into the
+// form the wire-v3 frames of package wire carry (the saved-run file) and
+// merges read; WriteText and Dump are human-readable dumps.
 
 // SlotStat is the per-call-site structural state of a decoded record: the
 // slot's usage and which intraprocedural path prefixes reached it (the
 // Table 3 "One Path" accounting). It is carried by the binary wire format;
-// the text codec does not encode it.
+// the text dump does not show it.
 type SlotStat struct {
 	Used       bool
 	PathState  uint8 // 0 = no prefix seen, 1 = exactly one, 2 = multiple
 	PathPrefix int64 // the unique prefix when PathState == 1
 }
 
-// ExportedNode is one record of a decoded CCT file. PathCounts is a flat
+// ExportedNode is one record of an exported CCT. PathCounts is a flat
 // open-addressing table (see package flat) so that merging many exports
 // does not churn per-node Go maps.
 type ExportedNode struct {
@@ -90,13 +39,14 @@ type ExportedNode struct {
 	Backedges  []int // target node IDs
 
 	// Structural extras carried by the binary wire format (zero / nil when
-	// the export came from the text codec): the record's simulated size and
-	// its per-site slot states.
+	// the producer sent none): the record's simulated size and its
+	// per-site slot states.
 	Size  uint64
 	Slots []SlotStat
 }
 
-// Export is a decoded CCT file.
+// Export is a CCT as a saved run or a push carries it: a snapshot of a
+// live tree (Tree.Export), a decoded wire item, or a merge of those.
 type Export struct {
 	NumProcs         int
 	DistinguishSites bool
@@ -105,7 +55,7 @@ type Export struct {
 	Nodes            map[int]*ExportedNode
 
 	// Program names the profiled program; set by Tree.Export and the wire
-	// codec, empty for text-codec files (the text format has no name field).
+	// codec.
 	Program string
 
 	// HasStructure reports whether the structural extras below (and the
@@ -116,9 +66,9 @@ type Export struct {
 	ListElems    int
 }
 
-// Export snapshots the live tree as a decoded-file structure, including
-// the structural detail the text codec drops (record sizes, slot usage,
-// one-path states, the heap footprint). An export taken with Export renders
+// Export snapshots the live tree, including the structural detail the
+// text dump leaves out (record sizes, slot usage, one-path states, the
+// heap footprint). An export taken with Export renders
 // Table 3 statistics byte-identical to the tree's own ComputeStats, which
 // is what lets a collection tier merge uploaded trees and reproduce the
 // single-process report exactly.
@@ -166,7 +116,7 @@ func (t *Tree) Export(program string) *Export {
 			rec(ch, e)
 		}
 		// Backedge targets are ancestors, so their preorder IDs are already
-		// assigned; record them on the from-node like the text reader does.
+		// assigned; record them on the from-node.
 		for _, b := range backs {
 			en.Backedges = append(en.Backedges, ex.idOfAncestor(en, b.Proc))
 		}
@@ -187,10 +137,20 @@ func (ex *Export) idOfAncestor(n *ExportedNode, proc int) int {
 	return 0
 }
 
-// WriteText re-encodes the export in the text format Tree.Write produces.
-// For an export decoded from (or snapshotted alongside) a written tree the
-// output is byte-identical to the original file; this is the equivalence
-// the binary wire codec's round-trip tests are checked against.
+// WriteText writes the export as a human-readable text dump:
+//
+//	cct <numProcs> <distinguishSites> <numMetrics>
+//	node <id> <parent-id> <proc> <metrics...>
+//	path <node-id> <sum> <count>
+//	back <from-id> <to-id>
+//
+// Node lines come in depth-first preorder over the children lists, each
+// followed by its nonzero path counts in ascending sum order; the back
+// lines come last, in depth-first postorder of their from-nodes. IDs are
+// the export's own; the root is 0 and has no node line. Record sizes,
+// slot states and the heap footprint are not shown, and nothing reads the
+// dump back: saved runs are wire frames. Tests compare exports through it
+// (the wire round trip, merges against MergeExports, TestSimGolden).
 func (ex *Export) WriteText(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "cct %d %t %d\n", ex.NumProcs, ex.DistinguishSites, ex.NumMetrics)
@@ -228,144 +188,14 @@ func (ex *Export) WriteText(w io.Writer) error {
 	return bw.Flush()
 }
 
-// readError builds the descriptive malformed-input error Read reports: the
-// line number, the byte offset of the line start, what was wrong, and the
-// underlying cause when there is one.
-func readError(line int, offset int64, cause error, format string, args ...interface{}) error {
-	msg := fmt.Sprintf(format, args...)
-	if cause != nil {
-		return fmt.Errorf("cct: line %d (offset %d): %s: %w", line, offset, msg, cause)
-	}
-	return fmt.Errorf("cct: line %d (offset %d): %s", line, offset, msg)
-}
-
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Read decodes a tree written by Write. Malformed input yields an error
-// naming the line number and file offset of the offending record and the
-// token that failed to parse.
-func Read(r io.Reader) (*Export, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var ex *Export
-	line := 0
-	var offset int64 // byte offset of the current line's start
-	for sc.Scan() {
-		line++
-		lineStart := offset
-		offset += int64(len(sc.Bytes())) + 1
-		f := strings.Fields(sc.Text())
-		if len(f) == 0 {
-			continue
-		}
-		if ex == nil && f[0] != "cct" {
-			return nil, readError(line, lineStart, nil, "%q record before the cct header", f[0])
-		}
-		switch f[0] {
-		case "cct":
-			if len(f) != 4 {
-				return nil, readError(line, lineStart, nil, "malformed header: want 4 fields, have %d", len(f))
-			}
-			np, err1 := strconv.Atoi(f[1])
-			ds, err2 := strconv.ParseBool(f[2])
-			nm, err3 := strconv.Atoi(f[3])
-			if err := firstErr(err1, err2, err3); err != nil {
-				return nil, readError(line, lineStart, err, "bad header fields %q", f[1:])
-			}
-			root := &ExportedNode{ID: 0, Proc: -1, PathCounts: flat.New(0)}
-			ex = &Export{
-				NumProcs: np, DistinguishSites: ds, NumMetrics: nm,
-				Root:  root,
-				Nodes: map[int]*ExportedNode{0: root},
-			}
-		case "node":
-			if len(f) < 4 {
-				return nil, readError(line, lineStart, nil, "malformed node: want >= 4 fields, have %d", len(f))
-			}
-			id, err1 := strconv.Atoi(f[1])
-			pid, err2 := strconv.Atoi(f[2])
-			proc, err3 := strconv.Atoi(f[3])
-			if err := firstErr(err1, err2, err3); err != nil {
-				return nil, readError(line, lineStart, err, "bad node fields %q", f[1:4])
-			}
-			n := &ExportedNode{ID: id, ParentID: pid, Proc: proc, PathCounts: flat.New(0)}
-			for _, ms := range f[4:] {
-				m, err := strconv.ParseInt(ms, 10, 64)
-				if err != nil {
-					return nil, readError(line, lineStart, err, "bad metric %q", ms)
-				}
-				n.Metrics = append(n.Metrics, m)
-			}
-			if _, dup := ex.Nodes[id]; dup {
-				return nil, readError(line, lineStart, nil, "duplicate node id %d", id)
-			}
-			parent, ok := ex.Nodes[pid]
-			if !ok {
-				return nil, readError(line, lineStart, nil, "node %d has unknown parent %d", id, pid)
-			}
-			parent.Children = append(parent.Children, n)
-			ex.Nodes[id] = n
-		case "path":
-			if len(f) != 4 {
-				return nil, readError(line, lineStart, nil, "malformed path: want 4 fields, have %d", len(f))
-			}
-			id, err1 := strconv.Atoi(f[1])
-			sum, err2 := strconv.ParseInt(f[2], 10, 64)
-			cnt, err3 := strconv.ParseInt(f[3], 10, 64)
-			if err := firstErr(err1, err2, err3); err != nil {
-				return nil, readError(line, lineStart, err, "bad path fields %q", f[1:])
-			}
-			n, ok := ex.Nodes[id]
-			if !ok {
-				return nil, readError(line, lineStart, nil, "path for unknown node %d", id)
-			}
-			n.PathCounts.Set(sum, cnt)
-		case "back":
-			if len(f) != 3 {
-				return nil, readError(line, lineStart, nil, "malformed back: want 3 fields, have %d", len(f))
-			}
-			from, err1 := strconv.Atoi(f[1])
-			to, err2 := strconv.Atoi(f[2])
-			if err := firstErr(err1, err2); err != nil {
-				return nil, readError(line, lineStart, err, "bad back fields %q", f[1:])
-			}
-			n, ok := ex.Nodes[from]
-			if !ok {
-				return nil, readError(line, lineStart, nil, "backedge from unknown node %d", from)
-			}
-			if _, ok := ex.Nodes[to]; !ok {
-				return nil, readError(line, lineStart, nil, "backedge to unknown node %d", to)
-			}
-			n.Backedges = append(n.Backedges, to)
-		default:
-			return nil, readError(line, lineStart, nil, "unknown record %q", f[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cct: read at offset %d: %w", offset, err)
-	}
-	if ex == nil {
-		return nil, fmt.Errorf("cct: empty input")
-	}
-	return ex, nil
-}
-
 // NumNodes counts decoded records (excluding the root).
 func (ex *Export) NumNodes() int { return len(ex.Nodes) - 1 }
 
-// Stats computes Table 3-style statistics from a decoded file: node count,
+// Stats computes Table 3-style statistics from an export: node count,
 // height, out-degree and per-procedure replication. Exports that carry the
 // wire format's structural extras (HasStructure) additionally report exact
 // sizes and call-site columns, making the result identical to the source
-// tree's ComputeStats; text-codec exports read those columns as zero.
+// tree's ComputeStats; exports without them read those columns as zero.
 func (ex *Export) Stats() Stats {
 	var st Stats
 	st.ListElems = ex.ListElems

@@ -5,7 +5,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
+
+	"pathprof/internal/flat"
 )
 
 func buildTreeFromTrace(rng *rand.Rand, nProcs, nSites, length int, paths bool) *Tree {
@@ -29,82 +30,6 @@ func buildTreeFromTrace(rng *rand.Rand, nProcs, nSites, length int, paths bool) 
 	return tr
 }
 
-// TestExportRoundTrip: node counts, metrics totals, path counts and
-// backedge counts survive Write/Read.
-func TestExportRoundTrip(t *testing.T) {
-	check := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		tr := buildTreeFromTrace(rng, rng.Intn(4)+2, rng.Intn(3)+1, rng.Intn(400)+20, true)
-
-		var buf bytes.Buffer
-		if err := tr.Write(&buf); err != nil {
-			t.Logf("seed %d: write: %v", seed, err)
-			return false
-		}
-		ex, err := Read(&buf)
-		if err != nil {
-			t.Logf("seed %d: read: %v", seed, err)
-			return false
-		}
-		if ex.NumNodes() != tr.NumNodes() {
-			t.Logf("seed %d: nodes %d != %d", seed, ex.NumNodes(), tr.NumNodes())
-			return false
-		}
-		// Metric and path totals agree.
-		var wantM, gotM int64
-		var wantP, gotP int64
-		var wantBack, gotBack int
-		tr.Walk(func(n *Node) {
-			wantM += n.Metrics[0] + n.Metrics[1]
-			n.RangePathCounts(func(_, c int64) bool {
-				wantP += c
-				return true
-			})
-			_, backs := n.Children()
-			wantBack += len(backs)
-		})
-		for id, n := range ex.Nodes {
-			if id == 0 {
-				continue
-			}
-			for _, m := range n.Metrics {
-				gotM += m
-			}
-			n.PathCounts.Range(func(_, c int64) bool {
-				gotP += c
-				return true
-			})
-			gotBack += len(n.Backedges)
-		}
-		if wantM != gotM || wantP != gotP || wantBack != gotBack {
-			t.Logf("seed %d: totals differ: m %d/%d p %d/%d b %d/%d",
-				seed, wantM, gotM, wantP, gotP, wantBack, gotBack)
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReadRejectsGarbage(t *testing.T) {
-	cases := []string{
-		"",
-		"node 1 0 2",               // node before header
-		"cct 3 true",               // short header
-		"cct 3 true 1\nnode 5 9 0", // unknown parent
-		"cct 3 true 1\npath 7 0 1", // path for unknown node
-		"cct 3 true 1\nback 1 2",   // backedge between unknown nodes
-		"cct 3 true 1\nwat",
-	}
-	for _, c := range cases {
-		if _, err := Read(strings.NewReader(c)); err == nil {
-			t.Errorf("accepted %q", c)
-		}
-	}
-}
-
 func TestDump(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tr := buildTreeFromTrace(rng, 3, 2, 60, false)
@@ -122,56 +47,12 @@ func TestDump(t *testing.T) {
 	}
 }
 
-// TestExportStatsMatchTree: Table 3 statistics computed from a decoded file
-// match the in-memory tree's (for the fields the file encodes).
-func TestExportStatsMatchTree(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	tr := buildTreeFromTrace(rng, 5, 2, 800, false)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	ex, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := tr.ComputeStats()
-	got := ex.Stats()
-	if got.Nodes != want.Nodes {
-		t.Fatalf("nodes %d != %d", got.Nodes, want.Nodes)
-	}
-	if got.MaxHeight != want.MaxHeight {
-		t.Fatalf("max height %d != %d", got.MaxHeight, want.MaxHeight)
-	}
-	if got.MaxReplication != want.MaxReplication {
-		t.Fatalf("replication %d != %d", got.MaxReplication, want.MaxReplication)
-	}
-	if got.AvgOutDegree != want.AvgOutDegree {
-		t.Fatalf("out-degree %v != %v", got.AvgOutDegree, want.AvgOutDegree)
-	}
-	if got.AvgHeight != want.AvgHeight {
-		t.Fatalf("avg height %v != %v", got.AvgHeight, want.AvgHeight)
-	}
-}
-
 // TestMergeExports: merging a tree with itself doubles every metric and
 // path count while preserving the shape.
 func TestMergeExports(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := buildTreeFromTrace(rng, 4, 2, 600, true)
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	a, err := Read(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Read(strings.NewReader(text))
-	if err != nil {
-		t.Fatal(err)
-	}
+	a, b := tr.Export("x"), tr.Export("x")
 	m, err := MergeExports(a, b)
 	if err != nil {
 		t.Fatal(err)
@@ -212,41 +93,9 @@ func TestMergeExportsShapeMismatch(t *testing.T) {
 	}
 }
 
-// TestWriteTextMatchesTreeWrite: Export.WriteText reproduces Tree.Write
-// byte-identically, both for a live snapshot and after a Read round trip.
-func TestWriteTextMatchesTreeWrite(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	for trial := 0; trial < 20; trial++ {
-		tr := buildTreeFromTrace(rng, rng.Intn(5)+2, rng.Intn(3)+1, rng.Intn(500)+50, true)
-		var want bytes.Buffer
-		if err := tr.Write(&want); err != nil {
-			t.Fatal(err)
-		}
-		var fromLive bytes.Buffer
-		if err := tr.Export("x").WriteText(&fromLive); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), fromLive.Bytes()) {
-			t.Fatalf("trial %d: live export text differs from Tree.Write:\n%s\n---\n%s",
-				trial, want.String(), fromLive.String())
-		}
-		ex, err := Read(bytes.NewReader(want.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fromRead bytes.Buffer
-		if err := ex.WriteText(&fromRead); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want.Bytes(), fromRead.Bytes()) {
-			t.Fatalf("trial %d: re-read export text differs from Tree.Write", trial)
-		}
-	}
-}
-
 // TestExportStructuralStats: a live snapshot carries the structural extras
 // and reproduces ComputeStats exactly, including the size and call-site
-// columns the text codec drops.
+// columns the text dump leaves out.
 func TestExportStructuralStats(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	for trial := 0; trial < 20; trial++ {
@@ -257,37 +106,6 @@ func TestExportStructuralStats(t *testing.T) {
 		}
 		if got, want := ex.Stats(), tr.ComputeStats(); got != want {
 			t.Fatalf("trial %d: structural stats\n got %+v\nwant %+v", trial, got, want)
-		}
-	}
-}
-
-// TestReadDescriptiveErrors: malformed input names the line, offset and
-// offending token.
-func TestReadDescriptiveErrors(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string // substrings of the error
-	}{
-		{"node 1 0 2", []string{"line 1", "offset 0", "before the cct header"}},
-		{"cct 3 true", []string{"line 1", "offset 0", "malformed header"}},
-		{"cct 3 true 1\nnode 5 9 0", []string{"line 2", "offset 13", "unknown parent 9"}},
-		{"cct 3 true 1\nnode 1 0 0\nnode 1 0 1", []string{"line 3", "offset 24", "duplicate node id 1"}},
-		{"cct 3 true 1\npath 7 0 1", []string{"line 2", "offset 13", "unknown node 7"}},
-		{"cct 3 true 1\nback 1 2", []string{"line 2", "offset 13", "backedge from unknown node 1"}},
-		{"cct 3 true 1\nwat", []string{"line 2", "offset 13", `unknown record "wat"`}},
-		{"cct 3 true 1\nnode 1 0 zero", []string{"line 2", "bad node fields"}},
-		{"cct 3 true 1\nnode 1 0 0 12 x", []string{"line 2", `bad metric "x"`}},
-	}
-	for _, c := range cases {
-		_, err := Read(strings.NewReader(c.in))
-		if err == nil {
-			t.Errorf("accepted %q", c.in)
-			continue
-		}
-		for _, frag := range c.want {
-			if !strings.Contains(err.Error(), frag) {
-				t.Errorf("Read(%q) error %q misses %q", c.in, err, frag)
-			}
 		}
 	}
 }
@@ -338,5 +156,51 @@ func TestMergeExportsPreservesBackedges(t *testing.T) {
 		if !bytes.Equal(text.Bytes(), mergedText.Bytes()) {
 			t.Fatalf("trial %d: merged tree text (halved) differs from input", trial)
 		}
+	}
+}
+
+// TestWriteTextGolden pins the text dump: node lines in preorder with
+// their metrics, nonzero path counts in sum order under each node, and
+// the back lines last, in postorder of their from-nodes.
+func TestWriteTextGolden(t *testing.T) {
+	ex := &Export{NumProcs: 3, NumMetrics: 2, Nodes: map[int]*ExportedNode{}}
+	add := func(id int, parent *ExportedNode, proc int, metrics []int64, paths ...int64) *ExportedNode {
+		n := &ExportedNode{ID: id, Proc: proc, Metrics: metrics, PathCounts: flat.New(len(paths) / 2)}
+		for i := 0; i < len(paths); i += 2 {
+			n.PathCounts.Set(paths[i], paths[i+1])
+		}
+		if parent != nil {
+			n.ParentID = parent.ID
+			parent.Children = append(parent.Children, n)
+		}
+		ex.Nodes[id] = n
+		return n
+	}
+	ex.Root = add(0, nil, -1, nil)
+	n1 := add(1, ex.Root, 0, []int64{3, 40}, 5, 2, 1, 1, 3, 0)
+	n2 := add(2, n1, 1, []int64{2, 25}, 0, 2)
+	n3 := add(3, n2, 2, []int64{1, 7})
+	add(4, n1, 2, []int64{1, 5}, 7, 1)
+	n1.Backedges = []int{1}
+	n3.Backedges = []int{2}
+
+	var got strings.Builder
+	if err := ex.WriteText(&got); err != nil {
+		t.Fatal(err)
+	}
+	const want = `cct 3 false 2
+node 1 0 0 3 40
+path 1 1 1
+path 1 5 2
+node 2 1 1 2 25
+path 2 0 2
+node 3 2 2 1 7
+node 4 1 2 1 5
+path 4 7 1
+back 3 2
+back 1 1
+`
+	if got.String() != want {
+		t.Fatalf("WriteText:\n%s\nwant:\n%s", got.String(), want)
 	}
 }

@@ -7,12 +7,16 @@ import (
 	"sync"
 )
 
-// MergeExports combines two decoded CCT files from runs of the same
-// program, summing metrics and path counts over structurally matching
-// records (same procedure reached through the same child position of a
-// matching parent). Records present in only one tree are kept. This is the
-// multi-run aggregation workflow: each run writes its heap at program exit
-// (as the paper's instrumentation does) and the files are merged offline.
+// MergeExports combines two CCT exports from runs of the same program,
+// summing metrics and path counts over structurally matching records
+// (same procedure reached through the same child position of a matching
+// parent). Records present in only one tree are kept.
+//
+// It is the independent reference merge, not a tool path: every merge
+// the collector, Session.CollectSharded and ppreport do folds through
+// package agg, and the collector's merge tests, the repository's
+// integration tests and perfbench's served-table check call MergeExports
+// to hold that fold to it record for record.
 func MergeExports(a, b *Export) (*Export, error) {
 	if a.NumProcs != b.NumProcs || a.DistinguishSites != b.DistinguishSites {
 		return nil, fmt.Errorf("cct: merge shape mismatch: %d/%v procs vs %d/%v",
@@ -204,9 +208,8 @@ func MergeExports(a, b *Export) (*Export, error) {
 	return out, nil
 }
 
-// mergeSlotStats folds y's per-site states into a copy of x's, with the
-// same one-path rules Tree.MergeFrom applies: a site stays "one path" only
-// if both sides saw the same single prefix.
+// mergeSlotStats folds y's per-site states into a copy of x's: a site
+// stays "one path" only if both sides saw the same single prefix.
 func mergeSlotStats(xs, ys []SlotStat) []SlotStat {
 	out := make([]SlotStat, max(len(xs), len(ys)))
 	copy(out, xs)
@@ -236,11 +239,12 @@ func mergeSlotStats(xs, ys []SlotStat) []SlotStat {
 	return out
 }
 
-// MergeAllExports reduces a set of decoded CCT files into one by a
-// tree-structured pairwise merge. Pairs at the same level are independent
-// and merge concurrently; the pairing pattern is fixed (neighbours at
-// doubling strides), so the result is identical to a left-to-right serial
-// fold regardless of scheduling.
+// MergeAllExports reduces a set of CCT exports into one by a
+// tree-structured pairwise MergeExports. Pairs at the same level are
+// independent and merge concurrently; the pairing pattern is fixed
+// (neighbours at doubling strides), so the result is identical to a
+// left-to-right serial fold regardless of scheduling. Like MergeExports it
+// is a reference merge; perfbench's served-table check calls it.
 func MergeAllExports(exports []*Export) (*Export, error) {
 	switch len(exports) {
 	case 0:
@@ -276,179 +280,6 @@ func MergeAllExports(exports []*Export) (*Export, error) {
 		}
 	}
 	return work[0], nil
-}
-
-// noopCosts satisfies Costs without charging anything. Merge operations use
-// it so structural bookkeeping gated on a non-nil Costs (list-element counts,
-// simulated list allocations) stays consistent with an instrumented build,
-// while the merge itself adds no simulated cache traffic.
-type noopCosts struct{}
-
-func (noopCosts) TouchRead(uint64)    {}
-func (noopCosts) TouchWrite(uint64)   {}
-func (noopCosts) ChargeInstrs(uint64) {}
-
-// MergeFrom folds another live tree into t, summing metrics and path
-// counters over structurally matching records and grafting records that
-// exist only in o. Both trees must come from the same program shape (same
-// procedure table and options). Merging k trees built from identical runs
-// leaves t's structure — node count, sizes, list elements, one-path slots —
-// exactly as a single run left it, with every counter k times larger; this
-// is what keeps sharded collection byte-identical in Table 3 (see
-// EXPERIMENTS.md).
-func (t *Tree) MergeFrom(o *Tree) error {
-	if len(t.procs) != len(o.procs) ||
-		t.opts.DistinguishCallSites != o.opts.DistinguishCallSites ||
-		t.opts.NumMetrics != o.opts.NumMetrics ||
-		t.opts.PathCounts != o.opts.PathCounts {
-		return fmt.Errorf("cct: tree merge shape mismatch")
-	}
-	t.mergeNode(t.root, o.root)
-	return nil
-}
-
-// mergeNode folds o's record (and subtree) into t's matching record x.
-func (t *Tree) mergeNode(x *Node, y *Node) {
-	for i, m := range y.Metrics {
-		if i < len(x.Metrics) {
-			x.Metrics[i] += m
-		}
-	}
-	switch {
-	case y.pathArray != nil && x.pathArray != nil:
-		for s, c := range y.pathArray {
-			if c != 0 {
-				x.pathArray[s] += c
-			}
-		}
-	case y.pathHash != nil && x.pathHash != nil:
-		y.pathHash.Range(func(s, c int64) bool {
-			x.pathHash.Add(s, c)
-			return true
-		})
-	}
-
-	for si := range y.slots {
-		if si >= len(x.slots) {
-			break
-		}
-		ys := &y.slots[si]
-		if ys.tag == TagEmpty {
-			continue
-		}
-		xs := &x.slots[si]
-		// Fold the one-path tracking: a slot stays "one path" only if both
-		// shards saw the same single prefix.
-		switch ys.pathState {
-		case 1:
-			switch xs.pathState {
-			case 0:
-				xs.pathState = 1
-				xs.pathPrefix = ys.pathPrefix
-			case 1:
-				if xs.pathPrefix != ys.pathPrefix {
-					xs.pathState = 2
-				}
-			}
-		case 2:
-			xs.pathState = 2
-		}
-		t.mergeSlot(x, xs, si, ys)
-	}
-}
-
-// mergeSlot folds every child reached through y's slot into x's slot si.
-func (t *Tree) mergeSlot(x *Node, xs *slot, si int, ys *slot) {
-	mergeChild := func(yc child) {
-		// Find the matching child in x's slot.
-		var xc *child
-		switch xs.tag {
-		case TagRecord:
-			if xs.one.proc == yc.proc {
-				xc = &xs.one
-			}
-		case TagList:
-			for i := range xs.keys {
-				if int32(uint32(xs.keys[i])) == yc.proc {
-					ch := xs.childAt(i)
-					xc = &ch
-					break
-				}
-			}
-		}
-		if xc != nil {
-			if !yc.backedge && !xc.backedge {
-				t.mergeNode(xc.node, yc.node)
-			}
-			// Matched backedges need no work: the target record is merged
-			// when its own pair is visited.
-			return
-		}
-		// Child exists only in y: graft it. Bookkeeping (list elements,
-		// simulated list allocation) uses noopCosts so accounting matches a
-		// build that had taken this path, without charging cache traffic.
-		if yc.backedge {
-			for a := x; a != nil; a = a.Parent {
-				if a.Proc == int(yc.proc) {
-					t.installChild(xs, si, x, child{node: a, proc: yc.proc, backedge: true}, noopCosts{})
-					return
-				}
-			}
-			return // no matching ancestor in x; drop the backedge
-		}
-		n := t.newNode(int(yc.proc), x)
-		t.installChild(xs, si, x, child{node: n, proc: yc.proc}, noopCosts{})
-		t.mergeNode(n, yc.node)
-	}
-
-	switch ys.tag {
-	case TagRecord:
-		mergeChild(ys.one)
-	case TagList:
-		// Walk back-to-front so installChild's prepends leave grafted
-		// children in y's move-to-front order.
-		for i := len(ys.keys) - 1; i >= 0; i-- {
-			mergeChild(ys.childAt(i))
-		}
-	}
-}
-
-// MergeTrees reduces per-shard trees into shards[0] by a tree-structured
-// pairwise merge: pairs at the same level are independent and merge
-// concurrently, and the fixed pairing (neighbours at doubling strides)
-// makes the result independent of goroutine scheduling. Returns the merged
-// tree (shards[0]).
-func MergeTrees(shards []*Tree) (*Tree, error) {
-	switch len(shards) {
-	case 0:
-		return nil, fmt.Errorf("cct: no trees to merge")
-	case 1:
-		return shards[0], nil
-	}
-	for stride := 1; stride < len(shards); stride *= 2 {
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for i := 0; i+stride < len(shards); i += 2 * stride {
-			i := i
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				if err := shards[i].MergeFrom(shards[i+stride]); err != nil {
-					mu.Lock()
-					if firstErr == nil {
-						firstErr = err
-					}
-					mu.Unlock()
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	return shards[0], nil
 }
 
 // TotalMetric sums metric slot i over all records.

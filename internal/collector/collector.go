@@ -12,7 +12,7 @@
 // decoded under a request timeout and a body size cap, then folded into
 // one of Config.Shards shard aggregates chosen round-robin (frames fold
 // item by item, spreading one frame across shards). Shards
-// hold fold-in-place aggregates (see agg.go); reads fold them together
+// hold fold-in-place aggregates (package agg); reads fold them together
 // with the ingest's own fold into a private aggregate, so readers never
 // share mutable state with the ingest path. Because merging is
 // associative and commutative over these aggregates, the fully merged
@@ -41,6 +41,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/cct"
 	"pathprof/internal/profile"
 	"pathprof/internal/store"
@@ -95,21 +96,8 @@ func (c Config) withDefaults() Config {
 // mutated in place under the shard lock; queries copy them out (also
 // under the lock) before folding and rendering.
 type shard struct {
-	mu       sync.Mutex
-	profiles map[string]*profAgg
-	exports  map[string]*cctAgg
-	// gen advances on every fold into one of the shard's aggregates,
-	// failed folds included, and the aggregate records the new value as
-	// its fold stamp. It never goes back, so a stamp is never reused, not
-	// even by the aggregates that replace those Take removes.
-	gen uint64
-}
-
-func newShard() *shard {
-	return &shard{
-		profiles: make(map[string]*profAgg),
-		exports:  make(map[string]*cctAgg),
-	}
+	mu sync.Mutex
+	agg.Set
 }
 
 // Metrics is a point-in-time snapshot of the collector's counters.
@@ -138,24 +126,13 @@ type Metrics struct {
 	Store             *store.Metrics `json:"store,omitempty"`
 }
 
-// foldScratch bundles the reusable decode state one ingest needs: the
-// zero-copy frame parser, the item scratch structs and the ancestor map
-// for CCT folds. Pooled so steady-state ingest allocates nothing.
-type foldScratch struct {
-	frame wire.Frame
-	bp    wire.BatchProfile
-	bc    wire.BatchCCT
-	anc   []*aggNode
-	name  []byte // program name of an aggregate written into bc
-}
-
 // Collector aggregates pushed profiles. Create one with New.
 type Collector struct {
 	cfg     Config
 	sem     chan struct{}
 	next    atomic.Uint64 // round-robin shard cursor
 	shards  []*shard
-	scratch sync.Pool // of *foldScratch
+	scratch sync.Pool // of *agg.Scratch
 
 	// store, when mounted (durable.go), makes every ingest durable
 	// before it is acked; nil keeps the zero-dependency in-memory mode.
@@ -200,9 +177,9 @@ func New(cfg Config) *Collector {
 		profViews: make(map[string]*profView),
 		cctViews:  make(map[string]*cctView),
 	}
-	c.scratch.New = func() any { return &foldScratch{} }
+	c.scratch.New = func() any { return &agg.Scratch{} }
 	for i := range c.shards {
-		c.shards[i] = newShard()
+		c.shards[i] = &shard{}
 	}
 	return c
 }
@@ -280,50 +257,8 @@ func (c *Collector) Shutdown(ctx context.Context) error {
 	}
 }
 
-// conflictError marks a push whose shape or mode contradicts the
-// aggregate already held for its program (HTTP 409).
-type conflictError struct{ err error }
-
-func (e *conflictError) Error() string { return e.err.Error() }
-func (e *conflictError) Unwrap() error { return e.err }
-
-func (c *Collector) getScratch() *foldScratch   { return c.scratch.Get().(*foldScratch) }
-func (c *Collector) putScratch(sc *foldScratch) { c.scratch.Put(sc) }
-
-// foldProfile folds one decoded batch profile item into sh.
-func (sh *shard) foldProfile(bp *wire.BatchProfile) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.gen++
-	a, ok := sh.profiles[string(bp.Program)] // string(…) key lookup does not allocate
-	if !ok {
-		a = newProfAggBatch(bp)
-		a.gen = sh.gen
-		sh.profiles[a.program] = a
-		return nil
-	}
-	a.gen = sh.gen
-	return a.foldBatch(bp)
-}
-
-// foldCCT folds one decoded batch CCT item into sh.
-func (sh *shard) foldCCT(bc *wire.BatchCCT, sc *foldScratch) error {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.gen++
-	a, ok := sh.exports[string(bc.Program)]
-	if !ok {
-		agg, err := newCCTAgg(bc, sc)
-		if err != nil {
-			return err
-		}
-		agg.gen = sh.gen
-		sh.exports[agg.program] = agg
-		return nil
-	}
-	a.gen = sh.gen
-	return a.foldBatch(bc, sc)
-}
+func (c *Collector) getScratch() *agg.Scratch   { return c.scratch.Get().(*agg.Scratch) }
+func (c *Collector) putScratch(sc *agg.Scratch) { c.scratch.Put(sc) }
 
 // IngestFrame decodes a version-3 batched frame and folds every item
 // into the shard aggregates. Items fold independently in frame order; on
@@ -345,15 +280,15 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 // next shard in round-robin order when sh is nil, and stops at the first
 // item that fails. It returns how many items of each kind folded; the
 // caller counts them.
-func (c *Collector) foldFrame(sc *foldScratch, sh *shard, frame []byte) (profiles, ccts int, err error) {
-	if err := sc.frame.Reset(frame); err != nil {
+func (c *Collector) foldFrame(sc *agg.Scratch, sh *shard, frame []byte) (profiles, ccts int, err error) {
+	if err := sc.Frame.Reset(frame); err != nil {
 		return 0, 0, err
 	}
-	for i := 0; i < sc.frame.Items(); i++ {
+	for i := 0; i < sc.Frame.Items(); i++ {
 		if err := c.foldItem(sc, sh, i); err != nil {
 			return profiles, ccts, err
 		}
-		if sc.frame.Kind(i) == wire.KindProfile {
+		if sc.Frame.Kind(i) == wire.KindProfile {
 			profiles++
 		} else {
 			ccts++
@@ -375,17 +310,17 @@ func (c *Collector) countItems(profiles, ccts int) {
 func (c *Collector) foldEach(frame []byte) (folded int, err error) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
-	if err := sc.frame.Reset(frame); err != nil {
+	if err := sc.Frame.Reset(frame); err != nil {
 		return 0, err
 	}
 	var profiles, ccts int
-	for i := 0; i < sc.frame.Items(); i++ {
+	for i := 0; i < sc.Frame.Items(); i++ {
 		switch e := c.foldItem(sc, nil, i); {
 		case e != nil:
 			if err == nil {
 				err = e
 			}
-		case sc.frame.Kind(i) == wire.KindProfile:
+		case sc.Frame.Kind(i) == wire.KindProfile:
 			profiles++
 		default:
 			ccts++
@@ -395,32 +330,19 @@ func (c *Collector) foldEach(frame []byte) (folded int, err error) {
 	return profiles + ccts, err
 }
 
-// foldItem decodes item i of sc.frame and folds it into sh, or into the
+// foldItem decodes item i of sc.Frame and folds it into sh, or into the
 // next shard in round-robin order when sh is nil. The round-robin cursor
 // advances only for an item that decodes.
-func (c *Collector) foldItem(sc *foldScratch, sh *shard, i int) error {
-	if sc.frame.Kind(i) == wire.KindProfile {
-		if err := sc.frame.DecodeProfile(i, &sc.bp); err != nil {
-			return err
-		}
-		if len(sc.bp.Program) == 0 {
-			return fmt.Errorf("frame item %d names no program", i)
-		}
-		if sh == nil {
-			sh = c.pick()
-		}
-		return sh.foldProfile(&sc.bp)
-	}
-	if err := sc.frame.DecodeCCT(i, &sc.bc); err != nil {
+func (c *Collector) foldItem(sc *agg.Scratch, sh *shard, i int) error {
+	if err := sc.Decode(i); err != nil {
 		return err
-	}
-	if len(sc.bc.Program) == 0 {
-		return fmt.Errorf("frame item %d names no program", i)
 	}
 	if sh == nil {
 		sh = c.pick()
 	}
-	return sh.foldCCT(&sc.bc, sc)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.Fold(sc)
 }
 
 // pick returns the next shard in round-robin order. Live ingest spreads
@@ -441,12 +363,12 @@ func (c *Collector) programs(profiles, ccts bool) []string {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if profiles {
-			for name := range sh.profiles {
+			for name := range sh.Profiles {
 				seen[name] = true
 			}
 		}
 		if ccts {
-			for name := range sh.exports {
+			for name := range sh.CCTs {
 				seen[name] = true
 			}
 		}
@@ -471,7 +393,7 @@ func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
 	if m == nil {
 		return nil, false
 	}
-	return m.snapshot(), true
+	return m.Snapshot(), true
 }
 
 // mergeExport folds program's CCT aggregates across shards as
@@ -479,26 +401,26 @@ func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
 // returns each shard's fold stamp for the program (0 where it holds
 // none), read under the lock that reads that shard's aggregate; shards
 // after a conflict contribute their stamps alone.
-func (c *Collector) mergeExport(program string) (*cctAgg, []uint64) {
+func (c *Collector) mergeExport(program string) (*agg.CCT, []uint64) {
 	sc := c.getScratch()
 	defer c.putScratch(sc)
 	stamps := make([]uint64, len(c.shards))
-	var m *cctAgg
+	var m *agg.CCT
 	var err error
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		a, ok := sh.exports[program]
+		a, ok := sh.CCTs[program]
 		if ok {
-			stamps[i] = a.gen
-			a.writeBatch(sc)
+			stamps[i] = a.Gen()
+			a.WriteBatch(sc)
 		}
 		sh.mu.Unlock()
 		switch {
 		case !ok || err != nil:
 		case m == nil:
-			m, err = newCCTAgg(&sc.bc, sc)
+			m, err = agg.NewCCT(&sc.BC, sc)
 		default:
-			err = m.foldBatch(&sc.bc, sc)
+			err = m.Fold(&sc.BC, sc)
 		}
 	}
 	return m, stamps
@@ -515,26 +437,26 @@ func (c *Collector) MergedProfile(program string) (*profile.Profile, bool) {
 	if m == nil {
 		return nil, false
 	}
-	return m.materialize(), true
+	return m.Materialize(), true
 }
 
 // mergeProfile folds program's profile aggregates across shards as
 // MergedProfile describes, or returns nil when no shard holds one, with
 // the stamps mergeExport returns.
-func (c *Collector) mergeProfile(program string) (*profAgg, []uint64) {
+func (c *Collector) mergeProfile(program string) (*agg.Profile, []uint64) {
 	stamps := make([]uint64, len(c.shards))
-	var m *profAgg
+	var m *agg.Profile
 	var err error
 	for i, sh := range c.shards {
 		sh.mu.Lock()
-		if a, ok := sh.profiles[program]; ok {
-			stamps[i] = a.gen
+		if a, ok := sh.Profiles[program]; ok {
+			stamps[i] = a.Gen()
 			switch {
 			case err != nil:
 			case m == nil:
-				m = a.clone()
+				m = a.Clone()
 			default:
-				err = m.foldAgg(a)
+				err = m.FoldAgg(a)
 			}
 		}
 		sh.mu.Unlock()
@@ -551,13 +473,12 @@ func (c *Collector) mergeProfile(program string) (*profAgg, []uint64) {
 // later shards fold straight into the first one. Take drops every table
 // view.
 func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
-	profParts := map[string][]*profAgg{}
-	exportParts := map[string][]*cctAgg{}
+	profParts := map[string][]*agg.Profile{}
+	exportParts := map[string][]*agg.CCT{}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		pm, em := sh.profiles, sh.exports
-		sh.profiles = make(map[string]*profAgg)
-		sh.exports = make(map[string]*cctAgg)
+		pm, em := sh.Profiles, sh.CCTs
+		sh.Profiles, sh.CCTs = nil, nil
 		sh.mu.Unlock()
 		for name, a := range pm {
 			profParts[name] = append(profParts[name], a)
@@ -574,11 +495,11 @@ func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 	for _, parts := range profParts {
 		a := parts[0]
 		for _, b := range parts[1:] {
-			if a.foldAgg(b) != nil {
+			if a.FoldAgg(b) != nil {
 				break
 			}
 		}
-		profiles = append(profiles, a.materialize())
+		profiles = append(profiles, a.Materialize())
 	}
 	sc := c.getScratch()
 	defer c.putScratch(sc)
@@ -586,12 +507,12 @@ func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
 	for _, parts := range exportParts {
 		a := parts[0]
 		for _, b := range parts[1:] {
-			b.writeBatch(sc)
-			if a.foldBatch(&sc.bc, sc) != nil {
+			b.WriteBatch(sc)
+			if a.Fold(&sc.BC, sc) != nil {
 				break
 			}
 		}
-		exports = append(exports, a.snapshot())
+		exports = append(exports, a.Snapshot())
 	}
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Program < profiles[j].Program })
 	sort.Slice(exports, func(i, j int) bool { return exports[i].Program < exports[j].Program })

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/experiments"
 	"pathprof/internal/report"
 	"pathprof/internal/store"
@@ -175,7 +176,7 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // failIngest maps a fold or store error to its HTTP rejection.
 func (c *Collector) failIngest(w http.ResponseWriter, err error) {
-	var ce *conflictError
+	var ce *agg.ConflictError
 	switch {
 	case errors.Is(err, store.ErrFull):
 		// The WAL disk budget is exhausted: durable backpressure.

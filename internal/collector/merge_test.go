@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/cct"
 	"pathprof/internal/experiments"
 	"pathprof/internal/instrument"
@@ -22,48 +23,20 @@ import (
 // ingest fold instead; on conflict-free input both must agree byte for
 // byte.
 
-// refSnapshotProfile copies one shard aggregate out as a sorted profile.
-func refSnapshotProfile(a *profAgg) *profile.Profile {
-	p := &profile.Profile{
-		Program: a.program,
-		Mode:    a.mode,
-		Events:  append([]string(nil), a.events...),
-		K:       a.k,
-	}
-	w := len(a.events)
-	p.Procs = make([]*profile.ProcPaths, len(a.procs))
-	for i, pa := range a.procs {
-		pp := &profile.ProcPaths{ProcID: pa.procID, Name: pa.name, NumPaths: pa.numPaths, K: pa.k}
-		pp.Entries = make([]profile.PathEntry, len(pa.sums))
-		for j := range pa.sums {
-			e := &pp.Entries[j]
-			e.Sum = pa.sums[j]
-			e.Freq = pa.freqs[j]
-			if w > 0 {
-				e.Metrics = pp.NewMetrics(w)
-				copy(e.Metrics, pa.metrics[j*w:(j+1)*w])
-			}
-		}
-		pp.Sort()
-		p.Procs[i] = pp
-	}
-	return p
-}
-
-func refMergeProfiles(aggs []*profAgg) *profile.Profile {
-	out := refSnapshotProfile(aggs[0])
+func refMergeProfiles(aggs []*agg.Profile) *profile.Profile {
+	out := aggs[0].Materialize()
 	for _, a := range aggs[1:] {
-		if err := out.Merge(refSnapshotProfile(a)); err != nil {
+		if err := out.Merge(a.Materialize()); err != nil {
 			break
 		}
 	}
 	return out
 }
 
-func refMergeExports(aggs []*cctAgg) *cct.Export {
-	out := aggs[0].snapshot()
+func refMergeExports(aggs []*agg.CCT) *cct.Export {
+	out := aggs[0].Snapshot()
 	for _, a := range aggs[1:] {
-		merged, err := cct.MergeExports(out, a.snapshot())
+		merged, err := cct.MergeExports(out, a.Snapshot())
 		if err != nil {
 			break
 		}
@@ -74,14 +47,14 @@ func refMergeExports(aggs []*cctAgg) *cct.Export {
 
 // refMerged runs the reference read path over every program c holds.
 func refMerged(c *Collector) (map[string]*profile.Profile, map[string]*cct.Export) {
-	profParts := map[string][]*profAgg{}
-	exportParts := map[string][]*cctAgg{}
+	profParts := map[string][]*agg.Profile{}
+	exportParts := map[string][]*agg.CCT{}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		for name, a := range sh.profiles {
+		for name, a := range sh.Profiles {
 			profParts[name] = append(profParts[name], a)
 		}
-		for name, a := range sh.exports {
+		for name, a := range sh.CCTs {
 			exportParts[name] = append(exportParts[name], a)
 		}
 		sh.mu.Unlock()
@@ -453,7 +426,7 @@ func TestMergedReadAllocsFlat(t *testing.T) {
 			}
 		}
 		for _, sh := range c.shards {
-			if sh.profiles[prof.Program] == nil || sh.exports[prof.Program] == nil {
+			if sh.Profiles[prof.Program] == nil || sh.CCTs[prof.Program] == nil {
 				t.Fatal("preload missed a shard")
 			}
 		}

@@ -10,7 +10,7 @@ import (
 )
 
 // Table queries answer from per-program views: the rows one merge of a
-// program's aggregates yields, keyed by the fold stamps (shard.gen) that
+// program's aggregates yields, keyed by the fold stamps (Gen) that
 // merge read under each shard's lock, and served while every shard still
 // holds those stamps for the program. Stamps read after the merge could
 // pair old rows with newer data. DESIGN.md §6 has the whole rule.
@@ -62,11 +62,11 @@ func (c *Collector) fresh(stamps []uint64, program string, ccts bool) bool {
 		var gen uint64
 		sh.mu.Lock()
 		if ccts {
-			if a := sh.exports[program]; a != nil {
-				gen = a.gen
+			if a := sh.CCTs[program]; a != nil {
+				gen = a.Gen()
 			}
-		} else if a := sh.profiles[program]; a != nil {
-			gen = a.gen
+		} else if a := sh.Profiles[program]; a != nil {
+			gen = a.Gen()
 		}
 		sh.mu.Unlock()
 		if gen != stamps[i] {
@@ -92,7 +92,7 @@ func (c *Collector) profileView(program string) (*profView, bool) {
 	if m == nil {
 		return nil, false
 	}
-	p := m.materialize()
+	p := m.Materialize()
 	v = &profView{
 		stamps: stamps,
 		table4: experiments.Table4FromProfile(program, p),
@@ -142,7 +142,7 @@ func (c *Collector) exportView(program string) (*cctView, bool) {
 	if m == nil {
 		return nil, false
 	}
-	row := experiments.Table3Row{Name: program, Stats: m.snapshot().Stats()}
+	row := experiments.Table3Row{Name: program, Stats: m.Snapshot().Stats()}
 	v = &cctView{stamps: stamps, cells: experiments.Table3Cells(row)}
 	c.viewMu.Lock()
 	c.cctViews[program] = v

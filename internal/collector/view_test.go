@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/analysis"
 	"pathprof/internal/experiments"
 	"pathprof/internal/profile"
@@ -32,11 +33,11 @@ func holding(c *Collector, ccts bool) []string {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if ccts {
-			for name := range sh.exports {
+			for name := range sh.CCTs {
 				seen[name] = true
 			}
 		} else {
-			for name := range sh.profiles {
+			for name := range sh.Profiles {
 				seen[name] = true
 			}
 		}
@@ -202,7 +203,7 @@ func TestViewsMatchFreshReads(t *testing.T) {
 				}
 				// An earlier conflicting push that landed in a shard holding
 				// no aggregate of its program makes later items conflict.
-				var ce *conflictError
+				var ce *agg.ConflictError
 				if _, _, err := c.IngestFrame(bw.Frame()); err != nil && !errors.As(err, &ce) {
 					t.Fatalf("%s: %v", what(step), err)
 				}

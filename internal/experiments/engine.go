@@ -20,22 +20,12 @@ import (
 	"pathprof/internal/workload"
 )
 
-// CellSpec names one (workload, instrumentation-mode, metric-set) cell.
-// Events takes precedence; when empty the legacy Ev0/Ev1 pair stands in for
-// the classic two-counter selection.
+// CellSpec names one (workload, instrumentation-mode, metric-set) cell. An
+// empty Events selects hpm.DefaultMetricSet.
 type CellSpec struct {
 	Workload workload.Workload
 	Mode     instrument.Mode
 	Events   hpm.MetricSet
-	Ev0, Ev1 hpm.Event
-}
-
-// set returns the effective metric set of the spec.
-func (sp CellSpec) set() hpm.MetricSet {
-	if sp.Events.Len() > 0 {
-		return sp.Events
-	}
-	return hpm.NewMetricSet(sp.Ev0, sp.Ev1)
 }
 
 // flight tracks an in-progress cell so concurrent requests for the same
@@ -177,12 +167,6 @@ func (s *Session) Timings() []CellTiming {
 	return out
 }
 
-// RunCtx executes (or returns the cached) classic two-counter cell; it is
-// the legacy form of RunSetCtx.
-func (s *Session) RunCtx(ctx context.Context, w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event) (*Cell, error) {
-	return s.RunSetCtx(ctx, w, mode, hpm.NewMetricSet(ev0, ev1))
-}
-
 // RunSetCtx executes (or returns the cached) cell, deduplicating concurrent
 // requests for the same key: only one goroutine simulates a given cell,
 // the rest wait on its completion or on ctx.
@@ -249,7 +233,7 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 	if n <= 1 {
 		// Serial fast path: no goroutines, identical cell order.
 		for i, sp := range specs {
-			c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.set())
+			c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.Events)
 			if err != nil {
 				return nil, err
 			}
@@ -275,7 +259,7 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 					continue // drain: cancelled
 				}
 				sp := specs[i]
-				c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.set())
+				c, err := s.RunSetCtx(ctx, sp.Workload, sp.Mode, sp.Events)
 				if err != nil {
 					errOnce.Do(func() {
 						first = err
@@ -298,12 +282,13 @@ func (s *Session) RunAll(ctx context.Context, specs []CellSpec) ([]*Cell, error)
 	return cells, nil
 }
 
-// runSuite warms the cache for one (mode, events) cell per workload and
-// returns the cells in suite order — the common single-mode table shape.
-func (s *Session) runSuite(mode instrument.Mode, ev0, ev1 hpm.Event) ([]*Cell, error) {
+// runSuite warms the cache for one mode's cell per workload under the
+// standard events and returns the cells in suite order — the common
+// single-mode table shape.
+func (s *Session) runSuite(mode instrument.Mode) ([]*Cell, error) {
 	specs := make([]CellSpec, len(s.Workloads))
 	for i, w := range s.Workloads {
-		specs[i] = CellSpec{Workload: w, Mode: mode, Ev0: ev0, Ev1: ev1}
+		specs[i] = CellSpec{Workload: w, Mode: mode, Events: standardSet()}
 	}
 	return s.RunAll(context.Background(), specs)
 }

@@ -10,9 +10,9 @@ import (
 	"pathprof/internal/instrument"
 )
 
-// TestRunCtxDeduplicates hammers one cell key from many goroutines: exactly
-// one simulation may run, and every caller must get the same *Cell.
-func TestRunCtxDeduplicates(t *testing.T) {
+// TestRunSetCtxDeduplicates hammers one cell key from many goroutines:
+// exactly one simulation may run, and every caller must get the same *Cell.
+func TestRunSetCtxDeduplicates(t *testing.T) {
 	s := subsetSession(t)
 	w := s.Workloads[0]
 	const callers = 32
@@ -22,7 +22,7 @@ func TestRunCtxDeduplicates(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := s.RunCtx(context.Background(), w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+			c, err := s.RunSetCtx(context.Background(), w, instrument.ModePathHW, standardSet())
 			if err != nil {
 				t.Error(err)
 				return
@@ -47,7 +47,7 @@ func TestRunAllDuplicateSpecs(t *testing.T) {
 	s := subsetSession(t)
 	s.Parallel = 8
 	spec := CellSpec{Workload: s.Workloads[0], Mode: instrument.ModeContextFlow,
-		Ev0: StandardEvents[0], Ev1: StandardEvents[1]}
+		Events: standardSet()}
 	specs := make([]CellSpec, 16)
 	for i := range specs {
 		specs[i] = spec
@@ -142,7 +142,7 @@ func TestRunAllCancelsOnError(t *testing.T) {
 	for _, w := range s.Workloads {
 		for _, mode := range []instrument.Mode{instrument.ModeNone, instrument.ModePathHW} {
 			specs = append(specs, CellSpec{Workload: w, Mode: mode,
-				Ev0: StandardEvents[0], Ev1: StandardEvents[1]})
+				Events: standardSet()})
 		}
 	}
 	cells, err := s.RunAll(context.Background(), specs)
@@ -157,14 +157,14 @@ func TestRunAllCancelsOnError(t *testing.T) {
 	}
 }
 
-// TestRunCtxRespectsCancel: an already-cancelled context fails fast without
+// TestRunAllRespectsCancel: an already-cancelled context fails fast without
 // simulating anything.
-func TestRunCtxRespectsCancel(t *testing.T) {
+func TestRunAllRespectsCancel(t *testing.T) {
 	s := subsetSession(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := s.RunAll(ctx, []CellSpec{{Workload: s.Workloads[0], Mode: instrument.ModeNone,
-		Ev0: StandardEvents[0], Ev1: StandardEvents[1]}})
+		Events: standardSet()}})
 	if err == nil {
 		t.Fatal("expected context error")
 	}

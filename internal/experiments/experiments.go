@@ -90,6 +90,9 @@ func NewSession(scale workload.Scale) *Session {
 // PIC0 counts L1 D-cache misses, PIC1 counts instructions.
 var StandardEvents = [2]hpm.Event{hpm.EvDCacheMiss, hpm.EvInsts}
 
+// standardSet returns StandardEvents as a metric set of its own.
+func standardSet() hpm.MetricSet { return hpm.NewMetricSet(StandardEvents[0], StandardEvents[1]) }
+
 // PerturbationPairs covers the eight Table 2 metrics, two per run.
 var PerturbationPairs = [][2]hpm.Event{
 	{hpm.EvCycles, hpm.EvInsts},
@@ -99,10 +102,10 @@ var PerturbationPairs = [][2]hpm.Event{
 }
 
 // Run executes (or returns the cached) classic two-counter cell. It is
-// safe for concurrent use; see RunCtx for the cancellable form and RunSet
-// for wider metric schemas.
+// safe for concurrent use; see RunSetCtx for the cancellable form and
+// RunSet for wider metric schemas.
 func (s *Session) Run(w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event) (*Cell, error) {
-	return s.RunCtx(context.Background(), w, mode, ev0, ev1)
+	return s.RunSetCtx(context.Background(), w, mode, hpm.NewMetricSet(ev0, ev1))
 }
 
 // RunSet executes (or returns the cached) cell under an arbitrary metric
@@ -262,7 +265,7 @@ func (s *Session) Table1() ([]Table1Row, error) {
 	var specs []CellSpec
 	for _, w := range s.Workloads {
 		for _, mode := range table1Modes {
-			specs = append(specs, CellSpec{Workload: w, Mode: mode, Ev0: StandardEvents[0], Ev1: StandardEvents[1]})
+			specs = append(specs, CellSpec{Workload: w, Mode: mode, Events: standardSet()})
 		}
 	}
 	if _, err := s.RunAll(context.Background(), specs); err != nil {
@@ -370,10 +373,11 @@ type Table2Row struct {
 func (s *Session) Table2() ([]Table2Row, error) {
 	var specs []CellSpec
 	for _, w := range s.Workloads {
-		specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModeNone, Ev0: StandardEvents[0], Ev1: StandardEvents[1]})
+		specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModeNone, Events: standardSet()})
 		for _, pair := range PerturbationPairs {
-			specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModePathHW, Ev0: pair[0], Ev1: pair[1]})
-			specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModeContextHW, Ev0: pair[0], Ev1: pair[1]})
+			set := hpm.NewMetricSet(pair[0], pair[1])
+			specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModePathHW, Events: set})
+			specs = append(specs, CellSpec{Workload: w, Mode: instrument.ModeContextHW, Events: set})
 		}
 	}
 	if _, err := s.RunAll(context.Background(), specs); err != nil {
@@ -499,7 +503,7 @@ type Table3Row struct {
 
 // Table3 builds the combined flow+context CCT for every workload.
 func (s *Session) Table3() ([]Table3Row, error) {
-	if _, err := s.runSuite(instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1]); err != nil {
+	if _, err := s.runSuite(instrument.ModeContextFlow); err != nil {
 		return nil, err
 	}
 	var rows []Table3Row
@@ -557,7 +561,7 @@ type Table4Result struct {
 
 // Table4 classifies each workload's paths by D-cache misses.
 func (s *Session) Table4() ([]Table4Result, error) {
-	if _, err := s.runSuite(instrument.ModePathHW, StandardEvents[0], StandardEvents[1]); err != nil {
+	if _, err := s.runSuite(instrument.ModePathHW); err != nil {
 		return nil, err
 	}
 	var out []Table4Result
@@ -627,7 +631,7 @@ func Table4Of(rows [][]string) *report.Table {
 
 // Table5 classifies procedures by D-cache misses.
 func (s *Session) Table5() ([]analysis.ProcReport, error) {
-	if _, err := s.runSuite(instrument.ModePathHW, StandardEvents[0], StandardEvents[1]); err != nil {
+	if _, err := s.runSuite(instrument.ModePathHW); err != nil {
 		return nil, err
 	}
 	var out []analysis.ProcReport
@@ -693,7 +697,7 @@ type MultiplicityRow struct {
 
 // Multiplicity computes block-path multiplicity from the flow+HW profiles.
 func (s *Session) Multiplicity() ([]MultiplicityRow, error) {
-	if _, err := s.runSuite(instrument.ModePathHW, StandardEvents[0], StandardEvents[1]); err != nil {
+	if _, err := s.runSuite(instrument.ModePathHW); err != nil {
 		return nil, err
 	}
 	var rows []MultiplicityRow
@@ -756,7 +760,7 @@ func (s *Session) Table1Ext() ([]Table1ExtRow, error) {
 			instrument.ModeNone, instrument.ModeEdgeCount,
 			instrument.ModePathFreq, instrument.ModeBlockHW,
 		} {
-			specs = append(specs, CellSpec{Workload: w, Mode: mode, Ev0: StandardEvents[0], Ev1: StandardEvents[1]})
+			specs = append(specs, CellSpec{Workload: w, Mode: mode, Events: standardSet()})
 		}
 	}
 	if _, err := s.RunAll(context.Background(), specs); err != nil {

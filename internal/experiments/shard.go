@@ -4,119 +4,63 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
+	"pathprof/internal/agg"
 	"pathprof/internal/cct"
 	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
-	"pathprof/internal/sim"
+	"pathprof/internal/wire"
 	"pathprof/internal/workload"
 )
 
 // Sharded collection: the paper's instrumentation writes the CCT heap at
 // program exit and merges trees from repeated runs offline. CollectSharded
 // models that workflow in-process — every shard is an independent
-// instrumented execution wired from the shared plan onto its own machine,
-// built concurrently on the session's worker pool, and the per-shard trees
-// are reduced by cct.MergeTrees (tree-structured pairwise merge).
+// instrumented run (RunFreshSet) on the session's worker pool, the shards'
+// exports are written into one wire-v3 frame as k pushes would carry them,
+// and the frame folds through the aggregate fold (package agg) the way a
+// collector folds k pushes.
 //
 // Workloads are deterministic, so all shards build structurally identical
 // trees and the merged tree's shape statistics (everything Table 3 renders)
 // are byte-identical to a single serial run at any shard count; only the
 // accumulated counters scale with the number of shards. See EXPERIMENTS.md.
 
-// ShardedRun is the result of a sharded collection: the merged tree plus
-// the per-shard simulation results.
-type ShardedRun struct {
-	Tree    *cct.Tree
-	Results []sim.Result
-	Plan    *instrument.Plan
-}
-
 // CollectSharded executes `shards` instrumented runs of w under mode
-// (which must be a CCT-building mode) and merges the per-shard trees into
-// shard 0's tree.
-func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event, shards int) (*ShardedRun, error) {
+// (which must be a CCT-building mode) and set, and returns their CCTs
+// merged.
+func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode instrument.Mode, set hpm.MetricSet, shards int) (*cct.Export, error) {
 	if !mode.UsesCCT() {
 		return nil, fmt.Errorf("experiments: sharded collection needs a CCT mode, got %v", mode)
 	}
-	if shards < 1 {
-		shards = 1
-	}
-	plan, err := s.sharedPlan(w, mode)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s %v: %w", w.Name, mode, err)
-	}
-
-	start := time.Now()
-	trees := make([]*cct.Tree, shards)
-	results := make([]sim.Result, shards)
+	shards = max(shards, 1)
+	cells := make([]*Cell, shards)
 	errs := make([]error, shards)
-
-	n := s.workers()
-	if n > shards {
-		n = shards
+	sem := make(chan struct{}, s.workers())
+	var wg sync.WaitGroup
+	for i := range cells {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer func() { <-sem; wg.Done() }()
+			cells[i], errs[i] = s.RunFreshSet(ctx, w, mode, set)
+		}()
 	}
-	runShard := func(i int) {
-		if ctx.Err() != nil {
-			errs[i] = ctx.Err()
-			return
+	wg.Wait()
+	bw := wire.NewBatchWriter()
+	for i, c := range cells {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("shard %d: %w", i, errs[i])
 		}
-		m := sim.New(plan.Prog, s.SimConfig)
-		m.PMU().Select(ev0, ev1)
-		rt := plan.Wire(m)
-		res, err := m.Run()
-		if err != nil {
-			errs[i] = fmt.Errorf("experiments: %s %v shard %d: %w", w.Name, mode, i, err)
-			return
-		}
-		trees[i] = rt.Tree
-		results[i] = res
-	}
-	if n <= 1 {
-		for i := 0; i < shards; i++ {
-			runShard(i)
-		}
-	} else {
-		jobs := make(chan int)
-		var wg sync.WaitGroup
-		for k := 0; k < n; k++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range jobs {
-					runShard(i)
-				}
-			}()
-		}
-		for i := 0; i < shards; i++ {
-			jobs <- i
-		}
-		close(jobs)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+		if err := bw.AddExport(c.Tree.Export(w.Name)); err != nil {
+			return nil, fmt.Errorf("experiments: %s shard %d: %w", w.Name, i, err)
 		}
 	}
-
-	merged, err := cct.MergeTrees(trees)
-	if err != nil {
-		return nil, err
+	var merged agg.Set
+	if err := merged.FoldFrame(&agg.Scratch{}, bw.Frame()); err != nil {
+		return nil, fmt.Errorf("experiments: %s: %w", w.Name, err)
 	}
-	var instrs uint64
-	for _, r := range results {
-		instrs += r.Instrs
-	}
-	s.recordTiming(CellTiming{
-		Workload: w.Name,
-		Mode:     fmt.Sprintf("%v(x%d shards)", mode, shards),
-		Events:   hpm.NewMetricSet(ev0, ev1).Key(),
-		Wall:     time.Since(start),
-		Instrs:   instrs,
-	})
-	return &ShardedRun{Tree: merged, Results: results, Plan: plan}, nil
+	return merged.CCTs[w.Name].Snapshot(), nil
 }
 
 // Table3Sharded builds Table 3 from sharded collection: every workload's
@@ -124,20 +68,15 @@ func (s *Session) CollectSharded(ctx context.Context, w workload.Workload, mode 
 // merged. The rendered rows are byte-identical to Table3's at any shard
 // count (shape statistics are invariant under merging identical runs).
 func (s *Session) Table3Sharded(shards int) ([]Table3Row, error) {
-	runs := make([]*ShardedRun, len(s.Workloads))
-	errs := make([]error, len(s.Workloads))
+	var rows []Table3Row
 	// Workloads run serially here; each one's shards already occupy the
 	// worker pool.
-	for i, w := range s.Workloads {
-		runs[i], errs[i] = s.CollectSharded(context.Background(),
-			w, instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1], shards)
-	}
-	var rows []Table3Row
-	for i, w := range s.Workloads {
-		if errs[i] != nil {
-			return nil, errs[i]
+	for _, w := range s.Workloads {
+		ex, err := s.CollectSharded(context.Background(), w, instrument.ModeContextFlow, standardSet(), shards)
+		if err != nil {
+			return nil, err
 		}
-		rows = append(rows, Table3Row{Name: w.Name, Stats: runs[i].Tree.ComputeStats()})
+		rows = append(rows, Table3Row{Name: w.Name, Stats: ex.Stats()})
 	}
 	return rows, nil
 }

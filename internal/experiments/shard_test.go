@@ -5,7 +5,6 @@ import (
 	"context"
 	"testing"
 
-	"pathprof/internal/cct"
 	"pathprof/internal/instrument"
 )
 
@@ -42,18 +41,12 @@ func TestShardedCountersScale(t *testing.T) {
 	w := s.Workloads[0]
 
 	invocations := func(shards int) (int64, int) {
-		run, err := s.CollectSharded(context.Background(), w,
-			instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1], shards)
+		ex, err := s.CollectSharded(context.Background(), w,
+			instrument.ModeContextFlow, standardSet(), shards)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		var calls int64
-		run.Tree.Walk(func(n *cct.Node) {
-			if len(n.Metrics) > 0 {
-				calls += n.Metrics[0]
-			}
-		})
-		return calls, run.Tree.NumNodes()
+		return ex.TotalMetric(0), ex.NumNodes()
 	}
 
 	baseCalls, baseNodes := invocations(1)

@@ -45,7 +45,7 @@ type SpectrumRow struct {
 // cells via RunAll, the traced runs on their own bounded worker pool; rows
 // are assembled by workload index, so output order is deterministic.
 func (s *Session) Spectrum(sampleInterval uint64) ([]SpectrumRow, error) {
-	cctCells, err := s.runSuite(instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1])
+	cctCells, err := s.runSuite(instrument.ModeContextFlow)
 	if err != nil {
 		return nil, err
 	}

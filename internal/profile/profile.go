@@ -1,8 +1,8 @@
 // Package profile defines the profile data model produced by instrumented
 // runs: per-procedure path tables carrying a frequency and N hardware-metric
 // accumulators per path (the metric schema names what each slot counted),
-// plus program-level totals. It also provides a line-oriented text encoding
-// for saving and reloading profiles.
+// plus program-level totals. Write renders a profile as a human-readable
+// text dump; saved runs are wire-v3 frames (package wire).
 package profile
 
 import (
@@ -198,6 +198,12 @@ func (p *Profile) TotalExecutedPaths() int {
 // from repeated runs of the same instrumented program can be combined; the
 // metric schemas must agree, since slot i of one run is only meaningfully
 // summable with slot i of another when both counted the same event.
+//
+// Merge is the independent reference merge, not a tool path: the
+// collector, Session.CollectSharded and ppreport fold profiles through
+// package agg, and the collector's merge tests, the repository's
+// integration tests and perfbench's served-table check call Merge to hold
+// that fold to it byte for byte.
 func (p *Profile) Merge(other *Profile) error {
 	if p.SchemaKey() != other.SchemaKey() {
 		return fmt.Errorf("profile: merge schema mismatch: %q vs %q", p.SchemaKey(), other.SchemaKey())
@@ -239,17 +245,18 @@ func (p *Profile) Merge(other *Profile) error {
 	return nil
 }
 
-// Write encodes the profile as text:
+// Write renders the profile as a human-readable text dump:
 //
 //	profile <program> <mode> [k=<K>] <event>...
 //	proc <id> <name> <numpaths> [k=<K>]
 //	path <sum> <freq> <metric>...
 //
-// Each path line carries exactly one metric column per schema event (the
-// classic two-event schema reproduces the legacy 5-field layout). The k=
-// tokens appear only for k-iteration profiles (K > 1): classic profiles
-// encode byte-identically to the pre-k format. The proc-level k is the
-// procedure's effective (possibly clamped) degree.
+// Each path line carries exactly one metric column per schema event. The
+// k= tokens appear only for k-iteration profiles (K > 1); the proc-level
+// k is the procedure's effective (possibly clamped) degree. Spaces in
+// names become underscores and an empty name prints as "-". Nothing reads
+// the dump back: saved runs are wire frames. Tests and perfbench compare
+// profiles through it.
 func (p *Profile) Write(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "profile %s %s", field(p.Program), field(p.Mode))
@@ -283,107 +290,4 @@ func field(s string) string {
 		return "-"
 	}
 	return strings.ReplaceAll(s, " ", "_")
-}
-
-func unfield(s string) string {
-	if s == "-" {
-		return ""
-	}
-	return s
-}
-
-// parseKField recognizes a "k=<n>" token (n >= 1). Event names never
-// contain '=', so the token is unambiguous in both header and proc lines.
-func parseKField(s string) (int, bool) {
-	rest, ok := strings.CutPrefix(s, "k=")
-	if !ok {
-		return 0, false
-	}
-	k, err := strconv.Atoi(rest)
-	if err != nil || k < 1 {
-		return 0, false
-	}
-	return k, true
-}
-
-// Read decodes a profile written by Write. The header's event count fixes
-// the expected width of every path line.
-func Read(r io.Reader) (*Profile, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
-	var p *Profile
-	var cur *ProcPaths
-	line := 0
-	for sc.Scan() {
-		line++
-		fields := strings.Fields(sc.Text())
-		if len(fields) == 0 {
-			continue
-		}
-		switch fields[0] {
-		case "profile":
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("profile: line %d: malformed header", line)
-			}
-			p = &Profile{Program: unfield(fields[1]), Mode: unfield(fields[2])}
-			rest := fields[3:]
-			if len(rest) > 0 {
-				if k, ok := parseKField(rest[0]); ok {
-					p.K = k
-					rest = rest[1:]
-				}
-			}
-			for _, f := range rest {
-				p.Events = append(p.Events, unfield(f))
-			}
-		case "proc":
-			if p == nil || len(fields) < 4 || len(fields) > 5 {
-				return nil, fmt.Errorf("profile: line %d: malformed proc", line)
-			}
-			id, err1 := strconv.Atoi(fields[1])
-			np, err2 := strconv.ParseInt(fields[3], 10, 64)
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("profile: line %d: bad proc numbers", line)
-			}
-			cur = &ProcPaths{ProcID: id, Name: unfield(fields[2]), NumPaths: np}
-			if len(fields) == 5 {
-				k, ok := parseKField(fields[4])
-				if !ok {
-					return nil, fmt.Errorf("profile: line %d: malformed proc", line)
-				}
-				cur.K = k
-			}
-			p.Procs = append(p.Procs, cur)
-		case "path":
-			if cur == nil || len(fields) != 3+len(p.Events) {
-				return nil, fmt.Errorf("profile: line %d: malformed path", line)
-			}
-			var e PathEntry
-			var err error
-			if e.Sum, err = strconv.ParseInt(fields[1], 10, 64); err != nil {
-				return nil, fmt.Errorf("profile: line %d: bad path numbers", line)
-			}
-			if e.Freq, err = strconv.ParseUint(fields[2], 10, 64); err != nil {
-				return nil, fmt.Errorf("profile: line %d: bad path numbers", line)
-			}
-			if n := len(p.Events); n > 0 {
-				e.Metrics = cur.NewMetrics(n)
-				for k := 0; k < n; k++ {
-					if e.Metrics[k], err = strconv.ParseUint(fields[3+k], 10, 64); err != nil {
-						return nil, fmt.Errorf("profile: line %d: bad path numbers", line)
-					}
-				}
-			}
-			cur.Entries = append(cur.Entries, e)
-		default:
-			return nil, fmt.Errorf("profile: line %d: unknown record %q", line, fields[0])
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if p == nil {
-		return nil, fmt.Errorf("profile: empty input")
-	}
-	return p, nil
 }

@@ -34,7 +34,7 @@ func exportText(t *testing.T, ex *cct.Export) string {
 
 // TestBatchRoundTrip: a frame of mixed profile and CCT items decodes to
 // payloads byte-identical under the text encoders, with Stats preserved
-// exactly (including the structural extras the text codec drops).
+// exactly (including the structural extras the text dump leaves out).
 func TestBatchRoundTrip(t *testing.T) {
 	s := newSession(t)
 	var profiles []*profile.Profile

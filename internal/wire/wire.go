@@ -1,12 +1,13 @@
 // Package wire implements the compact binary frame profiles travel in
-// between producers and the collection tier (internal/collector) and
-// rest in the collector's log (internal/store). One frame carries any
-// number of items, each either a flow-sensitive path profile
-// (profile.Profile) or a calling context tree export (cct.Export): a
-// single push is a one-item frame, a relay flush or a store snapshot a
-// many-item one. Unlike the text formats, a CCT item also carries the
-// structural detail Table 3 needs (record sizes, per-site slot states,
-// heap footprint), so merged aggregates report exact statistics.
+// between producers and the collection tier (internal/collector), rest
+// in the collector's log (internal/store) and are saved in by cmd/pp
+// -out. One frame carries any number of items, each either a
+// flow-sensitive path profile (profile.Profile) or a calling context tree
+// export (cct.Export): a single push is a one-item frame, a relay flush,
+// a store snapshot or a saved run a many-item one. Unlike the text dumps,
+// a CCT item also carries the structural detail Table 3 needs (record
+// sizes, per-site slot states, heap footprint), so merged aggregates
+// report exact statistics.
 //
 // Layout (format version 3):
 //

@@ -137,24 +137,6 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExportMatchesTextCodec: decoding the wire form equals decoding the
-// text form for everything the text form carries.
-func TestExportMatchesTextCodec(t *testing.T) {
-	s := newSession(t)
-	ex := realTree(t, s, testWorkloads[0]).Export(testWorkloads[0])
-	fromText, err := cct.Read(strings.NewReader(exportText(t, ex)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromWire, err := parseFrame(t, frameOf(t, ex)).ExportAt(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if exportText(t, fromText) != exportText(t, fromWire) {
-		t.Fatal("wire decode and text decode disagree")
-	}
-}
-
 // TestKindMismatch: decoding an item as the other kind fails with a
 // *wire.KindError naming both kinds.
 func TestKindMismatch(t *testing.T) {

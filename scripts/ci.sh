@@ -142,6 +142,15 @@ awk -v g="$grp" -v p="$per" 'BEGIN { ratio = p / g;
 	printf "group-commit speedup: %.1fx\n", ratio;
 	exit (ratio >= 10) ? 0 : 1 }'
 
+# Offline tools: pp saves runs as wire-v3 frames, and ppreport folds
+# frames through the collector's aggregate fold, writes the merge as a
+# frame, and reports every program of a saved frame.
+tmp="$(mktemp -d)"
+go run ./cmd/pp -workload strhash,objdb -mode combined -out "$tmp/a.frame"
+go run ./cmd/ppreport -in "$tmp/a.frame,$tmp/a.frame" -out "$tmp/m.frame"
+go run ./cmd/ppreport -in "$tmp/m.frame"
+rm -r "$tmp"
+
 # Static instrumentation verification: ppvet must find nothing across every
 # workload x instrumentation mode, under both the classic two-event schema
 # and a four-event MetricSet (exercising the N-counter save/restore and
@@ -167,7 +176,8 @@ go run ./cmd/ppvet -tv -k 2
 # Decoder hardening: the fuzz targets must survive a short smoke run
 # (corrupt and truncated input may error, never panic). FuzzIngest also
 # requires that an item the collector rejects leaves every merged
-# aggregate byte-identical.
+# aggregate byte-identical. Saved runs are frames too, so these two also
+# cover the decode and fold behind ppreport -in.
 #
 # Every smoke passes -fuzzminimizetime=1x. Go minimizes each input that
 # finds new coverage, for up to 60 s per input by default, and the execs
@@ -176,7 +186,6 @@ go run ./cmd/ppvet -tv -k 2
 # fails the run, unminimized.
 go test -run='^$' -fuzz='^FuzzDecode$' -fuzztime=5s -fuzzminimizetime=1x ./internal/wire
 go test -run='^$' -fuzz='^FuzzIngest$' -fuzztime=5s -fuzzminimizetime=1x ./internal/collector
-go test -run='^$' -fuzz='^FuzzRead$' -fuzztime=5s -fuzzminimizetime=1x ./internal/profile
 go test -run='^$' -fuzz='^FuzzSegmentReplay$' -fuzztime=5s -fuzzminimizetime=1x ./internal/store
 
 # Differential instrumentation fuzz: random testgen programs, instrumented
