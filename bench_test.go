@@ -1093,8 +1093,7 @@ func wireBenchData(b *testing.B) (*profile.Profile, *cct.Export) {
 			return
 		}
 		s.Workloads = []workload.Workload{w}
-		cell, err := s.Run(w, instrument.ModeContextFlow,
-			experiments.StandardEvents[0], experiments.StandardEvents[1])
+		cell, err := s.RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			wireBench.err = err
 			return
@@ -1335,26 +1334,27 @@ func BenchmarkIngestFrameFold(b *testing.B) {
 
 // BenchmarkTableQuery serves the whole /table/3, /4, /5 and /metrics
 // through the collector's handler. The 4-shard collector holds a flow+hw
-// profile and a ctx+flow CCT of every suite program at test scale in
-// every shard. warm reads with no fold in between; afterFold first folds,
-// untimed, one frame carrying an envelope of every program, so every row
-// is derived and formatted again. ci.sh gates each table's warm read at
-// no more than a tenth of afterFold's allocs/op.
+// profile and a ctx+flow CCT of every suite program at test scale, four
+// pushes of each folded into the program's home shard. warm reads with no
+// fold in between; afterFold first folds, untimed, one frame carrying an
+// envelope of every program, so every row is derived and formatted again.
+// ci.sh gates each table's warm read at no more than a tenth of
+// afterFold's allocs/op.
 func BenchmarkTableQuery(b *testing.B) {
 	const shards = 4
 	s := experiments.NewSession(workload.Test)
 	preload, fold := wire.NewBatchWriter(), wire.NewBatchWriter()
 	for _, w := range workload.Suite() {
-		pc, err := s.Run(w, instrument.ModePathHW, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		pc, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			b.Fatal(err)
 		}
-		tc, err := s.Run(w, instrument.ModeContextFlow, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		tc, err := s.RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			b.Fatal(err)
 		}
 		ex := tc.Tree.Export(w.Name)
-		// Envelopes in a row fold into consecutive shards.
+		// A program's pushes all fold into its home shard.
 		for _, add := range []func(*wire.BatchWriter) error{
 			func(bw *wire.BatchWriter) error { return bw.AddProfile(pc.Profile) },
 			func(bw *wire.BatchWriter) error { return bw.AddExport(ex) },

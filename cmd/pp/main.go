@@ -34,13 +34,11 @@
 package main
 
 import (
-	"cmp"
 	"context"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"slices"
 	"strings"
 
 	"pathprof/internal/analysis"
@@ -276,43 +274,19 @@ func reportWorkload(w workload.Workload, mode instrument.Mode, set hpm.MetricSet
 		} else {
 			// Frequency-only profile (e.g. combined mode): list by count.
 			fmt.Printf("executed paths: %d (frequency-only profile)\n\n", rep.NumPaths)
-			type row struct {
-				proc string
-				sum  int64
-				freq uint64
-			}
-			var rows []row
-			for _, pp := range prof.Procs {
-				for _, e := range pp.Entries {
-					rows = append(rows, row{pp.Name, e.Sum, e.Freq})
-				}
-			}
-			slices.SortFunc(rows, func(a, b row) int {
-				if c := cmp.Compare(b.freq, a.freq); c != 0 {
-					return c
-				}
-				if c := cmp.Compare(a.proc, b.proc); c != 0 {
-					return c
-				}
-				return cmp.Compare(a.sum, b.sum)
-			})
-			if len(rows) > top {
-				rows = rows[:top]
-			}
+			rows := analysis.PathsByFrequency(prof, top)
 			t := &report.Table{
 				Title: fmt.Sprintf("Top %d paths by frequency", len(rows)),
 				Cols:  []string{"Proc", "PathID", "Freq", "Blocks"},
 			}
 			for _, r := range rows {
 				blocks := ""
-				for _, pp := range plan.Procs {
-					if pp.Name == r.proc && pp.Numbering != nil {
-						if p, err := pp.Numbering.RegenerateK(r.sum); err == nil {
-							blocks = p.String()
-						}
+				if nm := numberings[r.ProcID]; nm != nil {
+					if p, err := nm.RegenerateK(r.Sum); err == nil {
+						blocks = p.String()
 					}
 				}
-				t.AddRow(r.proc, r.sum, r.freq, blocks)
+				t.AddRow(r.Proc, r.Sum, r.Freq, blocks)
 			}
 			t.Render(os.Stdout)
 		}

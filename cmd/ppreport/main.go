@@ -126,9 +126,27 @@ func programs(set *agg.Set) []string {
 }
 
 // reportProfile prints a path profile's totals and either its path and
-// procedure classifications at threshold or a threshold sweep.
+// procedure classifications at threshold or a threshold sweep. A
+// frequency-only profile (path-freq, or combined mode's flow projection)
+// names no events and has no metric to classify by: its paths are listed
+// by frequency instead, as pp lists them.
 func reportProfile(w io.Writer, prof *profile.Profile, threshold float64, top int, sweep bool) {
 	freq, metrics := prof.Totals()
+	if len(prof.Events) == 0 {
+		fmt.Fprintf(w, "profile %s (%s), frequency only\n", prof.Program, prof.Mode)
+		fmt.Fprintf(w, "%d procedures, %d executed paths, %d path executions\n\n",
+			len(prof.Procs), prof.TotalExecutedPaths(), freq)
+		rows := analysis.PathsByFrequency(prof, top)
+		t := &report.Table{
+			Title: fmt.Sprintf("Top %d paths by frequency", len(rows)),
+			Cols:  []string{"Proc", "PathID", "Freq"},
+		}
+		for _, p := range rows {
+			t.AddRow(p.Proc, p.Sum, p.Freq)
+		}
+		t.Render(w)
+		return
+	}
 	fmt.Fprintf(w, "profile %s (%s), events %s\n", prof.Program, prof.Mode, strings.Join(prof.Events, "/"))
 	totals := make([]string, len(metrics))
 	for i, m := range metrics {
@@ -197,7 +215,8 @@ func reportProfile(w io.Writer, prof *profile.Profile, threshold float64, top in
 }
 
 // reportCCT prints a calling context tree's shape and its records with
-// the highest metric slot 1 (the PIC0 delta).
+// the highest metric slot 1 (the PIC0 delta), or with the most calls when
+// slot 1 is 0 in every record, as in combined mode's trees.
 func reportCCT(w io.Writer, ex *cct.Export) {
 	st := ex.Stats()
 	fmt.Fprintf(w, "calling context tree of %s: %d procedures declared, %d records\n", ex.Program, ex.NumProcs, st.Nodes)
@@ -210,6 +229,7 @@ func reportCCT(w io.Writer, ex *cct.Export) {
 		calls int64
 	}
 	var rows []row
+	byCalls := true
 	for id, n := range ex.Nodes {
 		if id == 0 || len(n.Metrics) == 0 {
 			continue
@@ -218,26 +238,36 @@ func reportCCT(w io.Writer, ex *cct.Export) {
 		if len(n.Metrics) > 1 {
 			r.m = n.Metrics[1]
 		}
+		byCalls = byCalls && r.m == 0
 		rows = append(rows, r)
 	}
-	slices.SortFunc(rows, func(a, b row) int {
-		// rows come from map iteration; break metric ties by node ID so the
-		// listing is fully determined.
-		if c := cmp.Compare(b.m, a.m); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	key := func(r row) int64 { return r.m }
 	t := &report.Table{
 		Title: "Records by metric slot 1",
 		Cols:  []string{"Node", "Proc", "Calls", "Metric1", "Paths"},
 	}
+	if byCalls {
+		key = func(r row) int64 { return r.calls }
+		t = &report.Table{Title: "Records by calls", Cols: []string{"Node", "Proc", "Calls", "Paths"}}
+	}
+	slices.SortFunc(rows, func(a, b row) int {
+		// rows come from map iteration; break ties by node ID so the
+		// listing is fully determined.
+		if c := cmp.Compare(key(b), key(a)); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
 	for i, r := range rows {
 		if i >= 12 {
 			break
 		}
 		n := ex.Nodes[r.id]
-		t.AddRow(r.id, n.Proc, r.calls, r.m, n.PathCounts.Len())
+		if byCalls {
+			t.AddRow(r.id, n.Proc, r.calls, n.PathCounts.Len())
+		} else {
+			t.AddRow(r.id, n.Proc, r.calls, r.m, n.PathCounts.Len())
+		}
 	}
 	t.Render(w)
 }

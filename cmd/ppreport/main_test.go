@@ -122,3 +122,37 @@ func TestLoadRefusesText(t *testing.T) {
 		t.Fatalf("load of a text profile: %v", err)
 	}
 }
+
+// TestReportFrequencyOnly: a combined-mode run's profile counts paths
+// but no metric, so its report lists the paths by frequency and its CCT
+// records by calls, and names none of the machine's events.
+func TestReportFrequencyOnly(t *testing.T) {
+	w, ok := workload.ByName("objdb")
+	if !ok {
+		t.Fatal("no objdb workload")
+	}
+	path := filepath.Join(t.TempDir(), "c.frame")
+	saveCombinedRun(t, experiments.NewSession(workload.Test), w, path)
+	set, err := load([]string{path})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := set.Profiles[w.Name].Materialize()
+	if len(prof.Events) != 0 {
+		t.Fatalf("combined-mode profile names events %v", prof.Events)
+	}
+	var rep bytes.Buffer
+	reportProfile(&rep, prof, 0.01, 5, false)
+	reportCCT(&rep, set.CCTs[w.Name].Snapshot())
+	out := rep.String()
+	for _, want := range []string{"frequency only", "Top 5 paths by frequency", "Records by calls"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("report misses %q:\n%s", want, out)
+		}
+	}
+	for _, metric := range []string{"dcache-miss", "insts", "Metric1", "classification", "metric totals"} {
+		if strings.Contains(out, metric) {
+			t.Errorf("report names %q:\n%s", metric, out)
+		}
+	}
+}

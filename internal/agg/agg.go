@@ -13,15 +13,14 @@
 // A Set holds one aggregate of each kind per program and is the
 // new-or-fold step every caller shares: a collector shard folds pushes
 // into its Set, and the offline tools (Session.CollectSharded, ppreport)
-// fold a saved frame into one the same way. Merging aggregates goes
-// through the same functions: a Profile folds into another with FoldAgg,
-// and a CCT reaches Fold by being written back into batch form
-// (WriteBatch, the inverse of graft). Materialize and Snapshot build an
-// aggregate once into a fresh profile.Profile / cct.Export that shares no
-// mutable state with it. The fold rules match profile.(*Profile).Merge
-// and cct.MergeExports, the independent reference merges, on well-formed
-// input; TestMergedReadsMatchReference and the integration round-trip
-// tests hold them to it byte for byte.
+// fold a saved frame into one the same way. Every merge is a fold of
+// decoded items into one Set; aggregates are never folded into each
+// other. Materialize and Snapshot build an aggregate once into a fresh
+// profile.Profile / cct.Export that shares no mutable state with it. The
+// fold rules match profile.(*Profile).Merge and cct.MergeExports, the
+// independent reference merges, on well-formed input;
+// TestMergedReadsMatchReference and the integration round-trip tests hold
+// them to it byte for byte.
 package agg
 
 import (
@@ -49,23 +48,23 @@ type Scratch struct {
 	Frame wire.Frame
 	BP    wire.BatchProfile
 	BC    wire.BatchCCT
-	kind  wire.Kind // of the item the last Decode left in BP or BC
+	kind  wire.Kind // of the item the last DecodeFrom left in BP or BC
 	anc   []*node
-	name  []byte // program name of an aggregate written into BC
 }
 
-// Decode decodes item i of sc.Frame into sc.BP or sc.BC, by its kind, and
-// refuses an item that names no program.
-func (sc *Scratch) Decode(i int) error {
-	sc.kind = sc.Frame.Kind(i)
+// DecodeFrom decodes item i of f into sc.BP or sc.BC, by its kind, and
+// refuses an item that names no program. It only reads f, so goroutines
+// with a Scratch each may decode from one shared frame.
+func (sc *Scratch) DecodeFrom(f *wire.Frame, i int) error {
+	sc.kind = f.Kind(i)
 	var program []byte
 	if sc.kind == wire.KindProfile {
-		if err := sc.Frame.DecodeProfile(i, &sc.BP); err != nil {
+		if err := f.DecodeProfile(i, &sc.BP); err != nil {
 			return err
 		}
 		program = sc.BP.Program
 	} else {
-		if err := sc.Frame.DecodeCCT(i, &sc.BC); err != nil {
+		if err := f.DecodeCCT(i, &sc.BC); err != nil {
 			return err
 		}
 		program = sc.BC.Program
@@ -88,7 +87,7 @@ type Set struct {
 	gen uint64
 }
 
-// Fold folds the item the last Decode left in sc into its program's
+// Fold folds the item the last DecodeFrom left in sc into its program's
 // aggregate of that kind, seeding the aggregate when the set holds none.
 func (s *Set) Fold(sc *Scratch) error {
 	s.gen++
@@ -110,7 +109,7 @@ func (s *Set) Fold(sc *Scratch) error {
 	bc := &sc.BC
 	a, ok := s.CCTs[string(bc.Program)]
 	if !ok {
-		n, err := NewCCT(bc, sc)
+		n, err := newCCT(bc, sc)
 		if err != nil {
 			return err
 		}
@@ -133,7 +132,7 @@ func (s *Set) FoldFrame(sc *Scratch, frame []byte) error {
 		return err
 	}
 	for i := 0; i < sc.Frame.Items(); i++ {
-		if err := sc.Decode(i); err != nil {
+		if err := sc.DecodeFrom(&sc.Frame, i); err != nil {
 			return err
 		}
 		if err := s.Fold(sc); err != nil {
@@ -219,28 +218,6 @@ func newProfile(bp *wire.BatchProfile) *Profile {
 	return a
 }
 
-// checkShape validates mode, schema and procedure layout before any
-// mutation, reproducing the exact rejection messages of the old
-// clone-and-merge path (a rejected push must leave the aggregate
-// untouched, which for an in-place fold means validating up front).
-func (a *Profile) checkShape(mode, schema string, numProcs int, procID func(int) int) error {
-	if a.mode != mode {
-		return &ConflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", mode, a.mode)}
-	}
-	if a.schema != schema {
-		return &ConflictError{fmt.Errorf("profile metric schema %q conflicts with aggregated schema %q", schema, a.schema)}
-	}
-	if len(a.procs) != numProcs {
-		return &ConflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), numProcs)}
-	}
-	for i, pa := range a.procs {
-		if pa.procID != procID(i) {
-			return &ConflictError{fmt.Errorf("profile: merge proc mismatch at %d", i)}
-		}
-	}
-	return nil
-}
-
 // foldRow adds one path observation to the procedure (hash hit: pure
 // adds; miss: append a row).
 func (pa *procRows) foldRow(sum int64, freq uint64, metrics []uint64) {
@@ -264,25 +241,25 @@ func (pa *procRows) foldRow(sum int64, freq uint64, metrics []uint64) {
 // an existing slot.
 func (a *Profile) fold(bp *wire.BatchProfile) error {
 	if a.mode != string(bp.Mode) { // comparison does not allocate
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	if a.k != aggK(bp.K) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	if len(a.events) != len(bp.Events) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	for i, ev := range bp.Events {
 		if a.events[i] != string(ev) {
-			return a.checkShapeBatch(bp)
+			return a.checkShape(bp)
 		}
 	}
 	if len(a.procs) != len(bp.Procs) {
-		return a.checkShapeBatch(bp)
+		return a.checkShape(bp)
 	}
 	for i := range bp.Procs {
 		if a.procs[i].procID != bp.Procs[i].ProcID {
-			return a.checkShapeBatch(bp)
+			return a.checkShape(bp)
 		}
 	}
 	w := len(a.events)
@@ -297,47 +274,28 @@ func (a *Profile) fold(bp *wire.BatchProfile) error {
 	return nil
 }
 
-// checkShapeBatch rebuilds the failing batch item's identity as strings
-// (error paths may allocate) and returns the precise conflict.
-func (a *Profile) checkShapeBatch(bp *wire.BatchProfile) error {
+// checkShape rebuilds the failing batch item's identity as strings
+// (error paths may allocate) and returns the precise conflict. fold calls
+// it before any mutation: a rejected push must leave the aggregate
+// untouched.
+func (a *Profile) checkShape(bp *wire.BatchProfile) error {
 	events := make([]string, len(bp.Events))
 	for i, ev := range bp.Events {
 		events[i] = string(ev)
 	}
-	return a.checkShape(string(bp.Mode), profile.SchemaKeyFor(aggK(bp.K), events), len(bp.Procs),
-		func(i int) int { return bp.Procs[i].ProcID })
-}
-
-// Clone deep-copies the aggregate's columns so a collector read can fold
-// other shards into the copy while the shard keeps folding pushes into
-// its own.
-func (a *Profile) Clone() *Profile {
-	c := *a
-	c.procs = make([]*procRows, len(a.procs))
+	mode, schema := string(bp.Mode), profile.SchemaKeyFor(aggK(bp.K), events)
+	if a.mode != mode {
+		return &ConflictError{fmt.Errorf("profile mode %q conflicts with aggregated mode %q", mode, a.mode)}
+	}
+	if a.schema != schema {
+		return &ConflictError{fmt.Errorf("profile metric schema %q conflicts with aggregated schema %q", schema, a.schema)}
+	}
+	if len(a.procs) != len(bp.Procs) {
+		return &ConflictError{fmt.Errorf("profile: merge shape mismatch: %d vs %d procs", len(a.procs), len(bp.Procs))}
+	}
 	for i, pa := range a.procs {
-		cp := *pa
-		cp.index = pa.index.Clone()
-		cp.sums = slices.Clone(pa.sums)
-		cp.freqs = slices.Clone(pa.freqs)
-		cp.metrics = slices.Clone(pa.metrics)
-		c.procs[i] = &cp
-	}
-	return &c
-}
-
-// FoldAgg folds every row of b into a, after the shape check a push gets;
-// on a conflict a is left untouched. The collector's reads and Take merge
-// shards through it.
-func (a *Profile) FoldAgg(b *Profile) error {
-	err := a.checkShape(b.mode, b.schema, len(b.procs), func(i int) int { return b.procs[i].procID })
-	if err != nil {
-		return err
-	}
-	w := len(a.events)
-	for i, pb := range b.procs {
-		pa := a.procs[i]
-		for j, sum := range pb.sums {
-			pa.foldRow(sum, pb.freqs[j], pb.metrics[j*w:(j+1)*w])
+		if pa.procID != bp.Procs[i].ProcID {
+			return &ConflictError{fmt.Errorf("profile: merge proc mismatch at %d", i)}
 		}
 	}
 	return nil
@@ -385,7 +343,7 @@ type node struct {
 	backedges []*node // resolved targets (ancestors)
 	size      uint64
 	slots     []cct.SlotStat
-	snapID    int // transient preorder id, valid only during Snapshot or WriteBatch
+	snapID    int // transient preorder id, valid only during Snapshot
 }
 
 // CCT is one program's folded CCT.
@@ -420,9 +378,9 @@ func (sc *Scratch) ancestorsFor(numProcs int) ancestors {
 	return sc.anc
 }
 
-// NewCCT seeds an aggregate from a decoded batch item by grafting the
+// newCCT seeds an aggregate from a decoded batch item by grafting the
 // whole tree.
-func NewCCT(bc *wire.BatchCCT, sc *Scratch) (*CCT, error) {
+func newCCT(bc *wire.BatchCCT, sc *Scratch) (*CCT, error) {
 	a := &CCT{
 		program:          string(bc.Program),
 		numProcs:         bc.NumProcs,
@@ -679,62 +637,6 @@ func foldSlots(xs []cct.SlotStat, ys []cct.SlotStat) []cct.SlotStat {
 		}
 	}
 	return xs
-}
-
-// WriteBatch writes the aggregate into sc.BC in preorder — the inverse of
-// graft — so that another aggregate can fold it with Fold. Node
-// sizes and slots are written even when the aggregate has no structure,
-// as Snapshot carries them.
-func (a *CCT) WriteBatch(sc *Scratch) {
-	bc := &sc.BC
-	sc.name = append(sc.name[:0], a.program...)
-	bc.Program = sc.name
-	bc.NumProcs = a.numProcs
-	bc.DistinguishSites = a.distinguishSites
-	bc.NumMetrics = a.numMetrics
-	bc.HasStructure = a.hasStructure
-	bc.SizeBytes = a.sizeBytes
-	bc.ListElems = a.listElems
-	bc.Nodes = bc.Nodes[:0]
-	bc.Metrics = bc.Metrics[:0]
-	bc.PCSums = bc.PCSums[:0]
-	bc.PCCounts = bc.PCCounts[:0]
-	bc.Slots = bc.Slots[:0]
-	bc.Backedges = bc.Backedges[:0]
-	writeChildren(bc, a.root, 0)
-	bc.IndexChildren()
-}
-
-// writeChildren appends the subtrees under an, whose batch ID is parent.
-// Backedge targets are ancestors, so their IDs are assigned before the
-// records that reference them.
-func writeChildren(bc *wire.BatchCCT, an *node, parent int32) {
-	for _, ch := range an.children {
-		id := int32(len(bc.Nodes) + 1)
-		ch.snapID = int(id)
-		bc.Nodes = append(bc.Nodes, wire.BatchNode{
-			Parent:  parent,
-			Proc:    ch.proc,
-			MetOff:  int32(len(bc.Metrics)),
-			MetN:    int32(len(ch.metrics)),
-			PCOff:   int32(len(bc.PCSums)),
-			PCN:     int32(ch.pc.Len()),
-			SlotOff: int32(len(bc.Slots)),
-			SlotN:   int32(len(ch.slots)),
-			Size:    ch.size,
-		})
-		bc.Metrics = append(bc.Metrics, ch.metrics...)
-		ch.pc.Range(func(sum, count int64) bool {
-			bc.PCSums = append(bc.PCSums, sum)
-			bc.PCCounts = append(bc.PCCounts, count)
-			return true
-		})
-		bc.Slots = append(bc.Slots, ch.slots...)
-		for _, t := range ch.backedges {
-			bc.Backedges = append(bc.Backedges, wire.BatchBackedge{From: id, To: int32(t.snapID)})
-		}
-		writeChildren(bc, ch, id)
-	}
 }
 
 // Snapshot materializes the aggregate as a fresh export with preorder

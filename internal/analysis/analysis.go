@@ -155,6 +155,29 @@ func ClassifyPaths(prof *profile.Profile, threshold float64) PathReport {
 	return r
 }
 
+// PathsByFrequency returns prof's n most frequent paths, most frequent
+// first, ties broken by procedure name and path sum, with no metrics. It
+// ranks frequency-only profiles, which carry no metric to classify paths
+// by.
+func PathsByFrequency(prof *profile.Profile, n int) []PathStat {
+	var all []PathStat
+	for _, pp := range prof.Procs {
+		for _, e := range pp.Entries {
+			all = append(all, PathStat{ProcID: pp.ProcID, Proc: pp.Name, Sum: e.Sum, Freq: e.Freq})
+		}
+	}
+	slices.SortFunc(all, func(a, b PathStat) int {
+		if c := cmp.Compare(b.Freq, a.Freq); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Proc, b.Proc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Sum, b.Sum)
+	})
+	return all[:min(n, len(all))]
+}
+
 // ProcStat aggregates one procedure (for Table 5).
 type ProcStat struct {
 	ProcID int

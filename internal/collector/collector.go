@@ -9,24 +9,24 @@
 // requests; beyond that new pushes are shed immediately with 429 and a
 // Retry-After hint, so overload degrades into client-side backoff
 // instead of a convoy of timed-out sockets. Each admitted request is
-// decoded under a request timeout and a body size cap, then folded into
-// one of Config.Shards shard aggregates chosen round-robin (frames fold
-// item by item, spreading one frame across shards). Shards
-// hold fold-in-place aggregates (package agg); reads fold them together
-// with the ingest's own fold into a private aggregate, so readers never
-// share mutable state with the ingest path. Because merging is
-// associative and commutative over these aggregates, the fully merged
-// result is independent of how requests were spread across shards.
+// decoded under a request timeout and a body size cap, then folded item
+// by item, each item into its program's home shard of Config.Shards:
+// FNV-1a of the program name, mod Shards. Items fold independently, so
+// one that fails keeps no other out. Shards hold fold-in-place
+// aggregates (package agg), and each program's profile and CCT
+// aggregates live in its home shard alone. So every push of a program
+// meets the aggregate it may conflict with, and a read copies one
+// aggregate out under one lock: readers never share mutable state with
+// the ingest path.
 //
 // A collector with a store mounted (durable.go) replays its log on
-// start-up differently: record i of the log folds whole into shard
-// i mod Config.Shards, one goroutine per shard, so the shards fold side
-// by side and every reopen places every record the same way.
+// start-up on one goroutine per shard, each folding in log order the
+// items its shard homes, so every program folds in log order at every
+// shard count.
 //
 // Table queries answer from per-program views (see view.go): the rows
-// derived from one such merge, kept with the fold stamps of the shard
-// aggregates they came from and recomputed on the first read after a
-// fold changes one of those aggregates.
+// derived from one read of a program's aggregate, kept with its fold
+// stamp and recomputed on the first read after a fold changes it.
 //
 // Shutdown sets a draining flag (new ingests get 503) and waits for
 // in-flight merges, so no accepted profile is lost.
@@ -52,6 +52,8 @@ import (
 // defaults below.
 type Config struct {
 	// Shards is the number of independent aggregate shards (default 4).
+	// Each program folds into one home shard, so shards spread programs,
+	// not the pushes of one program.
 	Shards int
 	// MaxBodyBytes caps one request body (default 64 MiB); larger
 	// uploads get 413.
@@ -92,9 +94,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// shard is one independent slice of the aggregate state. Aggregates are
-// mutated in place under the shard lock; queries copy them out (also
-// under the lock) before folding and rendering.
+// shard is one independent slice of the aggregate state: the aggregates
+// of the programs it homes. Aggregates are mutated in place under the
+// shard lock; queries copy them out, also under the lock, before
+// rendering.
 type shard struct {
 	mu sync.Mutex
 	agg.Set
@@ -130,7 +133,6 @@ type Metrics struct {
 type Collector struct {
 	cfg     Config
 	sem     chan struct{}
-	next    atomic.Uint64 // round-robin shard cursor
 	shards  []*shard
 	scratch sync.Pool // of *agg.Scratch
 
@@ -261,61 +263,34 @@ func (c *Collector) getScratch() *agg.Scratch   { return c.scratch.Get().(*agg.S
 func (c *Collector) putScratch(sc *agg.Scratch) { c.scratch.Put(sc) }
 
 // IngestFrame decodes a version-3 batched frame and folds every item
-// into the shard aggregates. Items fold independently in frame order; on
-// a mid-frame error the items already folded stay applied, and the
-// returned counts say how many of each kind landed. Steady-state frames
-// from a stable producer population fold without allocating.
+// into its program's home shard. Items fold independently in frame
+// order: an item that fails keeps no other out, the returned counts say
+// how many of each kind landed, and the error is the lowest-indexed
+// failure. Steady-state frames from a stable producer population fold
+// without allocating.
 func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	profiles, ccts, err = c.foldFrame(sc, nil, data)
+	profiles, ccts, err = c.foldFrame(data)
 	if err == nil {
 		c.ingestedFrames.Add(1)
 	}
-	c.countItems(profiles, ccts)
 	return profiles, ccts, err
 }
 
-// foldFrame folds the items of frame in order into sh, or each into the
-// next shard in round-robin order when sh is nil, and stops at the first
-// item that fails. It returns how many items of each kind folded; the
-// caller counts them.
-func (c *Collector) foldFrame(sc *agg.Scratch, sh *shard, frame []byte) (profiles, ccts int, err error) {
+// foldFrame folds the items of frame as IngestFrame does and counts them,
+// but not the frame. The relay folds a frame its upstream refused back
+// in through it.
+func (c *Collector) foldFrame(frame []byte) (profiles, ccts int, err error) {
+	sc := c.getScratch()
+	defer c.putScratch(sc)
 	if err := sc.Frame.Reset(frame); err != nil {
 		return 0, 0, err
 	}
 	for i := 0; i < sc.Frame.Items(); i++ {
-		if err := c.foldItem(sc, sh, i); err != nil {
-			return profiles, ccts, err
+		name, e := sc.Frame.Program(i)
+		if e == nil {
+			e = c.shards[homeIndex(name, len(c.shards))].fold(sc, &sc.Frame, i)
 		}
-		if sc.Frame.Kind(i) == wire.KindProfile {
-			profiles++
-		} else {
-			ccts++
-		}
-	}
-	return profiles, ccts, nil
-}
-
-// countItems adds folded items to the ingest counters.
-func (c *Collector) countItems(profiles, ccts int) {
-	c.ingestedProfiles.Add(uint64(profiles))
-	c.ingestedCCTs.Add(uint64(ccts))
-}
-
-// foldEach folds every item of frame as IngestFrame does, except that an
-// item that fails does not keep the later ones out. It returns how many
-// items folded and the first error. The relay folds a frame its upstream
-// refused back in through it.
-func (c *Collector) foldEach(frame []byte) (folded int, err error) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	if err := sc.Frame.Reset(frame); err != nil {
-		return 0, err
-	}
-	var profiles, ccts int
-	for i := 0; i < sc.Frame.Items(); i++ {
-		switch e := c.foldItem(sc, nil, i); {
+		switch {
 		case e != nil:
 			if err == nil {
 				err = e
@@ -327,193 +302,140 @@ func (c *Collector) foldEach(frame []byte) (folded int, err error) {
 		}
 	}
 	c.countItems(profiles, ccts)
-	return profiles + ccts, err
+	return profiles, ccts, err
 }
 
-// foldItem decodes item i of sc.Frame and folds it into sh, or into the
-// next shard in round-robin order when sh is nil. The round-robin cursor
-// advances only for an item that decodes.
-func (c *Collector) foldItem(sc *agg.Scratch, sh *shard, i int) error {
-	if err := sc.Decode(i); err != nil {
+// countItems adds folded items to the ingest counters.
+func (c *Collector) countItems(profiles, ccts int) {
+	c.ingestedProfiles.Add(uint64(profiles))
+	c.ingestedCCTs.Add(uint64(ccts))
+}
+
+// fold decodes item i of f into sc, outside every lock, and folds it
+// into sh under sh's lock.
+func (sh *shard) fold(sc *agg.Scratch, f *wire.Frame, i int) error {
+	if err := sc.DecodeFrom(f, i); err != nil {
 		return err
-	}
-	if sh == nil {
-		sh = c.pick()
 	}
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	return sh.Fold(sc)
 }
 
-// pick returns the next shard in round-robin order. Live ingest spreads
-// each frame over the shards item by item through it, so a frame that
-// repeats an envelope once per shard puts a copy in every shard; the
-// table-query benchmarks preload their aggregates that way.
-func (c *Collector) pick() *shard {
-	return c.shards[c.next.Add(1)%uint64(len(c.shards))]
+// homeIndex returns the index of program's home shard among n: 32-bit
+// FNV-1a of the name, mod n. The hash has no per-process seed, so a
+// program has the same home in every process with the same n.
+func homeIndex[S ~string | ~[]byte](program S, n int) int {
+	h := uint32(2166136261)
+	for i := 0; i < len(program); i++ {
+		h ^= uint32(program[i])
+		h *= 16777619
+	}
+	return int(h % uint32(n))
+}
+
+// home returns program's home shard.
+func (c *Collector) home(program string) *shard {
+	return c.shards[homeIndex(program, len(c.shards))]
 }
 
 // Programs returns every program with any aggregated data, sorted.
 func (c *Collector) Programs() []string { return c.programs(true, true) }
 
 // programs returns the programs holding a profile aggregate (when
-// profiles is set) or a CCT aggregate (when ccts is set), sorted.
+// profiles is set) or a CCT aggregate (when ccts is set), sorted. Both
+// of a program's aggregates sit in its home shard, so no two shards list
+// one name.
 func (c *Collector) programs(profiles, ccts bool) []string {
-	seen := map[string]bool{}
+	var out []string
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		if profiles {
 			for name := range sh.Profiles {
-				seen[name] = true
+				out = append(out, name)
 			}
 		}
 		if ccts {
 			for name := range sh.CCTs {
-				seen[name] = true
+				if !profiles || sh.Profiles[name] == nil {
+					out = append(out, name)
+				}
 			}
 		}
 		sh.mu.Unlock()
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// MergedExport returns the program's CCT aggregate merged across all
-// shards, or false when no shard holds one. Shards fold in shard order:
-// each is written into batch form under its lock, then folded outside
-// every lock with the ingest fold. A shard whose aggregate conflicts with
-// the merge so far contributes nothing and ends the merge. The result is
-// a fresh snapshot; callers may keep it as long as they like.
+// MergedExport returns the program's CCT aggregate, the merge of every
+// CCT item of the program folded so far, or false when there is none.
+// The result is a fresh snapshot; callers may keep it as long as they
+// like.
 func (c *Collector) MergedExport(program string) (*cct.Export, bool) {
-	m, _ := c.mergeExport(program)
-	if m == nil {
-		return nil, false
-	}
-	return m.Snapshot(), true
+	ex, _ := c.readExport(program)
+	return ex, ex != nil
 }
 
-// mergeExport folds program's CCT aggregates across shards as
-// MergedExport describes, or returns nil when no shard holds one. It also
-// returns each shard's fold stamp for the program (0 where it holds
-// none), read under the lock that reads that shard's aggregate; shards
-// after a conflict contribute their stamps alone.
-func (c *Collector) mergeExport(program string) (*agg.CCT, []uint64) {
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	stamps := make([]uint64, len(c.shards))
-	var m *agg.CCT
-	var err error
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		a, ok := sh.CCTs[program]
-		if ok {
-			stamps[i] = a.Gen()
-			a.WriteBatch(sc)
-		}
-		sh.mu.Unlock()
-		switch {
-		case !ok || err != nil:
-		case m == nil:
-			m, err = agg.NewCCT(&sc.BC, sc)
-		default:
-			err = m.Fold(&sc.BC, sc)
-		}
+// readExport snapshots program's CCT aggregate under its home shard's
+// lock and returns it with the aggregate's fold stamp, or nil when the
+// shard holds none.
+func (c *Collector) readExport(program string) (*cct.Export, uint64) {
+	sh := c.home(program)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	a, ok := sh.CCTs[program]
+	if !ok {
+		return nil, 0
 	}
-	return m, stamps
+	return a.Snapshot(), a.Gen()
 }
 
-// MergedProfile returns the program's path profile merged across all
-// shards, or false when no shard holds one. Shards fold in shard order,
-// each under its lock, into a copy of the first; a shard whose aggregate
-// fails the ingest's shape check against the merge so far contributes
-// nothing and ends the merge. The result is always a fresh profile;
-// callers may mutate it.
+// MergedProfile returns the program's path profile, the merge of every
+// profile item of the program folded so far, or false when there is
+// none. The result is always a fresh profile; callers may mutate it.
 func (c *Collector) MergedProfile(program string) (*profile.Profile, bool) {
-	m, _ := c.mergeProfile(program)
-	if m == nil {
-		return nil, false
-	}
-	return m.Materialize(), true
+	p, _ := c.readProfile(program)
+	return p, p != nil
 }
 
-// mergeProfile folds program's profile aggregates across shards as
-// MergedProfile describes, or returns nil when no shard holds one, with
-// the stamps mergeExport returns.
-func (c *Collector) mergeProfile(program string) (*agg.Profile, []uint64) {
-	stamps := make([]uint64, len(c.shards))
-	var m *agg.Profile
-	var err error
-	for i, sh := range c.shards {
-		sh.mu.Lock()
-		if a, ok := sh.Profiles[program]; ok {
-			stamps[i] = a.Gen()
-			switch {
-			case err != nil:
-			case m == nil:
-				m = a.Clone()
-			default:
-				err = m.FoldAgg(a)
-			}
-		}
-		sh.mu.Unlock()
+// readProfile is readExport for program's profile aggregate.
+func (c *Collector) readProfile(program string) (*profile.Profile, uint64) {
+	sh := c.home(program)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	a, ok := sh.Profiles[program]
+	if !ok {
+		return nil, 0
 	}
-	return m, stamps
+	return a.Materialize(), a.Gen()
 }
 
-// Take removes and returns everything aggregated so far, merged across
-// shards per program and sorted by program name. Ingest continues
-// concurrently into fresh aggregates; this is the relay flush primitive
-// (see relay.go): a leaf collector periodically Takes its aggregate and
-// pushes it upstream as one batch. Shards merge as in MergedProfile and
-// MergedExport, except that the swapped-out aggregates are owned here, so
-// later shards fold straight into the first one. Take drops every table
+// Take removes and returns everything aggregated so far, at most one
+// profile and one CCT export per program, sorted by program name. Ingest
+// continues concurrently into fresh aggregates; this is the relay flush
+// primitive (see relay.go): a leaf collector periodically Takes its
+// aggregate and pushes it upstream as one batch. Take drops every table
 // view.
 func (c *Collector) Take() ([]*profile.Profile, []*cct.Export) {
-	profParts := map[string][]*agg.Profile{}
-	exportParts := map[string][]*agg.CCT{}
+	var profiles []*profile.Profile
+	var exports []*cct.Export
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		pm, em := sh.Profiles, sh.CCTs
 		sh.Profiles, sh.CCTs = nil, nil
 		sh.mu.Unlock()
-		for name, a := range pm {
-			profParts[name] = append(profParts[name], a)
+		for _, a := range pm {
+			profiles = append(profiles, a.Materialize())
 		}
-		for name, a := range em {
-			exportParts[name] = append(exportParts[name], a)
+		for _, a := range em {
+			exports = append(exports, a.Snapshot())
 		}
 	}
 	c.viewMu.Lock()
 	clear(c.profViews)
 	clear(c.cctViews)
 	c.viewMu.Unlock()
-	var profiles []*profile.Profile
-	for _, parts := range profParts {
-		a := parts[0]
-		for _, b := range parts[1:] {
-			if a.FoldAgg(b) != nil {
-				break
-			}
-		}
-		profiles = append(profiles, a.Materialize())
-	}
-	sc := c.getScratch()
-	defer c.putScratch(sc)
-	var exports []*cct.Export
-	for _, parts := range exportParts {
-		a := parts[0]
-		for _, b := range parts[1:] {
-			b.WriteBatch(sc)
-			if a.Fold(&sc.BC, sc) != nil {
-				break
-			}
-		}
-		exports = append(exports, a.Snapshot())
-	}
 	sort.Slice(profiles, func(i, j int) bool { return profiles[i].Program < profiles[j].Program })
 	sort.Slice(exports, func(i, j int) bool { return exports[i].Program < exports[j].Program })
 	return profiles, exports

@@ -15,6 +15,7 @@ import (
 
 	"pathprof/internal/cct"
 	"pathprof/internal/experiments"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
 	"pathprof/internal/workload"
@@ -36,11 +37,11 @@ func fixtures(t testing.TB) (*profile.Profile, *cct.Tree) {
 		if !ok {
 			panic("no compress workload")
 		}
-		pc, err := s.Run(w, instrument.ModePathHW, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		pc, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			panic(err)
 		}
-		tc, err := s.Run(w, instrument.ModeContextFlow, experiments.StandardEvents[0], experiments.StandardEvents[1])
+		tc, err := s.RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			panic(err)
 		}

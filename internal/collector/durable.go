@@ -78,12 +78,7 @@ func (c *Collector) AckMode() AckMode { return c.ackMode }
 // surviving state into this collector, and mounts the log. opts.Apply,
 // opts.Snapshot and opts.Compact are overwritten.
 func (c *Collector) OpenStore(dir string, opts store.Options) (*store.Log, store.Recovery, error) {
-	var replayed int // records handed to Apply so far, across files
-	opts.Apply = func(payloads [][]byte) []error {
-		errs := c.replay(replayed, payloads)
-		replayed += len(payloads)
-		return errs
-	}
+	opts.Apply = c.replay
 	opts.Snapshot = c.SnapshotFrame
 	opts.Compact = c.CompactPayloads
 	l, rec, err := store.Open(dir, opts)
@@ -107,24 +102,23 @@ func (c *Collector) Checkpoint() error {
 
 // replay folds logged payloads, version-3 frames, into the shard
 // aggregates and returns one error per payload — the store's replay
-// callback, through OpenStore, which numbers the records across calls so
-// that first is the number of payloads[0]. Re-applying the log through
-// it reproduces the in-memory state the acks described.
+// callback, through OpenStore. Re-applying the log through it reproduces
+// the in-memory state the acks described.
 //
-// Record first+j folds whole, in log order with the shard's other
-// records, into shard (first+j) mod Shards, and each shard has one
-// goroutine with its own scratch, so shards fold side by side without
-// sharing a lock or a counter. Placement by record number makes every
-// reopen of a log build the same shard aggregates, whatever GOMAXPROCS
-// is; merged reads of a conflict-free log do not depend on the
-// placement, because the fold is associative and commutative. Live
-// ingest keeps spreading each frame item by item instead (see pick).
+// One goroutine per shard, each with its own scratch, walks the payloads
+// in log order and folds the items its shard homes. Each payload is
+// parsed once, by the first goroutine to reach it: its checksum verified
+// and each item's home read off its program name. The parsed frame is
+// then shared read-only. So every program folds in log order, as at
+// ingest, at every shard count and whatever GOMAXPROCS is, and a push
+// refused at ingest for a conflict is refused again. A payload's error is
+// its lowest-indexed failing item's, as IngestFrame returns.
 //
 // A payload without a frame header can only come from a build that
 // logged the retired version-1 and version-2 envelopes. Its error wraps
 // store.ErrUnreadable, so replay refuses the log instead of skipping the
 // record, and then no payload of the batch is folded.
-func (c *Collector) replay(first int, payloads [][]byte) []error {
+func (c *Collector) replay(payloads [][]byte) []error {
 	errs := make([]error, len(payloads))
 	unreadable := false
 	for j, p := range payloads {
@@ -137,30 +131,81 @@ func (c *Collector) replay(first int, payloads [][]byte) []error {
 		return errs
 	}
 	n := len(c.shards)
+	recs := make([]replayRecord, len(payloads))
 	var wg sync.WaitGroup
-	for s := 0; s < n && s < len(payloads); s++ {
+	for s, sh := range c.shards {
 		wg.Add(1)
-		go func(s int) {
+		go func() {
 			defer wg.Done()
-			sh := c.shards[(first+s)%n]
 			sc := c.getScratch()
 			defer c.putScratch(sc)
-			var frames, profiles, ccts int
-			for j := s; j < len(payloads); j += n {
-				p, cc, err := c.foldFrame(sc, sh, payloads[j])
-				if err == nil {
-					frames++
+			var profiles, ccts int
+			for j := range recs {
+				r := &recs[j]
+				r.once.Do(func() { r.parse(payloads[j], n) })
+				for i, h := range r.homes {
+					if h != s {
+						continue
+					}
+					// Items of one record sit side by side in r.errs, so a
+					// goroutine writes only an error: writing every result
+					// would share each cache line between the cores.
+					switch err := sh.fold(sc, &r.frame, i); {
+					case err != nil:
+						r.errs[i] = err
+					case r.frame.Kind(i) == wire.KindProfile:
+						profiles++
+					default:
+						ccts++
+					}
 				}
-				profiles += p
-				ccts += cc
-				errs[j] = err
 			}
-			c.ingestedFrames.Add(uint64(frames))
 			c.countItems(profiles, ccts)
-		}(s)
+		}()
 	}
 	wg.Wait()
+	var frames int
+	for j := range recs {
+		errs[j] = recs[j].err
+		for _, err := range recs[j].errs {
+			if err != nil && errs[j] == nil {
+				errs[j] = err
+			}
+		}
+		if errs[j] == nil {
+			frames++
+		}
+	}
+	c.ingestedFrames.Add(uint64(frames))
 	return errs
+}
+
+// replayRecord is one logged payload, parsed for replay.
+type replayRecord struct {
+	once  sync.Once
+	err   error // the frame's parse error
+	frame wire.Frame
+	homes []int   // each item's home shard; -1 where its name does not read
+	errs  []error // each item's fold error, written by its home's goroutine
+}
+
+// parse parses payload into r and locates each item's home among n
+// shards. It records the frame's parse error, and an item whose name does
+// not read as that item's error.
+func (r *replayRecord) parse(payload []byte, n int) {
+	if r.err = r.frame.Reset(payload); r.err != nil {
+		return
+	}
+	r.homes = make([]int, r.frame.Items())
+	r.errs = make([]error, r.frame.Items())
+	for i := range r.homes {
+		name, err := r.frame.Program(i)
+		if err != nil {
+			r.homes[i], r.errs[i] = -1, err
+			continue
+		}
+		r.homes[i] = homeIndex(name, n)
+	}
 }
 
 // checkFrameHeader returns nil when data begins with a version-3 frame
@@ -210,7 +255,7 @@ func (c *Collector) SnapshotFrame() ([]byte, error) {
 // replaying the originals.
 func (c *Collector) CompactPayloads(payloads [][]byte) ([]byte, error) {
 	scratch := New(Config{Shards: 1})
-	for _, err := range scratch.replay(0, payloads) {
+	for _, err := range scratch.replay(payloads) {
 		// A rejected payload contributes nothing to the aggregate, here
 		// as in replay, which counts and skips it.
 		if errors.Is(err, store.ErrUnreadable) {

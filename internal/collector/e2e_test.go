@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"pathprof/internal/experiments"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/workload"
 )
@@ -67,8 +68,7 @@ func TestEndToEndShardedCollection(t *testing.T) {
 			defer wg.Done()
 			cl := &Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
 			for _, w := range ws {
-				tree, err := s.RunFresh(ctx, w, instrument.ModeContextFlow,
-					experiments.StandardEvents[0], experiments.StandardEvents[1])
+				tree, err := s.RunFreshSet(ctx, w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 				if err == nil {
 					_, err = cl.PushRun(ctx, tree)
 				}
@@ -76,8 +76,7 @@ func TestEndToEndShardedCollection(t *testing.T) {
 					errs <- err
 					continue
 				}
-				prof, err := s.RunFresh(ctx, w, instrument.ModePathHW,
-					experiments.StandardEvents[0], experiments.StandardEvents[1])
+				prof, err := s.RunFreshSet(ctx, w, instrument.ModePathHW, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 				if err == nil {
 					_, err = cl.PushRun(ctx, prof)
 				}

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"pathprof/internal/experiments"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/workload"
 )
@@ -80,13 +81,11 @@ func TestRelayTreeFanIn(t *testing.T) {
 	envs := make([]envelope, 0, 2*len(programs))
 	ctx := context.Background()
 	for pi, w := range ws {
-		tc, err := s.Run(w, instrument.ModeContextFlow,
-			experiments.StandardEvents[0], experiments.StandardEvents[1])
+		tc, err := s.RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			t.Fatal(err)
 		}
-		pc, err := s.Run(w, instrument.ModePathHW,
-			experiments.StandardEvents[0], experiments.StandardEvents[1])
+		pc, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,10 +41,11 @@ func splitItems(frame []byte) [][]byte {
 
 // FuzzIngest feeds structurally valid but semantically hostile frames
 // through ParseFrame and the fold. Each input gets a fresh CRC, then its
-// items fold one frame at a time into a collector that already holds a
-// valid aggregate in both shards. No input may panic or hit a fatal
-// error, and an item the collector rejects must leave every program's
-// merged profile and CCT, encoded as a v3 frame, byte-identical.
+// items fold one frame at a time into a two-shard collector that already
+// holds a valid aggregate of each base program. No input may panic or
+// hit a fatal error, and an item the collector rejects must leave every
+// program's merged profile and CCT, encoded as a v3 frame,
+// byte-identical.
 func FuzzIngest(f *testing.F) {
 	prof, tree := fixtures(f)
 	bw := wire.NewBatchWriter()

@@ -455,9 +455,8 @@ func TestRelayForwards(t *testing.T) {
 
 // TestRelayRefoldPerItem: a frame the upstream refused folds back into
 // the relay's collector item by item, so an item that now conflicts with
-// the local aggregate does not keep the next one out — as a plain
-// IngestFrame, which stops at the first failing item, would. The
-// conflicting item is lost, and the flush counts and reports it.
+// the local aggregate does not keep the next one out. The conflicting
+// item is lost, and the flush counts and reports it.
 func TestRelayRefoldPerItem(t *testing.T) {
 	prof, _ := fixtures(t)
 	ctx := context.Background()

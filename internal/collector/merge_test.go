@@ -2,72 +2,87 @@ package collector
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"net/http"
 	"sync"
 	"testing"
 
 	"pathprof/internal/agg"
 	"pathprof/internal/cct"
 	"pathprof/internal/experiments"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
 	"pathprof/internal/wire"
 	"pathprof/internal/workload"
 )
 
-// The reference read path: each shard's aggregate is copied out as a
-// sorted profile.Profile / cct.Export, and the copies are chained through
-// profile.Merge / cct.MergeExports in shard order, stopping at the first
-// merge error. The collector's reads fold shard aggregates with the
+// The reference merge: each program's pushes as the wire decodes them,
+// in push order, chained through profile.Merge / cct.MergeExports. The
+// collector folds every push into its program's one aggregate with the
 // ingest fold instead; on conflict-free input both must agree byte for
-// byte.
-
-func refMergeProfiles(aggs []*agg.Profile) *profile.Profile {
-	out := aggs[0].Materialize()
-	for _, a := range aggs[1:] {
-		if err := out.Merge(a.Materialize()); err != nil {
-			break
-		}
-	}
-	return out
-}
-
-func refMergeExports(aggs []*agg.CCT) *cct.Export {
-	out := aggs[0].Snapshot()
-	for _, a := range aggs[1:] {
-		merged, err := cct.MergeExports(out, a.Snapshot())
-		if err != nil {
-			break
-		}
-		out = merged
-	}
-	return out
-}
-
-// refMerged runs the reference read path over every program c holds.
-func refMerged(c *Collector) (map[string]*profile.Profile, map[string]*cct.Export) {
-	profParts := map[string][]*agg.Profile{}
-	exportParts := map[string][]*agg.CCT{}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for name, a := range sh.Profiles {
-			profParts[name] = append(profParts[name], a)
-		}
-		for name, a := range sh.CCTs {
-			exportParts[name] = append(exportParts[name], a)
-		}
-		sh.mu.Unlock()
-	}
+// byte at every shard count.
+func refMerged(t *testing.T, frames [][]byte) (map[string]*profile.Profile, map[string]*cct.Export) {
+	t.Helper()
 	profs := map[string]*profile.Profile{}
-	for name, parts := range profParts {
-		profs[name] = refMergeProfiles(parts)
-	}
 	exports := map[string]*cct.Export{}
-	for name, parts := range exportParts {
-		exports[name] = refMergeExports(parts)
+	for _, data := range frames {
+		f, err := wire.ParseFrame(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < f.Items(); i++ {
+			if f.Kind(i) == wire.KindProfile {
+				p, err := f.ProfileAt(i)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if m := profs[p.Program]; m == nil {
+					profs[p.Program] = p
+				} else if err := m.Merge(p); err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			ex, err := f.ExportAt(i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m := exports[ex.Program]; m == nil {
+				exports[ex.Program] = ex
+			} else if exports[ex.Program], err = cct.MergeExports(m, ex); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	return profs, exports
+}
+
+// checkHomes fails unless every aggregate c holds sits in its program's
+// home shard: 32-bit FNV-1a of the name, mod the shard count.
+func checkHomes(t *testing.T, c *Collector) {
+	t.Helper()
+	for i, sh := range c.shards {
+		var names []string
+		sh.mu.Lock()
+		for name := range sh.Profiles {
+			names = append(names, name)
+		}
+		for name := range sh.CCTs {
+			names = append(names, name)
+		}
+		sh.mu.Unlock()
+		for _, name := range names {
+			h := fnv.New32a()
+			h.Write([]byte(name))
+			if home := int(h.Sum32() % uint32(len(c.shards))); i != home {
+				t.Fatalf("an aggregate of %s sits in shard %d of %d; its home is shard %d", name, i, len(c.shards), home)
+			}
+		}
+	}
 }
 
 // profileFrame and exportFrame encode one envelope as a version-3 frame:
@@ -112,7 +127,6 @@ var (
 func mergeInputs(t *testing.T) []mergeInput {
 	t.Helper()
 	mergeInputsOnce.Do(func() {
-		ev0, ev1 := experiments.StandardEvents[0], experiments.StandardEvents[1]
 		classic := experiments.NewSession(workload.Test)
 		k2 := experiments.NewSession(workload.Test)
 		k2.K = 2
@@ -121,7 +135,7 @@ func mergeInputs(t *testing.T) []mergeInput {
 			if !ok {
 				panic("no workload " + name)
 			}
-			cell, err := s.Run(w, mode, ev0, ev1)
+			cell, err := s.RunSet(w, mode, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 			if err != nil && mergeInputsErr == nil {
 				mergeInputsErr = err
 			}
@@ -227,9 +241,10 @@ func varyExport(rng *rand.Rand, tree *cct.Tree, name string) *cct.Export {
 }
 
 // pushRandom folds the given number of pushes drawn from inputs into c,
-// one to four envelopes per frame, spread over the shards round-robin.
-func pushRandom(t *testing.T, c *Collector, rng *rand.Rand, inputs []mergeInput, pushes int) {
+// one to four envelopes per frame, and returns the frames.
+func pushRandom(t *testing.T, c *Collector, rng *rand.Rand, inputs []mergeInput, pushes int) [][]byte {
 	t.Helper()
+	var frames [][]byte
 	bw := wire.NewBatchWriter()
 	for i := 0; i < pushes; {
 		bw.Reset()
@@ -246,10 +261,13 @@ func pushRandom(t *testing.T, c *Collector, rng *rand.Rand, inputs []mergeInput,
 			}
 			i++
 		}
-		if _, _, err := c.IngestFrame(bw.Frame()); err != nil {
+		frame := bw.Frame()
+		if _, _, err := c.IngestFrame(frame); err != nil {
 			t.Fatal(err)
 		}
+		frames = append(frames, frame)
 	}
+	return frames
 }
 
 func sameExport(t *testing.T, what string, got, want *cct.Export) {
@@ -263,9 +281,9 @@ func sameExport(t *testing.T, what string, got, want *cct.Export) {
 }
 
 // TestMergedReadsMatchReference: MergedProfile, MergedExport and Take
-// fold shard aggregates with the ingest fold and build the result once;
-// over seeded random pushes at 1-5 shards they must agree byte for byte
-// with the reference read path.
+// build the result once from the program's one aggregate; over seeded
+// random pushes at 1-5 shards they must agree byte for byte with the
+// reference merge of the pushes.
 func TestMergedReadsMatchReference(t *testing.T) {
 	inputs := mergeInputs(t)
 	backedges, dupSiblings := 0, false
@@ -290,8 +308,8 @@ func TestMergedReadsMatchReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		shards := 1 + (seed-1)%5
 		c := New(Config{Shards: shards})
-		pushRandom(t, c, rng, inputs, 10+rng.Intn(30))
-		wantProfs, wantExports := refMerged(c)
+		wantProfs, wantExports := refMerged(t, pushRandom(t, c, rng, inputs, 10+rng.Intn(30)))
+		checkHomes(t, c)
 
 		for name, want := range wantProfs {
 			got, ok := c.MergedProfile(name)
@@ -329,80 +347,82 @@ func TestMergedReadsMatchReference(t *testing.T) {
 	}
 }
 
-// pushTo folds p, as a one-item frame, into shard i of c (the
-// round-robin cursor is steered so the next pick lands there).
-func pushTo(t *testing.T, c *Collector, i int, p *profile.Profile) {
-	t.Helper()
-	c.next.Store(uint64(i + len(c.shards) - 1))
-	if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
-		t.Fatalf("push to shard %d: %v", i, err)
-	}
-}
-
-// checkConflictRule pushes a into shard 0 and the conflicting b into
-// shard 1 of a 2-shard collector. Each shard accepts its push, having no
-// aggregate to conflict with; every cross-shard read must then return a
-// alone: the shard failing the ingest's shape check against the merge so
-// far contributes nothing.
-func checkConflictRule(t *testing.T, a, b *profile.Profile) {
-	t.Helper()
-	alone := New(Config{Shards: 1})
-	pushTo(t, alone, 0, a)
-	wantP, _ := alone.MergedProfile(a.Program)
-	want := profileFrame(t, wantP)
-
-	c := New(Config{Shards: 2})
-	pushTo(t, c, 0, a)
-	pushTo(t, c, 1, b)
-	got, ok := c.MergedProfile(a.Program)
-	if !ok || !bytes.Equal(profileFrame(t, got), want) {
-		t.Errorf("MergedProfile folded the conflicting shard")
-	}
-	snap, err := c.SnapshotFrame()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := wire.ParseFrame(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp, err := f.ProfileAt(0)
-	if err != nil || f.Items() != 1 || !bytes.Equal(profileFrame(t, sp), want) {
-		t.Errorf("SnapshotFrame folded the conflicting shard (err %v)", err)
-	}
-	profs, _ := c.Take()
-	if len(profs) != 1 || !bytes.Equal(profileFrame(t, profs[0]), want) {
-		t.Errorf("Take folded the conflicting shard")
-	}
-}
-
-func TestCrossShardModeConflict(t *testing.T) {
-	prof, _ := fixtures(t)
-	other := cloneProfile(prof)
-	other.Mode = "context+hw"
-	checkConflictRule(t, prof, other)
-}
-
-func TestCrossShardSchemaConflict(t *testing.T) {
-	prof, _ := fixtures(t)
-	other := cloneProfile(prof)
-	other.Events = []string{"cycles", "branches"}
-	checkConflictRule(t, prof, other)
-}
-
-func TestCrossShardProcIDConflict(t *testing.T) {
+// TestConflictMeetsAckedAggregate: a push that conflicts with an acked
+// profile of its program (another metric schema, mode or procedure id)
+// meets that profile in the program's home shard at every shard count,
+// so it is refused, 409 through the handler, and every read still
+// returns the acked profile byte for byte. Two pushes of another program
+// come first, as in the schema case's original report.
+func TestConflictMeetsAckedAggregate(t *testing.T) {
 	prof, _ := fixtures(t)
 	if len(prof.Procs) < 2 {
 		t.Fatal("fixture needs two procedures")
 	}
-	other := cloneProfile(prof)
-	other.Procs[len(other.Procs)-1].ProcID += 100
-	checkConflictRule(t, prof, other)
+	filler := cloneProfile(prof)
+	filler.Program = "filler"
+	schema := cloneProfile(prof)
+	schema.Events = []string{"icache-miss", "insts"}
+	mode := cloneProfile(prof)
+	mode.Mode = "context+hw"
+	procID := cloneProfile(prof)
+	procID.Procs[len(procID.Procs)-1].ProcID += 100
+	want := profileFrame(t, prof)
+	same := func(what string, got *profile.Profile) {
+		t.Helper()
+		if got == nil || !bytes.Equal(profileFrame(t, got), want) {
+			t.Errorf("%s does not return the acked profile", what)
+		}
+	}
+	for shards := 1; shards <= 5; shards++ {
+		for _, v := range []struct {
+			name string
+			p    *profile.Profile
+		}{{"schema", schema}, {"mode", mode}, {"proc id", procID}} {
+			what := func(s string) string { return fmt.Sprintf("%d shards, %s conflict: %s", shards, v.name, s) }
+			c := New(Config{Shards: shards})
+			for _, p := range []*profile.Profile{filler, filler, prof} {
+				if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var ce *agg.ConflictError
+			if _, _, err := c.IngestFrame(profileFrame(t, v.p)); !errors.As(err, &ce) {
+				t.Errorf("%s: IngestFrame returned %v, want a *agg.ConflictError", what("push"), err)
+			}
+			if code := postIngest(c.Handler(), profileFrame(t, v.p)); code != http.StatusConflict {
+				t.Errorf("%s: the handler answered %d, want 409", what("push"), code)
+			}
+			got, _ := c.MergedProfile(prof.Program)
+			same(what("MergedProfile"), got)
+
+			f, err := wire.ParseFrame(snapshotBytes(t, c))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = nil
+			for i := 0; i < f.Items(); i++ {
+				if p, err := f.ProfileAt(i); err == nil && p.Program == prof.Program {
+					got = p
+				}
+			}
+			same(what("SnapshotFrame"), got)
+
+			profs, _ := c.Take()
+			got = nil
+			for _, p := range profs {
+				if p.Program == prof.Program {
+					got = p
+				}
+			}
+			same(what("Take"), got)
+		}
+	}
 }
 
-// TestMergedReadAllocsFlat: with the same pushes in every shard, a read
-// allocates as much at 8 shards as at 1 (one more allowed for the pooled
-// scratch) — read cost no longer multiplies with the shard count.
+// TestMergedReadAllocsFlat: with one copy of the same pushes per shard,
+// all folded into the program's home shard, a read allocates as much at
+// 8 shards as at 1 (one more allowed for the pooled scratch): read cost
+// does not multiply with the shard count.
 func TestMergedReadAllocsFlat(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; counts are only meaningful without it")
@@ -426,9 +446,17 @@ func TestMergedReadAllocsFlat(t *testing.T) {
 			}
 		}
 		for _, sh := range c.shards {
-			if sh.Profiles[prof.Program] == nil || sh.CCTs[prof.Program] == nil {
-				t.Fatal("preload missed a shard")
+			holds := sh.Profiles[prof.Program] != nil || sh.CCTs[prof.Program] != nil
+			if home := sh == c.home(prof.Program); holds != home ||
+				home && (sh.Profiles[prof.Program] == nil || sh.CCTs[prof.Program] == nil) {
+				t.Fatal("a copy sits outside the program's one home shard")
 			}
+		}
+		execs, _ := prof.Totals()
+		if p, _ := c.MergedProfile(prof.Program); p == nil {
+			t.Fatal("no profile aggregate")
+		} else if got, _ := p.Totals(); got != uint64(shards)*execs {
+			t.Fatalf("the home shard holds %d path executions, want %d copies of %d", got, shards, execs)
 		}
 		for i := 0; i < 3; i++ { // warm the scratch pool
 			c.MergedExport(prof.Program)

@@ -155,8 +155,8 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 			refused += bw.Items()
 			// Each item folds on its own, so one that conflicts with what
 			// leaves pushed since Take does not keep the others out.
-			if folded, err := r.Local.foldEach(frame); folded < bw.Items() {
-				dropped += bw.Items() - folded
+			if profiles, ccts, err := r.Local.foldFrame(frame); profiles+ccts < bw.Items() {
+				dropped += bw.Items() - profiles - ccts
 				if refoldErr == nil {
 					refoldErr = err
 				}

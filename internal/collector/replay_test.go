@@ -65,13 +65,13 @@ func frameOf(t *testing.T, envs ...envelope) []byte {
 	return append([]byte(nil), bw.Frame()...)
 }
 
-// TestReplayMatchesSerialFold: replay folds each record whole into one
-// shard, all shards side by side. A log spanning a snapshot and several
-// segments, holding flow+hw, context+flow and k=2 items, two records
-// whose push IDs were already applied and a frame whose third item fails
-// to decode, must recover at 1, 3 and 4 shards the aggregates, ingest
-// counters and recovery counts of a serial IngestFrame fold of the
-// surviving frames into a one-shard collector.
+// TestReplayMatchesSerialFold: replay folds each item into its program's
+// home shard, one goroutine per shard, all side by side. A log spanning a
+// snapshot and several segments, holding flow+hw, context+flow and k=2
+// items, two records whose push IDs were already applied and a frame
+// whose third item fails to decode, must recover at 1, 3 and 4 shards the
+// aggregates, ingest counters and recovery counts of a serial IngestFrame
+// fold of the surviving frames into a one-shard collector.
 func TestReplayMatchesSerialFold(t *testing.T) {
 	inputs := mergeInputs(t)
 	compiler, compress, k2 := inputs[0], inputs[1], inputs[2]
@@ -145,6 +145,7 @@ func TestReplayMatchesSerialFold(t *testing.T) {
 	want, wantM := snapshotBytes(t, ref), ref.Metrics()
 	for _, shards := range []int{1, 3, 4} {
 		c, rec := reopenCopy(t, dir, shards)
+		checkHomes(t, c)
 		if rec.Segments < 2 || rec.SnapshotBytes != int64(len(snap)) || rec.Records != len(post) ||
 			rec.Bytes != int64(bytesFolded) || rec.Duplicates != 2 || rec.ApplyErrors != applyErrors {
 			t.Errorf("%d shards: recovery %+v, want >= 2 segments, a %d-byte snapshot, %d records of %d bytes, 2 duplicates, %d apply errors",
@@ -163,10 +164,11 @@ func TestReplayMatchesSerialFold(t *testing.T) {
 }
 
 // TestReplayDeterministic: on a log whose pushes conflict (HTTP 409 at
-// ingest), which records meet in a shard decides which folds are
-// refused. Replay places records by their number in the log, so five
-// reopens each at GOMAXPROCS 1 and 4 refuse the same records and build
-// byte-identical aggregates.
+// ingest), the order in which a program's items fold decides which are
+// refused. Replay folds every program's items in log order in its home
+// shard, so reopens at 1, 3 and 4 shards, under GOMAXPROCS 1 and 4,
+// refuse exactly the records a live one-shard IngestFrame of the same
+// frames refuses, and build its aggregates byte for byte.
 func TestReplayDeterministic(t *testing.T) {
 	inputs := mergeInputs(t)
 	compiler, compress := inputs[0], inputs[1]
@@ -183,37 +185,40 @@ func TestReplayDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	live := New(Config{Shards: 1})
+	wantErrors := 0
 	for i := 0; i < 24; i++ {
 		var frame []envelope
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			frame = append(frame, envs[rng.Intn(len(envs))])
 		}
-		if err := l.Append(context.Background(), uint64(i+1), frameOf(t, frame...)); err != nil {
+		data := frameOf(t, frame...)
+		if err := l.Append(context.Background(), uint64(i+1), data); err != nil {
 			t.Fatal(err)
+		}
+		if _, _, err := live.IngestFrame(data); err != nil {
+			wantErrors++
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if wantErrors == 0 {
+		t.Fatal("no record conflicted")
+	}
+	want := snapshotBytes(t, live)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var want []byte
-	var wantErrors int
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for i := 0; i < 5; i++ {
-			c, rec := reopenCopy(t, dir, 4)
-			got := snapshotBytes(t, c)
-			if want == nil {
-				want, wantErrors = got, rec.ApplyErrors
-				if wantErrors == 0 {
-					t.Fatal("no record conflicted with its shard")
+		for _, shards := range []int{1, 3, 4} {
+			for i := 0; i < 3; i++ {
+				c, rec := reopenCopy(t, dir, shards)
+				checkHomes(t, c)
+				if got := snapshotBytes(t, c); rec.ApplyErrors != wantErrors || !bytes.Equal(got, want) {
+					t.Fatalf("GOMAXPROCS %d, %d shards, reopen %d: %d apply errors (live fold %d), aggregates equal: %v",
+						procs, shards, i, rec.ApplyErrors, wantErrors, bytes.Equal(got, want))
 				}
-				continue
-			}
-			if rec.ApplyErrors != wantErrors || !bytes.Equal(got, want) {
-				t.Fatalf("GOMAXPROCS %d, reopen %d: %d apply errors (first reopen %d), aggregates equal: %v",
-					procs, i, rec.ApplyErrors, wantErrors, bytes.Equal(got, want))
 			}
 		}
 	}

@@ -9,11 +9,12 @@ import (
 	"pathprof/internal/experiments"
 )
 
-// Table queries answer from per-program views: the rows one merge of a
-// program's aggregates yields, keyed by the fold stamps (Gen) that
-// merge read under each shard's lock, and served while every shard still
-// holds those stamps for the program. Stamps read after the merge could
-// pair old rows with newer data. DESIGN.md §6 has the whole rule.
+// Table queries answer from per-program views: the rows one read of a
+// program's aggregate yields, keyed by the fold stamp (Gen) that read
+// saw under the home shard's lock, and served while the home shard still
+// holds an aggregate with that stamp for the program. A stamp read after
+// the copy could pair old rows with newer data. DESIGN.md §6 has the
+// whole rule.
 
 // profView holds one program's rows derived from its merged profile:
 // Tables 4 and 5 and the named-metric totals. The hot-path and
@@ -23,7 +24,7 @@ import (
 // own Once, so a read of one table formats nothing for the others. Apart
 // from those once-filled cells a view is immutable once stored.
 type profView struct {
-	stamps []uint64 // per shard; 0 where the shard held no aggregate
+	gen    uint64 // fold stamp of the aggregate the rows came from
 	table4 experiments.Table4Result
 	table5 analysis.ProcReport
 	execs  string   // path executions
@@ -51,50 +52,42 @@ func (v *profView) table5Cells() []string {
 // cctView holds one program's Table 3 row, formatted, keyed as in
 // profView.
 type cctView struct {
-	stamps []uint64
-	cells  []string
+	gen   uint64
+	cells []string
 }
 
-// fresh reports whether program's aggregates of one kind, CCTs when ccts
-// is set and profiles otherwise, still carry stamps.
-func (c *Collector) fresh(stamps []uint64, program string, ccts bool) bool {
-	for i, sh := range c.shards {
-		var gen uint64
-		sh.mu.Lock()
-		if ccts {
-			if a := sh.CCTs[program]; a != nil {
-				gen = a.Gen()
-			}
-		} else if a := sh.Profiles[program]; a != nil {
-			gen = a.Gen()
-		}
-		sh.mu.Unlock()
-		if gen != stamps[i] {
-			return false
-		}
+// fresh reports whether program's aggregate of one kind, its CCT when
+// ccts is set and its profile otherwise, still carries stamp gen.
+func (c *Collector) fresh(gen uint64, program string, ccts bool) bool {
+	sh := c.home(program)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if ccts {
+		a := sh.CCTs[program]
+		return a != nil && a.Gen() == gen
 	}
-	return true
+	a := sh.Profiles[program]
+	return a != nil && a.Gen() == gen
 }
 
 // profileView returns program's profile view, deriving and storing a new
-// one when a fold has changed its profile aggregates since the last. It
-// returns false when no shard holds a profile aggregate for program.
+// one when a fold has changed its profile aggregate since the last. It
+// returns false when program has no profile aggregate.
 func (c *Collector) profileView(program string) (*profView, bool) {
 	c.viewMu.Lock()
 	v := c.profViews[program]
 	c.viewMu.Unlock()
-	if v != nil && c.fresh(v.stamps, program, false) {
+	if v != nil && c.fresh(v.gen, program, false) {
 		c.viewHits.Add(1)
 		return v, true
 	}
 	c.viewMisses.Add(1)
-	m, stamps := c.mergeProfile(program)
-	if m == nil {
+	p, gen := c.readProfile(program)
+	if p == nil {
 		return nil, false
 	}
-	p := m.Materialize()
 	v = &profView{
-		stamps: stamps,
+		gen:    gen,
 		table4: experiments.Table4FromProfile(program, p),
 		table5: analysis.ClassifyProcs(p, analysis.DefaultHotThreshold),
 	}
@@ -128,22 +121,22 @@ func (c *Collector) profileView(program string) (*profView, bool) {
 	return v, true
 }
 
-// exportView is profileView for program's CCT aggregates.
+// exportView is profileView for program's CCT aggregate.
 func (c *Collector) exportView(program string) (*cctView, bool) {
 	c.viewMu.Lock()
 	v := c.cctViews[program]
 	c.viewMu.Unlock()
-	if v != nil && c.fresh(v.stamps, program, true) {
+	if v != nil && c.fresh(v.gen, program, true) {
 		c.viewHits.Add(1)
 		return v, true
 	}
 	c.viewMisses.Add(1)
-	m, stamps := c.mergeExport(program)
-	if m == nil {
+	ex, gen := c.readExport(program)
+	if ex == nil {
 		return nil, false
 	}
-	row := experiments.Table3Row{Name: program, Stats: m.Snapshot().Stats()}
-	v = &cctView{stamps: stamps, cells: experiments.Table3Cells(row)}
+	row := experiments.Table3Row{Name: program, Stats: ex.Stats()}
+	v = &cctView{gen: gen, cells: experiments.Table3Cells(row)}
 	c.viewMu.Lock()
 	c.cctViews[program] = v
 	c.viewMu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 )
 
@@ -205,16 +206,16 @@ func TestSharedPlanIsolation(t *testing.T) {
 	shared := subsetSession(t)
 	w := shared.Workloads[0]
 	// Force the shared plan to be wired twice for the same (workload, mode).
-	c1, err := shared.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+	c1, err := shared.RunSet(w, instrument.ModePathHW, standardSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := shared.Run(w, instrument.ModePathHW, PerturbationPairs[0][0], PerturbationPairs[0][1]); err != nil {
+	if _, err := shared.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(PerturbationPairs[0][:]...)); err != nil {
 		t.Fatal(err)
 	}
 
 	fresh := subsetSession(t)
-	c2, err := fresh.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+	c2, err := fresh.RunSet(w, instrument.ModePathHW, standardSet())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,25 +101,12 @@ var PerturbationPairs = [][2]hpm.Event{
 	{hpm.EvStoreBufStalls, hpm.EvFPStalls},
 }
 
-// Run executes (or returns the cached) classic two-counter cell. It is
-// safe for concurrent use; see RunSetCtx for the cancellable form and
-// RunSet for wider metric schemas.
-func (s *Session) Run(w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event) (*Cell, error) {
-	return s.RunSetCtx(context.Background(), w, mode, hpm.NewMetricSet(ev0, ev1))
-}
-
 // RunSet executes (or returns the cached) cell under an arbitrary metric
 // set. Instrumented modes get a counter bank and instrumentation plan as
 // wide as the set; under ModeNone a set wider than the configured bank runs
 // behind the multiplexing scheduler and fills Cell.Estimates.
 func (s *Session) RunSet(w workload.Workload, mode instrument.Mode, set hpm.MetricSet) (*Cell, error) {
 	return s.RunSetCtx(context.Background(), w, mode, set)
-}
-
-// RunFresh executes the classic two-counter cell without consulting or
-// populating the session cache; see RunFreshSet.
-func (s *Session) RunFresh(ctx context.Context, w workload.Workload, mode instrument.Mode, ev0, ev1 hpm.Event) (*Cell, error) {
-	return s.RunFreshSet(ctx, w, mode, hpm.NewMetricSet(ev0, ev1))
 }
 
 // RunFreshSet executes the cell without consulting or populating the
@@ -273,19 +260,19 @@ func (s *Session) Table1() ([]Table1Row, error) {
 	}
 	var rows []Table1Row
 	for _, w := range s.Workloads {
-		base, err := s.Run(w, instrument.ModeNone, StandardEvents[0], StandardEvents[1])
+		base, err := s.RunSet(w, instrument.ModeNone, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		fhw, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+		fhw, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		chw, err := s.Run(w, instrument.ModeContextHW, StandardEvents[0], StandardEvents[1])
+		chw, err := s.RunSet(w, instrument.ModeContextHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		cfl, err := s.Run(w, instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1])
+		cfl, err := s.RunSet(w, instrument.ModeContextFlow, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -385,17 +372,17 @@ func (s *Session) Table2() ([]Table2Row, error) {
 	}
 	var rows []Table2Row
 	for _, w := range s.Workloads {
-		base, err := s.Run(w, instrument.ModeNone, StandardEvents[0], StandardEvents[1])
+		base, err := s.RunSet(w, instrument.ModeNone, standardSet())
 		if err != nil {
 			return nil, err
 		}
 		row := Table2Row{Name: w.Name, Class: w.Class}
 		for pi, pair := range PerturbationPairs {
-			fcell, err := s.Run(w, instrument.ModePathHW, pair[0], pair[1])
+			fcell, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(pair[0], pair[1]))
 			if err != nil {
 				return nil, err
 			}
-			ccell, err := s.Run(w, instrument.ModeContextHW, pair[0], pair[1])
+			ccell, err := s.RunSet(w, instrument.ModeContextHW, hpm.NewMetricSet(pair[0], pair[1]))
 			if err != nil {
 				return nil, err
 			}
@@ -508,7 +495,7 @@ func (s *Session) Table3() ([]Table3Row, error) {
 	}
 	var rows []Table3Row
 	for _, w := range s.Workloads {
-		cell, err := s.Run(w, instrument.ModeContextFlow, StandardEvents[0], StandardEvents[1])
+		cell, err := s.RunSet(w, instrument.ModeContextFlow, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -566,7 +553,7 @@ func (s *Session) Table4() ([]Table4Result, error) {
 	}
 	var out []Table4Result
 	for _, w := range s.Workloads {
-		cell, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+		cell, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -636,7 +623,7 @@ func (s *Session) Table5() ([]analysis.ProcReport, error) {
 	}
 	var out []analysis.ProcReport
 	for _, w := range s.Workloads {
-		cell, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+		cell, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -702,7 +689,7 @@ func (s *Session) Multiplicity() ([]MultiplicityRow, error) {
 	}
 	var rows []MultiplicityRow
 	for _, w := range s.Workloads {
-		cell, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+		cell, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -768,19 +755,19 @@ func (s *Session) Table1Ext() ([]Table1ExtRow, error) {
 	}
 	var rows []Table1ExtRow
 	for _, w := range s.Workloads {
-		base, err := s.Run(w, instrument.ModeNone, StandardEvents[0], StandardEvents[1])
+		base, err := s.RunSet(w, instrument.ModeNone, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		edge, err := s.Run(w, instrument.ModeEdgeCount, StandardEvents[0], StandardEvents[1])
+		edge, err := s.RunSet(w, instrument.ModeEdgeCount, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		pf, err := s.Run(w, instrument.ModePathFreq, StandardEvents[0], StandardEvents[1])
+		pf, err := s.RunSet(w, instrument.ModePathFreq, standardSet())
 		if err != nil {
 			return nil, err
 		}
-		blk, err := s.Run(w, instrument.ModeBlockHW, StandardEvents[0], StandardEvents[1])
+		blk, err := s.RunSet(w, instrument.ModeBlockHW, standardSet())
 		if err != nil {
 			return nil, err
 		}

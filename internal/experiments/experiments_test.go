@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/workload"
 )
@@ -135,18 +136,18 @@ func TestTables4And5Consistent(t *testing.T) {
 func TestSessionCaching(t *testing.T) {
 	s := subsetSession(t)
 	w := s.Workloads[0]
-	c1, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+	c1, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := s.Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+	c2, err := s.RunSet(w, instrument.ModePathHW, standardSet())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if c1 != c2 {
 		t.Fatal("identical cells not cached")
 	}
-	c3, err := s.Run(w, instrument.ModePathHW, PerturbationPairs[0][0], PerturbationPairs[0][1])
+	c3, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(PerturbationPairs[0][:]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +161,7 @@ func TestSessionCaching(t *testing.T) {
 func TestContextProfileMatchesRun(t *testing.T) {
 	s := subsetSession(t)
 	w := s.Workloads[0]
-	cell, err := s.Run(w, instrument.ModeContextHW, StandardEvents[0], StandardEvents[1])
+	cell, err := s.RunSet(w, instrument.ModeContextHW, standardSet())
 	if err != nil {
 		t.Fatal(err)
 	}

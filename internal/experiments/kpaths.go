@@ -148,7 +148,7 @@ func KPaths(scale workload.Scale, names []string, degrees []int) (*KPathComparis
 			return nil, fmt.Errorf("experiments: no workload %q", name)
 		}
 		// Baseline first: the classic profile the k rows compare against.
-		base, err := sessions[1].Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+		base, err := sessions[1].RunSet(w, instrument.ModePathHW, standardSet())
 		if err != nil {
 			return nil, err
 		}
@@ -160,7 +160,7 @@ func KPaths(scale workload.Scale, names []string, degrees []int) (*KPathComparis
 		cmp.Rows = append(cmp.Rows, brow)
 
 		for _, k := range ks[1:] {
-			cell, err := sessions[k].Run(w, instrument.ModePathHW, StandardEvents[0], StandardEvents[1])
+			cell, err := sessions[k].RunSet(w, instrument.ModePathHW, standardSet())
 			if err != nil {
 				return nil, err
 			}

@@ -402,24 +402,28 @@ func (rt *Runtime) kCount(ctx sim.ProbeCtx, pp *ProcPlan, st *kAct) {
 // ExtractProfile reads the completed run's path counters — dense tables
 // from simulated memory, hash tables from the runtime — into a Profile.
 // For ModeContextFlow the per-record tables are summed per procedure (the
-// flow-sensitive projection of the combined profile). The profile's metric
-// schema records the machine's event selection for every instrumented
-// counter slot.
+// flow-sensitive projection of the combined profile). Only the modes that
+// accumulate counters, ModePathHW and ModeBlockHW, carry metric slots, and
+// their schema records the machine's event selection for every slot;
+// frequency-only profiles carry none and name no events.
 func (rt *Runtime) ExtractProfile() *profile.Profile {
 	plan := rt.Plan
-	nc := plan.numCounters()
 	p := &profile.Profile{
 		Program: plan.Prog.Name,
 		Mode:    plan.Mode.String(),
 	}
-	sel := rt.Machine.PMU().SelectedAll()
-	p.Events = make([]string, nc)
-	for k := 0; k < nc; k++ {
-		ev := hpm.EvNone
-		if k < len(sel) {
-			ev = sel[k]
+	nc := 0
+	if plan.Mode == ModePathHW || plan.Mode == ModeBlockHW {
+		nc = plan.numCounters()
+		sel := rt.Machine.PMU().SelectedAll()
+		p.Events = make([]string, nc)
+		for k := 0; k < nc; k++ {
+			ev := hpm.EvNone
+			if k < len(sel) {
+				ev = sel[k]
+			}
+			p.Events[k] = ev.String()
 		}
-		p.Events[k] = ev.String()
 	}
 
 	memory := rt.Machine.Mem()
@@ -473,7 +477,10 @@ func (rt *Runtime) ExtractProfile() *profile.Profile {
 			freq := rt.hashFreq[pp.ProcID]
 			out.Entries = make([]profile.PathEntry, 0, freq.Len())
 			freq.Range(func(s, c int64) bool {
-				e := profile.PathEntry{Sum: s, Freq: uint64(c), Metrics: out.NewMetrics(nc)}
+				e := profile.PathEntry{Sum: s, Freq: uint64(c)}
+				if nc > 0 {
+					e.Metrics = out.NewMetrics(nc)
+				}
 				for k := 0; k < nc; k++ {
 					m, _ := rt.hashAcc[k][pp.ProcID].Get(s)
 					e.Metrics[k] = uint64(m)
@@ -488,11 +495,11 @@ func (rt *Runtime) ExtractProfile() *profile.Profile {
 					continue
 				}
 				e := profile.PathEntry{Sum: s, Freq: freq}
-				if plan.Mode == ModePathHW {
+				if nc > 0 {
 					e.Metrics = out.NewMetrics(nc)
-					for k := 0; k < nc; k++ {
-						e.Metrics[k] = uint64(memory.Load(pp.AccBases[k] + uint64(s)*8))
-					}
+				}
+				for k := 0; k < nc; k++ {
+					e.Metrics[k] = uint64(memory.Load(pp.AccBases[k] + uint64(s)*8))
 				}
 				out.Entries = append(out.Entries, e)
 			}

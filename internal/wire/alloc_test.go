@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pathprof/internal/experiments"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
 	"pathprof/internal/wire"
@@ -46,8 +47,7 @@ func TestAddExportAllocs(t *testing.T) {
 // chunk.
 func TestProfileAtAllocs(t *testing.T) {
 	w, _ := workload.ByName("compiler")
-	cell, err := experiments.NewSession(workload.Test).Run(w, instrument.ModeContextFlow,
-		experiments.StandardEvents[0], experiments.StandardEvents[1])
+	cell, err := experiments.NewSession(workload.Test).RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -293,6 +293,9 @@ type frameItem struct {
 // passed to Reset — the caller must keep the buffer alive and unmodified
 // while the frame is in use. A Frame is reusable: Reset clears and
 // refills its internal tables without reallocating them in steady state.
+// Only Reset writes a Frame: Items, Kind, Program, DecodeProfile and
+// DecodeCCT only read it (the decodes write their scratch argument), so
+// goroutines may share one parsed frame as long as no Reset runs.
 type Frame struct {
 	data  []byte
 	strs  [][]byte
@@ -404,6 +407,7 @@ func (f *Frame) parseStrings(payload []byte, base int) error {
 	if n > maxBatchStrings {
 		return frameErr(base, "string table declares %d entries", n)
 	}
+	f.strs = slices.Grow(f.strs, n)
 	for i := 0; i < n; i++ {
 		l, err := c.uvarint()
 		if err != nil {
@@ -434,6 +438,21 @@ func (f *Frame) Items() int { return len(f.items) }
 
 // Kind returns item i's payload kind (KindProfile or KindCCT).
 func (f *Frame) Kind(i int) Kind { return f.items[i].kind }
+
+// Program returns the program name of item i, of either kind, reading
+// only the string-table index that begins the item.
+func (f *Frame) Program(i int) ([]byte, error) {
+	it := f.items[i]
+	c := cursor{b: f.data[it.off:it.end]}
+	idx, err := c.uvarint()
+	if err == nil {
+		var name []byte
+		if name, err = f.str(idx); err == nil {
+			return name, nil
+		}
+	}
+	return nil, frameErr(it.off+c.pos, "%v item: %v", it.kind, err)
+}
 
 // str resolves a string-table index, or errors.
 func (f *Frame) str(idx uint64) ([]byte, error) {

@@ -9,6 +9,7 @@ import (
 	"pathprof/internal/cct"
 	"pathprof/internal/experiments"
 	"pathprof/internal/flat"
+	"pathprof/internal/hpm"
 	"pathprof/internal/instrument"
 	"pathprof/internal/profile"
 	"pathprof/internal/wire"
@@ -37,7 +38,7 @@ func newSession(t *testing.T) *experiments.Session {
 func realProfile(t *testing.T, s *experiments.Session, name string) *profile.Profile {
 	t.Helper()
 	w, _ := workload.ByName(name)
-	cell, err := s.Run(w, instrument.ModePathHW, experiments.StandardEvents[0], experiments.StandardEvents[1])
+	cell, err := s.RunSet(w, instrument.ModePathHW, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +48,7 @@ func realProfile(t *testing.T, s *experiments.Session, name string) *profile.Pro
 func realTree(t *testing.T, s *experiments.Session, name string) *cct.Tree {
 	t.Helper()
 	w, _ := workload.ByName(name)
-	cell, err := s.Run(w, instrument.ModeContextFlow, experiments.StandardEvents[0], experiments.StandardEvents[1])
+	cell, err := s.RunSet(w, instrument.ModeContextFlow, hpm.NewMetricSet(experiments.StandardEvents[:]...))
 	if err != nil {
 		t.Fatal(err)
 	}

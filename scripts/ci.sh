@@ -35,9 +35,11 @@ fi
 
 go test -race ./...
 
-# Replay folds a log's records on one goroutine per shard. One race run
-# sees one interleaving, so the replay tests run ten times.
-go test -race -count=10 -run Replay ./internal/collector ./internal/store
+# Replay shares each parsed record among one goroutine per shard, and a
+# conflicting push must meet the aggregate it conflicts with however the
+# pushes interleave. One race run sees one interleaving, so the replay and
+# conflict tests run ten times.
+go test -race -count=10 -run 'Replay|Conflict' ./internal/collector ./internal/store
 
 go test -run='^$' -bench=. -benchtime=1x ./...
 
