@@ -347,25 +347,16 @@ func TestMergedReadsMatchReference(t *testing.T) {
 	}
 }
 
-// TestConflictMeetsAckedAggregate: a push that conflicts with an acked
-// profile of its program (another metric schema, mode or procedure id)
-// meets that profile in the program's home shard at every shard count,
-// so it is refused, 409 through the handler, and every read still
-// returns the acked profile byte for byte. Two pushes of another program
-// come first, as in the schema case's original report.
-func TestConflictMeetsAckedAggregate(t *testing.T) {
-	prof, _ := fixtures(t)
-	if len(prof.Procs) < 2 {
-		t.Fatal("fixture needs two procedures")
-	}
+// checkConflictMeetsAcked pushes compress's profile after two pushes of
+// another program (as in the schema case's original report), then
+// other, which conflicts with it, at 1-5 shards. The conflicting push
+// meets the acked profile in the program's home shard at every shard
+// count, so it is refused, 409 through the handler, and every read
+// still returns the acked profile byte for byte.
+func checkConflictMeetsAcked(t *testing.T, prof, other *profile.Profile) {
+	t.Helper()
 	filler := cloneProfile(prof)
 	filler.Program = "filler"
-	schema := cloneProfile(prof)
-	schema.Events = []string{"icache-miss", "insts"}
-	mode := cloneProfile(prof)
-	mode.Mode = "context+hw"
-	procID := cloneProfile(prof)
-	procID.Procs[len(procID.Procs)-1].ProcID += 100
 	want := profileFrame(t, prof)
 	same := func(what string, got *profile.Profile) {
 		t.Helper()
@@ -374,49 +365,68 @@ func TestConflictMeetsAckedAggregate(t *testing.T) {
 		}
 	}
 	for shards := 1; shards <= 5; shards++ {
-		for _, v := range []struct {
-			name string
-			p    *profile.Profile
-		}{{"schema", schema}, {"mode", mode}, {"proc id", procID}} {
-			what := func(s string) string { return fmt.Sprintf("%d shards, %s conflict: %s", shards, v.name, s) }
-			c := New(Config{Shards: shards})
-			for _, p := range []*profile.Profile{filler, filler, prof} {
-				if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var ce *agg.ConflictError
-			if _, _, err := c.IngestFrame(profileFrame(t, v.p)); !errors.As(err, &ce) {
-				t.Errorf("%s: IngestFrame returned %v, want a *agg.ConflictError", what("push"), err)
-			}
-			if code := postIngest(c.Handler(), profileFrame(t, v.p)); code != http.StatusConflict {
-				t.Errorf("%s: the handler answered %d, want 409", what("push"), code)
-			}
-			got, _ := c.MergedProfile(prof.Program)
-			same(what("MergedProfile"), got)
-
-			f, err := wire.ParseFrame(snapshotBytes(t, c))
-			if err != nil {
+		what := func(s string) string { return fmt.Sprintf("%d shards: %s", shards, s) }
+		c := New(Config{Shards: shards})
+		for _, p := range []*profile.Profile{filler, filler, prof} {
+			if _, _, err := c.IngestFrame(profileFrame(t, p)); err != nil {
 				t.Fatal(err)
 			}
-			got = nil
-			for i := 0; i < f.Items(); i++ {
-				if p, err := f.ProfileAt(i); err == nil && p.Program == prof.Program {
-					got = p
-				}
-			}
-			same(what("SnapshotFrame"), got)
-
-			profs, _ := c.Take()
-			got = nil
-			for _, p := range profs {
-				if p.Program == prof.Program {
-					got = p
-				}
-			}
-			same(what("Take"), got)
 		}
+		var ce *agg.ConflictError
+		if _, _, err := c.IngestFrame(profileFrame(t, other)); !errors.As(err, &ce) {
+			t.Errorf("%s: IngestFrame returned %v, want a *agg.ConflictError", what("push"), err)
+		}
+		if code := postIngest(c.Handler(), profileFrame(t, other)); code != http.StatusConflict {
+			t.Errorf("%s: the handler answered %d, want 409", what("push"), code)
+		}
+		got, _ := c.MergedProfile(prof.Program)
+		same(what("MergedProfile"), got)
+
+		f, err := wire.ParseFrame(snapshotBytes(t, c))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = nil
+		for i := 0; i < f.Items(); i++ {
+			if p, err := f.ProfileAt(i); err == nil && p.Program == prof.Program {
+				got = p
+			}
+		}
+		same(what("SnapshotFrame"), got)
+
+		profs, _ := c.Take()
+		got = nil
+		for _, p := range profs {
+			if p.Program == prof.Program {
+				got = p
+			}
+		}
+		same(what("Take"), got)
 	}
+}
+
+func TestCrossShardModeConflict(t *testing.T) {
+	prof, _ := fixtures(t)
+	other := cloneProfile(prof)
+	other.Mode = "context+hw"
+	checkConflictMeetsAcked(t, prof, other)
+}
+
+func TestCrossShardSchemaConflict(t *testing.T) {
+	prof, _ := fixtures(t)
+	other := cloneProfile(prof)
+	other.Events = []string{"icache-miss", "insts"}
+	checkConflictMeetsAcked(t, prof, other)
+}
+
+func TestCrossShardProcIDConflict(t *testing.T) {
+	prof, _ := fixtures(t)
+	if len(prof.Procs) < 2 {
+		t.Fatal("fixture needs two procedures")
+	}
+	other := cloneProfile(prof)
+	other.Procs[len(other.Procs)-1].ProcID += 100
+	checkConflictMeetsAcked(t, prof, other)
 }
 
 // TestMergedReadAllocsFlat: with one copy of the same pushes per shard,
