@@ -1275,7 +1275,8 @@ func BenchmarkIngestSinglePOST(b *testing.B) {
 
 // BenchmarkIngestBatchPOST posts one 64-envelope wire-v3 frame per
 // iteration; ns-per-envelope divides out the batch size for direct
-// comparison with BenchmarkIngestSinglePOST.
+// comparison with BenchmarkIngestSinglePOST. It reports the frame's size
+// as frame-B: ci.sh gates B/op, client and server together, at twice it.
 func BenchmarkIngestBatchPOST(b *testing.B) {
 	const batch = 64
 	frame := ingestBenchFrame(b, batch)
@@ -1292,6 +1293,7 @@ func BenchmarkIngestBatchPOST(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+	b.ReportMetric(float64(len(frame)), "frame-B")
 	recordBench(b, map[string]float64{
 		"envelopes-per-op": batch,
 		"frame-bytes":      float64(len(frame)),

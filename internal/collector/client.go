@@ -93,6 +93,9 @@ type apiError struct {
 	Status     int
 	Body       string
 	RetryAfter time.Duration // parsed Retry-After hint, 0 if absent
+	// Folded counts the items of a refused frame that the collector
+	// folded anyway, from X-Folded-Items; 0 if absent.
+	Folded int
 }
 
 func (e *apiError) Error() string {
@@ -138,6 +141,9 @@ func (cl *Client) doPush(ctx context.Context, body []byte, id uint64) (*IngestRe
 		ae := &apiError{Status: resp.StatusCode, Body: string(data)}
 		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
 			ae.RetryAfter = time.Duration(s) * time.Second
+		}
+		if n, err := strconv.Atoi(resp.Header.Get("X-Folded-Items")); err == nil && n > 0 {
+			ae.Folded = n
 		}
 		return nil, ae
 	}

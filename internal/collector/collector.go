@@ -264,10 +264,11 @@ func (c *Collector) putScratch(sc *agg.Scratch) { c.scratch.Put(sc) }
 
 // IngestFrame decodes a version-3 batched frame and folds every item
 // into its program's home shard. Items fold independently in frame
-// order: an item that fails keeps no other out, the returned counts say
-// how many of each kind landed, and the error is the lowest-indexed
-// failure. Steady-state frames from a stable producer population fold
-// without allocating.
+// order: an item that fails keeps no other out, and the returned counts
+// say how many of each kind landed. When items fail, the error names
+// each failed item's index and unwraps to the lowest-indexed failure.
+// Steady-state frames from a stable producer population fold without
+// allocating.
 func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	profiles, ccts, err = c.foldFrame(data)
 	if err == nil {
@@ -275,6 +276,19 @@ func (c *Collector) IngestFrame(data []byte) (profiles, ccts int, err error) {
 	}
 	return profiles, ccts, err
 }
+
+// refusedItems is the error of a frame fold that refused items: the
+// refused items' indexes in frame order, and the first one's reason.
+type refusedItems struct {
+	items []int
+	err   error
+}
+
+func (e *refusedItems) Error() string {
+	return fmt.Sprintf("refused frame items %v; item %d: %v", e.items, e.items[0], e.err)
+}
+
+func (e *refusedItems) Unwrap() error { return e.err }
 
 // foldFrame folds the items of frame as IngestFrame does and counts them,
 // but not the frame. The relay folds a frame its upstream refused back
@@ -285,6 +299,7 @@ func (c *Collector) foldFrame(frame []byte) (profiles, ccts int, err error) {
 	if err := sc.Frame.Reset(frame); err != nil {
 		return 0, 0, err
 	}
+	var refused *refusedItems
 	for i := 0; i < sc.Frame.Items(); i++ {
 		name, e := sc.Frame.Program(i)
 		if e == nil {
@@ -292,9 +307,10 @@ func (c *Collector) foldFrame(frame []byte) (profiles, ccts int, err error) {
 		}
 		switch {
 		case e != nil:
-			if err == nil {
-				err = e
+			if refused == nil {
+				refused = &refusedItems{err: e}
 			}
+			refused.items = append(refused.items, i)
 		case sc.Frame.Kind(i) == wire.KindProfile:
 			profiles++
 		default:
@@ -302,7 +318,10 @@ func (c *Collector) foldFrame(frame []byte) (profiles, ccts int, err error) {
 		}
 	}
 	c.countItems(profiles, ccts)
-	return profiles, ccts, err
+	if refused != nil {
+		return profiles, ccts, refused
+	}
+	return profiles, ccts, nil
 }
 
 // countItems adds folded items to the ingest counters.

@@ -112,7 +112,8 @@ func (c *Collector) Checkpoint() error {
 // then shared read-only. So every program folds in log order, as at
 // ingest, at every shard count and whatever GOMAXPROCS is, and a push
 // refused at ingest for a conflict is refused again. A payload's error is
-// its lowest-indexed failing item's, as IngestFrame returns.
+// its lowest-indexed failing item's, the one IngestFrame's error unwraps
+// to.
 //
 // A payload without a frame header can only come from a build that
 // logged the retired version-1 and version-2 envelopes. Its error wraps

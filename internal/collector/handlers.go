@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"os"
 	"slices"
 	"strconv"
 	"strings"
@@ -98,41 +99,47 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Read the body on a helper goroutine so a dribbling client hits the
-	// request timeout instead of pinning the slot; the abandoned reader
-	// unblocks when the server tears the connection down.
-	body := http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes)
-	type readResult struct {
-		data []byte
-		err  error
-	}
-	ch := make(chan readResult, 1)
-	go func() {
-		data, err := io.ReadAll(body)
-		ch <- readResult{data, err}
-	}()
-	var data []byte
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			var mbe *http.MaxBytesError
-			if errors.As(res.err, &mbe) {
-				c.rejectedTooBig.Add(1)
-				abortBody(w)
-				http.Error(w, "profile exceeds the size limit", http.StatusRequestEntityTooLarge)
-			} else {
-				c.rejectedBad.Add(1)
-				http.Error(w, "reading body: "+res.err.Error(), http.StatusBadRequest)
-			}
-			return
+	// Read the body on this goroutine into a pooled buffer, under a
+	// connection read deadline at the request timeout, so a dribbling
+	// client gets 408 instead of pinning the slot. (A ResponseWriter that
+	// cannot set deadlines, such as httptest.ResponseRecorder, reads
+	// without one.)
+	rc := http.NewResponseController(w)
+	deadline, _ := ctx.Deadline()
+	rc.SetReadDeadline(deadline)
+	buf := bodyBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= maxPooledBody {
+			bodyBufs.Put(buf)
 		}
-		data = res.data
-	case <-ctx.Done():
-		c.rejectedTimeout.Add(1)
-		abortBody(w)
-		http.Error(w, "push timed out", http.StatusRequestTimeout)
+	}()
+	data, err := readBody(*buf, http.MaxBytesReader(w, r.Body, c.cfg.MaxBodyBytes), r.ContentLength)
+	*buf = data
+	if err != nil {
+		var mbe *http.MaxBytesError
+		switch {
+		case errors.As(err, &mbe):
+			// A deadline in the past fails the server's drain of the rest
+			// of the upload at once, rather than stall the answer behind
+			// it.
+			c.rejectedTooBig.Add(1)
+			rc.SetReadDeadline(time.Now())
+			http.Error(w, "profile exceeds the size limit", http.StatusRequestEntityTooLarge)
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			// The deadline stays in the past, so the drain fails at once
+			// here too.
+			c.rejectedTimeout.Add(1)
+			http.Error(w, "push timed out", http.StatusRequestTimeout)
+		default:
+			c.rejectedBad.Add(1)
+			http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+		}
 		return
 	}
+	// The body is read: clear the deadline, so that it cannot expire on a
+	// later read of the connection (a read that fails cancels the
+	// request's context) while the push folds or its store append waits.
+	rc.SetReadDeadline(time.Time{})
 
 	// Only a version-3 frame may reach the store: a body without a frame
 	// header, such as a retired version-1 or version-2 envelope, is
@@ -144,7 +151,9 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Frames decode into pooled scratch and fold without materializing
-	// intermediate Profile/Export values.
+	// intermediate Profile/Export values. Nothing keeps data past this
+	// handler, so its buffer goes back to the pool: the fold copies the
+	// names it keeps, and the store appends a copy.
 	//
 	// With a store mounted, the payload is appended and group-committed
 	// to disk first and folded only once durable, so the ack below means
@@ -163,20 +172,28 @@ func (c *Collector) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if err != nil {
-			c.failIngest(w, err)
+			c.failIngest(w, err, profiles+ccts)
 			return
 		}
 	} else if err := fold(data); err != nil {
-		c.failIngest(w, err)
+		c.failIngest(w, err, profiles+ccts)
 		return
 	}
 	c.ingestedBytes.Add(uint64(len(data)))
 	writeJSON(w, IngestResponse{Kind: "batch", Envelopes: profiles + ccts, Profiles: profiles, CCTs: ccts})
 }
 
-// failIngest maps a fold or store error to its HTTP rejection.
-func (c *Collector) failIngest(w http.ResponseWriter, err error) {
+// failIngest maps a fold or store error to its HTTP rejection. A fold
+// that refused items folded the frame's other items: the status follows
+// the lowest-indexed refused item's reason, the text names every refused
+// item, and the X-Folded-Items header counts the items that folded, so a
+// sender can tell that resending the frame would count them twice.
+func (c *Collector) failIngest(w http.ResponseWriter, err error, folded int) {
 	var ce *agg.ConflictError
+	var ri *refusedItems
+	if errors.As(err, &ri) {
+		w.Header().Set("X-Folded-Items", strconv.Itoa(folded))
+	}
 	switch {
 	case errors.Is(err, store.ErrFull):
 		// The WAL disk budget is exhausted: durable backpressure.
@@ -242,11 +259,39 @@ func retryAfterSeconds(d time.Duration) int {
 	return s
 }
 
-// abortBody forces pending and post-handler reads of the request body to
-// fail immediately. Without this the server would stall the error
-// response behind draining the rest of a slow or oversized upload.
-func abortBody(w http.ResponseWriter) {
-	http.NewResponseController(w).SetReadDeadline(time.Now())
+// bodyBufs pools the buffers push bodies are read into.
+var bodyBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody bounds how far a declared Content-Length presizes a body
+// buffer, and the capacity of a buffer put back in the pool. The length
+// is client input: a 64 MiB declaration over a 10-byte body must not
+// allocate 64 MiB, and one outsized push must not leave a large buffer
+// in the pool.
+const maxPooledBody = 1 << 20
+
+// readBody reads body to its end into buf's storage, growing it as
+// needed, and returns the bytes read. declared, the Content-Length or -1
+// when unknown, presizes the buffer to one byte past it, up to
+// maxPooledBody, so the read that meets the end needs no growth. A body
+// longer than the bound grows the buffer past it.
+func readBody(buf []byte, body io.Reader, declared int64) ([]byte, error) {
+	buf = buf[:0]
+	if n := min(declared, maxPooledBody-1) + 1; n > int64(cap(buf)) {
+		buf = make([]byte, 0, n)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
 }
 
 // requestedPrograms resolves the ?programs= selection (explicit order)

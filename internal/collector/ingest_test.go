@@ -494,3 +494,72 @@ func TestRelayRefoldPerItem(t *testing.T) {
 		t.Fatal("the conflicting item changed the aggregate it conflicts with")
 	}
 }
+
+// TestRelayDropsRefusedItemsOfFoldedFrame: when the upstream folds some
+// items of a flushed frame and refuses the rest, the relay does not fold
+// the frame back, so later flushes do not deliver the folded items again;
+// the refused items are lost, counted in RefoldDropped and named in the
+// flush's error. The upstream's 409 names each refused item and carries
+// the folded count in X-Folded-Items.
+func TestRelayDropsRefusedItemsOfFoldedFrame(t *testing.T) {
+	prof, _ := fixtures(t)
+	ctx := context.Background()
+	root, rootCl := newServer(t, Config{Shards: 2})
+	if _, err := rootCl.PushProfile(ctx, prof); err != nil {
+		t.Fatal(err)
+	}
+	held := cloneProfile(prof)
+	held.Mode = "context+hw"
+	other := cloneProfile(prof)
+	other.Program = "otherprog"
+	frame := frameOf(t, envelope{p: held}, envelope{p: other})
+
+	// The answer to a frame folded in part, straight from a collector
+	// holding the upstream's state.
+	probe, probeCl := newServer(t, Config{Shards: 2})
+	if _, err := probeCl.PushProfile(ctx, prof); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := probeCl.http().Post(probeCl.BaseURL+"/ingest", "application/octet-stream", bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	text, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusConflict || resp.Header.Get("X-Folded-Items") != "1" ||
+		!strings.HasPrefix(string(text), `refused frame items [0]; item 0: profile mode "context+hw" conflicts`) {
+		t.Fatalf("partly folded frame: status %d, X-Folded-Items %q, text %q",
+			resp.StatusCode, resp.Header.Get("X-Folded-Items"), text)
+	}
+	if _, ok := probe.MergedProfile("otherprog"); !ok {
+		t.Fatal("the item after the refused one did not fold")
+	}
+
+	relay := New(Config{Shards: 2})
+	if _, _, err := relay.IngestFrame(frame); err != nil {
+		t.Fatal(err)
+	}
+	r := &Relay{Local: relay, Upstream: rootCl}
+	err = r.FlushOnce(ctx)
+	if err == nil || !strings.Contains(err.Error(), "upstream folded 1 of 2 items and refused 1, which were dropped") ||
+		!strings.Contains(err.Error(), "refused frame items [0]") {
+		t.Fatalf("flush error %v does not name the dropped item", err)
+	}
+	for i := 0; i < 2; i++ {
+		if err := r.FlushOnce(ctx); err != nil {
+			t.Fatalf("flush %d: %v", i+2, err)
+		}
+	}
+	wf, _ := other.Totals()
+	if got, ok := root.MergedProfile("otherprog"); !ok {
+		t.Fatal("root has no otherprog profile")
+	} else if gf, _ := got.Totals(); gf != wf {
+		t.Fatalf("root otherprog frequency %d after three flushes, want one push's %d", gf, wf)
+	}
+	if st := r.Stats(); st.RefoldDropped != 1 || st.FlushFailures != 1 || st.EnvelopesPushed != 0 {
+		t.Fatalf("relay stats: %+v", st)
+	}
+	if progs := relay.Programs(); len(progs) != 0 {
+		t.Fatalf("relay still holds %v", progs)
+	}
+}

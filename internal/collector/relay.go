@@ -2,6 +2,7 @@ package collector
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -27,6 +28,9 @@ import (
 // rides along with the next flush. An item that no longer folds, because
 // a leaf pushed a conflicting envelope of its program since Take, is
 // lost: FlushOnce counts it in RefoldDropped and names it in its error.
+// A frame the upstream folded in part (its answer's X-Folded-Items is
+// above 0) is not folded back, since the next flush would deliver its
+// folded items twice; its refused items are lost the same way.
 //
 // With a store mounted on Local the relay becomes a durable spool:
 // leaf pushes are on disk before they are acked, a crash replays
@@ -63,8 +67,9 @@ type RelayStats struct {
 	FramesPushed    uint64 `json:"frames_pushed"`
 	EnvelopesPushed uint64 `json:"envelopes_pushed"`
 	FlushFailures   uint64 `json:"flush_failures"`
-	// RefoldDropped counts items of refused frames that could not fold
-	// back into Local and were lost.
+	// RefoldDropped counts items of refused frames that were lost: items
+	// that could not fold back into Local, and the refused items of
+	// frames the upstream folded in part.
 	RefoldDropped uint64 `json:"refold_dropped"`
 	Checkpoints   uint64 `json:"checkpoints"`
 }
@@ -127,9 +132,9 @@ func (r *Relay) Stats() RelayStats {
 
 // FlushOnce takes the local aggregate and pushes it upstream in frames
 // of at most MaxItems envelopes. A frame whose push fails is folded back
-// into the local collector, and the first error is returned after the
-// remaining frames are attempted; it also names how many refused items
-// could not fold back.
+// into the local collector unless the upstream folded some of its items,
+// and the first error is returned after the remaining frames are
+// attempted; it also names the refused items that were lost.
 func (r *Relay) FlushOnce(ctx context.Context) error {
 	profiles, exports := r.Local.Take()
 	if len(profiles) == 0 && len(exports) == 0 {
@@ -137,8 +142,8 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 	}
 
 	bw := wire.NewBatchWriter()
-	var firstErr, refoldErr error
-	var refused, dropped int
+	var firstErr, refoldErr, partErr error
+	var refused, dropped, lost int
 	fail := func(err error) {
 		if firstErr == nil {
 			firstErr = err
@@ -149,7 +154,26 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 			return
 		}
 		frame := bw.Frame()
-		if _, err := r.Upstream.PushFrame(ctx, frame); err != nil {
+		_, err := r.Upstream.PushFrame(ctx, frame)
+		var ae *apiError
+		switch {
+		case err == nil:
+			r.framesPushed.Add(1)
+			r.envelopesPushed.Add(uint64(bw.Items()))
+		case errors.As(err, &ae) && ae.Folded > 0:
+			// The upstream folded part of the frame, so folding it back
+			// would push those items again on the next flush: the items
+			// it refused are lost.
+			r.flushFailures.Add(1)
+			n := bw.Items() - min(ae.Folded, bw.Items())
+			err = fmt.Errorf("relay: upstream folded %d of %d items and refused %d, which were dropped: %w",
+				bw.Items()-n, bw.Items(), n, err)
+			fail(err)
+			if partErr == nil {
+				partErr = err
+			}
+			lost += n
+		default:
 			r.flushFailures.Add(1)
 			fail(err)
 			refused += bw.Items()
@@ -161,9 +185,6 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 					refoldErr = err
 				}
 			}
-		} else {
-			r.framesPushed.Add(1)
-			r.envelopesPushed.Add(uint64(bw.Items()))
 		}
 		bw.Reset()
 	}
@@ -185,6 +206,12 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 		r.refoldDropped.Add(uint64(dropped))
 		firstErr = fmt.Errorf("%w; relay: %d of %d refused items no longer fold locally and were dropped: %w",
 			firstErr, dropped, refused, refoldErr)
+	}
+	if lost > 0 {
+		r.refoldDropped.Add(uint64(lost))
+		if !errors.Is(firstErr, partErr) {
+			firstErr = fmt.Errorf("%w; %w", firstErr, partErr)
+		}
 	}
 	if firstErr == nil && r.Local.Store() != nil {
 		// Everything taken is delivered upstream: checkpoint the spool so

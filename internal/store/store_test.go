@@ -119,6 +119,34 @@ func TestIngestReplayRoundTrip(t *testing.T) {
 	}
 }
 
+// TestIngestKeepsNoPayload: a caller may write over a payload's buffer as
+// soon as Ingest returns, as the collector reads each push into a pooled
+// buffer that the next push reuses: no logged record changes.
+func TestIngestKeepsNoPayload(t *testing.T) {
+	dir := t.TempDir()
+	live := &testState{}
+	l, _ := mustOpen(t, dir, live.options())
+	buf := make([]byte, 0, 64)
+	var want []byte
+	for i := 1; i <= 20; i++ {
+		buf = fmt.Appendf(buf[:0], "push-%02d|", i)
+		if _, err := l.Ingest(context.Background(), uint64(i), buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, buf...)
+	}
+	clear(buf[:cap(buf)])
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restored := &testState{}
+	l2, _ := mustOpen(t, dir, restored.options())
+	defer l2.Close()
+	if got := restored.bytes(); !bytes.Equal(got, want) {
+		t.Fatalf("replayed %q, want %q", got, want)
+	}
+}
+
 func TestIngestDuplicateID(t *testing.T) {
 	dir := t.TempDir()
 	live := &testState{}

@@ -38,8 +38,12 @@ go test -race ./...
 # Replay shares each parsed record among one goroutine per shard, and a
 # conflicting push must meet the aggregate it conflicts with however the
 # pushes interleave. One race run sees one interleaving, so the replay and
-# conflict tests run ten times.
+# conflict tests run ten times. So do the tests of the push body read (a
+# pooled buffer under a read deadline, on the handler goroutine) and of
+# the relay's rule for a frame the upstream folded in part, named one by
+# one so that the pattern misses TestRelayTreeFanIn.
 go test -race -count=10 -run 'Replay|Conflict' ./internal/collector ./internal/store
+go test -race -count=10 -run '^(TestChunkedPushFoldsLikeSized|TestShortBodyRejected|TestKeepAliveAfterDeadline|TestReadBodyBounded|TestSlowClientTimesOut|TestOversizedBodyRejected|TestRelayDropsRefusedItemsOfFoldedFrame|TestIngestKeepsNoPayload)$' ./internal/collector ./internal/store
 
 go test -run='^$' -bench=. -benchtime=1x ./...
 
@@ -92,10 +96,16 @@ echo "$out" | grep 'BenchmarkWireEncodeCCT' | grep -q ' 0 allocs/op'
 test -s BENCH_wire.json
 
 # Batched ingest: regenerate BENCH_ingest.json and gate the wire-v3
-# decode-to-shard loop on staying allocation-free in steady state.
+# decode-to-shard loop on staying allocation-free in steady state. A push
+# is read into a pooled buffer, so a whole batched POST, client and
+# server, may allocate at most twice its frame (frame-B) in B/op.
 out="$(go test -run='^$' -bench='BenchmarkIngest' -benchmem -benchtime=200x .)"
 echo "$out"
 echo "$out" | grep 'BenchmarkIngestFrameFold' | grep -q ' 0 allocs/op'
+echo "$out" | awk '$1 ~ /^BenchmarkIngestBatchPOST(-[0-9]+)?$/ {
+		for (i = 2; i <= NF; i++) { if ($i == "B/op") b = $(i-1); if ($i == "frame-B") f = $(i-1) } }
+	END { printf "BenchmarkIngestBatchPOST: %d B/op for a %d-byte frame\n", b, f;
+		exit (f > 0 && b <= 2 * f) ? 0 : 1 }'
 test -s BENCH_ingest.json
 
 # The v3 item decoders on their own must stay allocation-free as well:
