@@ -8,29 +8,26 @@
 //	ppd serve [-addr :7997] [-shards 4] [-max-body 64MiB]
 //	          [-max-concurrent 64] [-max-queue 256] [-retry-after 1s]
 //	          [-timeout 30s]
-//	          [-data-dir DIR] [-durability none|batch]
+//	          [-data-dir DIR]
 //	          [-max-log-bytes N] [-segment-bytes 8MiB]
 //	          [-fsync-batch 256] [-fsync-wait 2ms]
-//	          [-snapshot-interval 0] [-compact-after 4]
+//	          [-snapshot-after 4]
 //
 // When the concurrency slots and wait queue are full, serve sheds new
 // pushes with 429 + Retry-After; push and relay clients back off and
 // retry automatically.
 //
-// Durability: by default (-durability=none) aggregates live only in
+// Durability follows -data-dir. Without it aggregates live only in
 // memory — fast, and gone on restart. -data-dir mounts the storage tier
-// (internal/store) and switches to -durability=batch: every push is
-// appended to a segmented CRC-framed log and group-committed — many
-// concurrent pushes coalesce into one fsync — before it is acked, so an
-// acked push survives kill -9; startup replays the log (and the newest
-// snapshot) back into the aggregates. -max-log-bytes bounds the log's
-// disk use (pushes beyond it shed with 503 + Retry-After until
-// compaction or a snapshot frees space), -compact-after rewrites that
-// many sealed segments as pre-merged frames, and -snapshot-interval
-// takes periodic snapshots that bound replay time (POST /store/snapshot
-// and /store/compact trigger both on demand). The modes are explicit:
-// asking for -durability=batch without -data-dir, or -durability=none
-// with one, is a configuration error.
+// (internal/store): every push is appended to a segmented CRC-framed log
+// and group-committed — many concurrent pushes coalesce into one fsync —
+// before it is acked, so an acked push survives kill -9; startup replays
+// the log (and the newest snapshot) back into the aggregates. A snapshot
+// is taken once -snapshot-after sealed segments sit above the last one,
+// which bounds both the files on disk and the records a restart replays
+// (POST /store/snapshot takes one on demand). -max-log-bytes bounds the
+// log's disk use: pushes beyond it shed with 503 + Retry-After until a
+// snapshot frees space.
 //
 // Relay mode runs a local collector that forwards: leaf producers push
 // to the relay, which pre-merges their envelopes and periodically
@@ -40,13 +37,13 @@
 //
 //	ppd relay -addr :7998 -upstream http://root:7997
 //	          [-interval 1s] [-batch 64] [-shards 4]
-//	          [-data-dir DIR] [-durability none|batch] [...store flags]
+//	          [-data-dir DIR] [...store flags]
 //
 // A relay with -data-dir becomes a durable spool: leaf pushes are on
 // disk before they are acked, a crash replays everything not yet
-// delivered upstream, and each fully flushed batch checkpoints the
-// spool. Timed snapshots are forced off in relay mode — the
-// post-flush checkpoint replaces them.
+// delivered upstream, and every flush that took anything checkpoints the
+// spool, failed or not. -snapshot-after is forced off in relay mode — the
+// post-flush checkpoint replaces it.
 //
 // Push mode runs instrumented workloads locally and uploads what they
 // produce — CCT-building modes contribute their calling context tree,
@@ -97,54 +94,37 @@ import (
 // storeFlags is the flag group shared by serve and relay for mounting
 // the durable storage tier.
 type storeFlags struct {
-	dataDir      *string
-	durability   *string
-	maxLogBytes  *int64
-	segmentBytes *int64
-	fsyncBatch   *int
-	fsyncWait    *time.Duration
-	snapInterval *time.Duration
-	compactAfter *int
+	dataDir       *string
+	maxLogBytes   *int64
+	segmentBytes  *int64
+	fsyncBatch    *int
+	fsyncWait     *time.Duration
+	snapshotAfter *int
 }
 
 func addStoreFlags(fs *flag.FlagSet) *storeFlags {
 	return &storeFlags{
-		dataDir:      fs.String("data-dir", "", "store directory; mounts the durable storage tier"),
-		durability:   fs.String("durability", "", "ack mode: none (in-memory) or batch (ack after group-committed fsync); default follows -data-dir"),
-		maxLogBytes:  fs.Int64("max-log-bytes", 0, "log disk budget; pushes beyond it shed with 503 until space is freed (0 = unbounded)"),
-		segmentBytes: fs.Int64("segment-bytes", 8<<20, "seal segments at this size"),
-		fsyncBatch:   fs.Int("fsync-batch", 256, "max pushes coalesced into one fsync"),
-		fsyncWait:    fs.Duration("fsync-wait", 2*time.Millisecond, "max time the group committer gathers a non-full batch"),
-		snapInterval: fs.Duration("snapshot-interval", 0, "periodic snapshot period (0 = manual/ops-endpoint only)"),
-		compactAfter: fs.Int("compact-after", 4, "compact once this many sealed segments pend (-1 disables)"),
+		dataDir:       fs.String("data-dir", "", "store directory; mounts the durable storage tier (acks follow the group-committed fsync)"),
+		maxLogBytes:   fs.Int64("max-log-bytes", 0, "log disk budget; pushes beyond it shed with 503 until space is freed (0 = unbounded)"),
+		segmentBytes:  fs.Int64("segment-bytes", 8<<20, "seal segments at this size"),
+		fsyncBatch:    fs.Int("fsync-batch", 256, "max pushes coalesced into one fsync"),
+		fsyncWait:     fs.Duration("fsync-wait", 2*time.Millisecond, "max time the group committer gathers a non-full batch"),
+		snapshotAfter: fs.Int("snapshot-after", 4, "snapshot once this many sealed segments sit above the last snapshot (-1 = on demand only)"),
 	}
 }
 
-// mount validates the durability flags and, when a data directory is
-// configured, opens/recovers the store onto c. Returns nil when running
-// in-memory.
+// mount opens/recovers the store onto c when a data directory is
+// configured. Returns nil when running in-memory.
 func (sf *storeFlags) mount(c *collector.Collector) *store.Log {
-	mode, err := collector.ParseAckMode(*sf.durability)
-	if err != nil {
-		log.Fatal(err)
-	}
-	switch {
-	case *sf.dataDir == "" && *sf.durability == "":
-		return nil // explicit default: in-memory
-	case *sf.dataDir == "" && mode == collector.AckBatch:
-		log.Fatal("-durability=batch needs -data-dir")
-	case *sf.dataDir == "":
+	if *sf.dataDir == "" {
 		return nil
-	case mode == collector.AckNone && *sf.durability != "":
-		log.Fatal("-durability=none contradicts -data-dir; drop one")
 	}
 	l, rec, err := c.OpenStore(*sf.dataDir, store.Options{
 		SegmentBytes:  *sf.segmentBytes,
 		MaxLogBytes:   *sf.maxLogBytes,
 		MaxBatch:      *sf.fsyncBatch,
 		MaxWait:       *sf.fsyncWait,
-		CompactAfter:  *sf.compactAfter,
-		SnapshotEvery: *sf.snapInterval,
+		SnapshotAfter: *sf.snapshotAfter,
 		Logf:          log.Printf,
 	})
 	if err != nil {
@@ -242,7 +222,7 @@ func serve(args []string) {
 
 	cfg := c.Config()
 	log.Printf("collector listening on %s (%d shards, %d concurrent, %s timeout, durability %s)",
-		*addr, cfg.Shards, cfg.MaxConcurrent, cfg.RequestTimeout, c.AckMode())
+		*addr, cfg.Shards, cfg.MaxConcurrent, cfg.RequestTimeout, c.Metrics().Durability)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
@@ -270,10 +250,10 @@ func relay(args []string) {
 	if *upstream == "" {
 		log.Fatal("relay needs -upstream http://host:port")
 	}
-	// Durable relays checkpoint after each fully flushed batch; a timed
+	// Durable relays checkpoint at the end of every flush; an automatic
 	// snapshot racing a flush could capture the taken-but-unpushed gap,
 	// so it is forced off (see collector.Relay).
-	*sf.snapInterval = 0
+	*sf.snapshotAfter = -1
 	c := collector.New(collector.Config{Shards: *shards})
 	l := sf.mount(c)
 	r := &collector.Relay{
@@ -303,8 +283,9 @@ func relay(args []string) {
 			log.Printf("http shutdown: %v", err)
 		}
 		if l != nil {
-			// A clean final flush already checkpointed the spool; a failed
-			// one left its envelopes in the log for the next incarnation.
+			// A final flush that took anything checkpointed the spool; a
+			// failed one folded its envelopes back first, so the next
+			// incarnation restores them.
 			if err := l.Close(); err != nil {
 				log.Printf("closing store: %v", err)
 			}

@@ -93,9 +93,11 @@ type apiError struct {
 	Status     int
 	Body       string
 	RetryAfter time.Duration // parsed Retry-After hint, 0 if absent
-	// Folded counts the items of a refused frame that the collector
-	// folded anyway, from X-Folded-Items; 0 if absent.
-	Folded int
+	// ItemsNamed reports that the answer carried X-Folded-Items: the
+	// collector read the frame, named the items it refused, and folded
+	// the other items, Folded of them.
+	ItemsNamed bool
+	Folded     int
 }
 
 func (e *apiError) Error() string {
@@ -142,8 +144,8 @@ func (cl *Client) doPush(ctx context.Context, body []byte, id uint64) (*IngestRe
 		if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && s > 0 {
 			ae.RetryAfter = time.Duration(s) * time.Second
 		}
-		if n, err := strconv.Atoi(resp.Header.Get("X-Folded-Items")); err == nil && n > 0 {
-			ae.Folded = n
+		if n, err := strconv.Atoi(resp.Header.Get("X-Folded-Items")); err == nil && n >= 0 {
+			ae.ItemsNamed, ae.Folded = true, n
 		}
 		return nil, ae
 	}

@@ -105,8 +105,9 @@ type shard struct {
 
 // Metrics is a point-in-time snapshot of the collector's counters.
 // Store is present only when a durability tier is mounted (see
-// durable.go): it carries the per-stage append/fsync/replay/compaction
-// counters and latencies.
+// durable.go): it carries the per-stage append/fsync/replay/snapshot
+// counters and latencies, and Durability reads "batch" (acks follow the
+// group-committed fsync) instead of "none".
 type Metrics struct {
 	IngestedProfiles  uint64         `json:"ingested_profiles"`
 	IngestedCCTs      uint64         `json:"ingested_ccts"`
@@ -138,8 +139,7 @@ type Collector struct {
 
 	// store, when mounted (durable.go), makes every ingest durable
 	// before it is acked; nil keeps the zero-dependency in-memory mode.
-	store   Store
-	ackMode AckMode
+	store Store
 
 	mu       sync.Mutex
 	draining bool
@@ -212,11 +212,12 @@ func (c *Collector) Metrics() Metrics {
 		Inflight:          c.inflightCount.Load(),
 		QueueDepth:        c.queueDepth.Load(),
 		Draining:          draining,
-		Durability:        c.ackMode.String(),
+		Durability:        "none",
 	}
 	if c.store != nil {
 		sm := c.store.Metrics()
 		m.Store = &sm
+		m.Durability = "batch"
 	}
 	return m
 }

@@ -21,8 +21,8 @@ import (
 // kill -9 at any point". TestCrashRecoveryByteIdentity proves it
 // end-to-end — a real child process serving a durable collector is
 // SIGKILLed at three points during a 1k-envelope ingest (while group
-// commits, segment rolls, timed snapshots and compactions are all in
-// flight), restarted each time, and the final recovered state must
+// commits, segment rolls and automatic snapshots are all in flight),
+// restarted each time, and the final recovered state must
 // render tables 3, 4 and 5 byte-identical to an uninterrupted
 // in-memory collector fed the same envelope multiset. The pushing
 // clients ride through each crash on their retry policy; stable push
@@ -62,15 +62,11 @@ func TestCrashServerProcess(t *testing.T) {
 	http.Serve(ln, c.Handler())
 }
 
-// crashStoreOptions keeps every maintenance path hot during the crash
-// window: tiny segments roll constantly, compaction chases two sealed
-// segments, and timed snapshots race the kills.
+// crashStoreOptions keeps the maintenance path hot during the crash
+// window: tiny segments roll constantly, and a snapshot follows every
+// two sealed segments, racing the kills.
 func crashStoreOptions() store.Options {
-	return store.Options{
-		SegmentBytes:  16 << 10,
-		CompactAfter:  2,
-		SnapshotEvery: 300 * time.Millisecond,
-	}
+	return store.Options{SegmentBytes: 16 << 10, SnapshotAfter: 2}
 }
 
 type crashChild struct {
@@ -156,19 +152,17 @@ func TestCrashRecoveryByteIdentity(t *testing.T) {
 	// controller watches acked progress; pushers never pause.
 	var acked atomic.Int64
 	killAt := []int64{int64(len(envs)) / 4, int64(len(envs)) / 2, 3 * int64(len(envs)) / 4}
-	// Between kills, force a snapshot and a compaction through the ops
-	// endpoints so the kill that follows lands on a directory holding
-	// snapshot files and compacted segments, not just raw log tail.
-	// Best-effort: the server may be mid-restart.
-	poke := []string{"/store/snapshot", "/store/compact", "/store/snapshot"}
+	// Between kills, force a snapshot through the ops endpoint so the
+	// kill that follows lands on a directory holding a snapshot file, not
+	// just raw log tail. Best-effort: the server may be mid-restart.
 	ctlDone := make(chan struct{})
 	go func() {
 		defer close(ctlDone)
-		for i, at := range killAt {
+		for _, at := range killAt {
 			for acked.Load() < at {
 				time.Sleep(time.Millisecond)
 			}
-			if resp, err := http.Post("http://"+addr+poke[i], "", nil); err == nil {
+			if resp, err := http.Post("http://"+addr+"/store/snapshot", "", nil); err == nil {
 				resp.Body.Close()
 			}
 			child.restart()

@@ -2,43 +2,12 @@ package collector
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 
 	"pathprof/internal/store"
 	"pathprof/internal/wire"
 )
-
-// AckMode says when an ingest ack is sent relative to durability.
-type AckMode int
-
-const (
-	// AckNone acks after the in-memory fold: fast, zero dependencies,
-	// and everything is lost on restart. The default.
-	AckNone AckMode = iota
-	// AckBatch acks only after the push's record is group-committed to
-	// the mounted store: the ack means the push survives kill -9.
-	AckBatch
-)
-
-func (m AckMode) String() string {
-	if m == AckBatch {
-		return "batch"
-	}
-	return "none"
-}
-
-// ParseAckMode parses the -durability flag values.
-func ParseAckMode(s string) (AckMode, error) {
-	switch s {
-	case "", "none":
-		return AckNone, nil
-	case "batch":
-		return AckBatch, nil
-	}
-	return AckNone, fmt.Errorf("unknown durability mode %q (want none or batch)", s)
-}
 
 // Store is the persistence surface the collector mounts. *store.Log
 // implements it; the interface keeps the in-memory collector free of
@@ -51,8 +20,6 @@ type Store interface {
 	Ingest(ctx context.Context, id uint64, payload []byte, apply func([]byte) error) (dup bool, err error)
 	// SnapshotNow dumps the mounted state and prunes covered segments.
 	SnapshotNow() error
-	// CompactNow rewrites sealed segments as pre-merged records.
-	CompactNow() error
 	// Metrics reports the store's durability counters.
 	Metrics() store.Metrics
 	// Close drains in-flight appends and seals the log.
@@ -60,27 +27,21 @@ type Store interface {
 }
 
 // MountStore attaches s: every subsequent ingest is appended and
-// group-committed before it is acked (AckBatch). Mount before serving;
-// the collector does not close the store — the opener owns it.
-func (c *Collector) MountStore(s Store) {
-	c.store = s
-	c.ackMode = AckBatch
-}
+// group-committed before it is acked, and /metrics reports durability
+// "batch". Mount before serving; the collector does not close the store —
+// the opener owns it.
+func (c *Collector) MountStore(s Store) { c.store = s }
 
 // Store returns the mounted store, or nil for an in-memory collector.
 func (c *Collector) Store() Store { return c.store }
 
-// AckMode returns the collector's acking mode.
-func (c *Collector) AckMode() AckMode { return c.ackMode }
-
 // OpenStore opens (or recovers) the store directory with the
-// collector's fold/snapshot/compact callbacks wired in, replaying any
-// surviving state into this collector, and mounts the log. opts.Apply,
-// opts.Snapshot and opts.Compact are overwritten.
+// collector's fold and snapshot callbacks wired in, replaying any
+// surviving state into this collector, and mounts the log. opts.Apply
+// and opts.Snapshot are overwritten.
 func (c *Collector) OpenStore(dir string, opts store.Options) (*store.Log, store.Recovery, error) {
 	opts.Apply = c.replay
 	opts.Snapshot = c.SnapshotFrame
-	opts.Compact = c.CompactPayloads
 	l, rec, err := store.Open(dir, opts)
 	if err != nil {
 		return nil, rec, err
@@ -91,8 +52,8 @@ func (c *Collector) OpenStore(dir string, opts store.Options) (*store.Log, store
 
 // Checkpoint snapshots the mounted store (bounding future replay to
 // ingests after this point), or does nothing for in-memory collectors.
-// Relays call it after a fully flushed Take so the spool does not
-// replay — and re-push — envelopes already delivered upstream.
+// Relays call it at the end of every non-empty flush, so the spool does
+// not replay — and re-push — envelopes already delivered upstream.
 func (c *Collector) Checkpoint() error {
 	if c.store == nil {
 		return nil
@@ -246,22 +207,4 @@ func (c *Collector) SnapshotFrame() ([]byte, error) {
 		return nil, nil
 	}
 	return append([]byte(nil), bw.Frame()...), nil
-}
-
-// CompactPayloads pre-merges one sealed segment's payloads into a
-// single frame — the store's compaction callback. The payloads fold
-// into a scratch single-shard collector exactly as replay would fold
-// them (rejected payloads skipped, unreadable ones refused the same
-// way), so replaying the merged frame reproduces the same aggregate as
-// replaying the originals.
-func (c *Collector) CompactPayloads(payloads [][]byte) ([]byte, error) {
-	scratch := New(Config{Shards: 1})
-	for _, err := range scratch.replay(payloads) {
-		// A rejected payload contributes nothing to the aggregate, here
-		// as in replay, which counts and skips it.
-		if errors.Is(err, store.ErrUnreadable) {
-			return nil, err
-		}
-	}
-	return scratch.SnapshotFrame()
 }

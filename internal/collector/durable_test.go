@@ -129,46 +129,63 @@ func TestSnapshotMidIngestEquivalence(t *testing.T) {
 	}
 }
 
-// TestCompactionEndpointEquivalence: compacting sealed segments through
-// the ops endpoint must not change any table, before or after restart.
-func TestCompactionEndpointEquivalence(t *testing.T) {
+// TestSnapshotAfterBoundsLog: with no snapshot asked for, the store's
+// maintenance loop takes one once SnapshotAfter sealed segments sit above
+// the watermark, so the live segments stay bounded. A restart restores
+// the snapshot and replays only the pushes logged since it, into tables
+// byte-identical to an in-memory collector's, and the retry of a push
+// from before the snapshot still answers duplicate.
+func TestSnapshotAfterBoundsLog(t *testing.T) {
 	envs := testEnvelopes(t, 8)
 	programs := []string{"compress", "otherprog"}
+	ctx := context.Background()
 
 	_, memCl := newServer(t, Config{Shards: 4})
 	pushEnvelopes(t, memCl, envs)
 	want := tableBytes(t, memCl, programs)
 
 	dir := t.TempDir()
-	// Small segments so the stream seals several; no auto-compaction —
-	// the endpoint drives it.
-	sopts := store.Options{SegmentBytes: 1 << 10, CompactAfter: -1}
+	sopts := store.Options{SegmentBytes: 1 << 10, SnapshotAfter: 2}
 	_, durCl, l, _ := newDurableServer(t, dir, Config{Shards: 4}, sopts)
-	pushEnvelopes(t, durCl, envs)
-
-	resp, err := durCl.http().Post(durCl.BaseURL+"/store/compact", "", nil)
-	if err != nil {
-		t.Fatal(err)
+	frames := make([][]byte, len(envs))
+	for i, e := range envs {
+		frames[i] = frameOf(t, e)
+		if _, err := durCl.doPush(ctx, frames[i], uint64(i+1)); err != nil {
+			t.Fatal(err)
+		}
 	}
+	if sm := l.Metrics(); sm.ActiveSegment < 5 {
+		t.Fatalf("%d pushes sealed %d segments, want at least 4", len(envs), sm.ActiveSegment-1)
+	}
+	// The maintenance loop checks every 100 ms: wait for a tick past the
+	// last push.
 	var sm store.Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&sm); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if sm.Compactions == 0 {
-		t.Fatalf("nothing compacted (segments=%d); metrics %+v", sm.Segments, sm)
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+		if sm = l.Metrics(); sm.Snapshots >= 1 && sm.Segments <= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no snapshot bounded the log: %d snapshots, %d live segments", sm.Snapshots, sm.Segments)
+		}
 	}
 	if got := tableBytes(t, durCl, programs); got != want {
-		t.Fatalf("compaction changed live tables")
+		t.Fatalf("automatic snapshots changed live tables")
 	}
 	l.Close()
 
 	_, cl2, _, rec := newDurableServer(t, dir, Config{Shards: 4}, sopts)
-	if got := tableBytes(t, cl2, programs); got != want {
-		t.Fatalf("tables after compaction+restart differ from uninterrupted run")
+	if rec.SnapshotSeq == 0 || rec.Records >= len(envs) {
+		t.Fatalf("restart replayed %d records past snapshot %d, want a snapshot and fewer than %d",
+			rec.Records, rec.SnapshotSeq, len(envs))
 	}
-	if rec.Records >= len(envs) {
-		t.Fatalf("replay folded %d records, want fewer than %d after compaction", rec.Records, len(envs))
+	if got := tableBytes(t, cl2, programs); got != want {
+		t.Fatalf("tables after snapshot+restart differ from uninterrupted run")
+	}
+	if ir, err := cl2.doPush(ctx, frames[0], 1); err != nil || !ir.Duplicate {
+		t.Fatalf("retry of a pre-snapshot push: %+v, %v; want duplicate", ir, err)
+	}
+	if got := tableBytes(t, cl2, programs); got != want {
+		t.Fatalf("a duplicate retry changed the tables")
 	}
 }
 
@@ -307,55 +324,81 @@ func TestDurabilityMetricsExposed(t *testing.T) {
 
 // TestDurableRelaySpool: a relay with a durable local collector spools
 // through upstream outages and across restarts without losing or
-// double-delivering envelopes.
+// double-delivering envelopes. Every non-empty flush, failed or not,
+// checkpoints the spool, so through an outage the spool holds one
+// snapshot plus the segments logged since it.
 func TestDurableRelaySpool(t *testing.T) {
 	envs := testEnvelopes(t, 6)
 	programs := []string{"compress", "otherprog"}
+	ctx := context.Background()
 
 	_, memCl := newServer(t, Config{Shards: 4})
 	pushEnvelopes(t, memCl, envs)
 	want := tableBytes(t, memCl, programs)
 
-	root, rootCl := newServer(t, Config{Shards: 4})
-	_ = root
+	_, rootCl := newServer(t, Config{Shards: 4})
+	dead := &Client{BaseURL: "http://127.0.0.1:1", HTTPClient: &http.Client{Timeout: 200 * time.Millisecond}}
 
 	dir := t.TempDir()
-	local, localCl, l, _ := newDurableServer(t, dir, Config{Shards: 2}, store.Options{})
-	relay := &Relay{
-		Local:    local,
-		Upstream: &Client{BaseURL: "http://127.0.0.1:1", HTTPClient: &http.Client{Timeout: 200 * time.Millisecond}},
-	}
-	pushEnvelopes(t, localCl, envs[:len(envs)/2])
-	// Flush against a dead upstream: the envelopes must re-ingest
-	// locally and the spool must NOT be checkpointed.
-	if err := relay.FlushOnce(context.Background()); err == nil {
+	sopts := store.Options{SnapshotAfter: -1}
+	local, localCl, l, _ := newDurableServer(t, dir, Config{Shards: 2}, sopts)
+	relay := &Relay{Local: local, Upstream: dead}
+	half := len(envs) / 2
+	pushEnvelopes(t, localCl, envs[:half])
+	// Flush against a dead upstream: the envelopes fold back locally, and
+	// the spool is checkpointed holding them.
+	if err := relay.FlushOnce(ctx); err == nil {
 		t.Fatalf("flush against dead upstream succeeded")
 	}
-	if relay.Stats().Checkpoints != 0 {
-		t.Fatalf("relay checkpointed a failed flush")
+	if st := relay.Stats(); st.FlushFailures != 1 || st.Checkpoints != 1 {
+		t.Fatalf("failed flush: %+v, want one failure and one checkpoint", st)
 	}
 	l.Close()
 
-	// Crash the relay; recovery must still hold the first half.
-	local2, local2Cl, _, rec := newDurableServer(t, dir, Config{Shards: 2}, store.Options{})
-	if rec.Records == 0 {
-		t.Fatalf("relay spool replayed nothing")
+	// Crash the relay; recovery restores the first half from the snapshot.
+	local2, local2Cl, l2, rec := newDurableServer(t, dir, Config{Shards: 2}, sopts)
+	if rec.SnapshotSeq == 0 || rec.SnapshotBytes == 0 || rec.Records != 0 {
+		t.Fatalf("relay spool did not restore from its snapshot: %+v", rec)
 	}
-	pushEnvelopes(t, local2Cl, envs[len(envs)/2:])
-	relay2 := &Relay{Local: local2, Upstream: rootCl}
-	if err := relay2.FlushOnce(context.Background()); err != nil {
+	relay2 := &Relay{Local: local2, Upstream: dead}
+	for part := 0; part < 3; part++ {
+		n := (len(envs) - half) / 3
+		pushEnvelopes(t, local2Cl, envs[half+part*n:half+(part+1)*n])
+		if err := relay2.FlushOnce(ctx); err == nil {
+			t.Fatalf("flush %d against dead upstream succeeded", part+1)
+		}
+	}
+	snaps, _ := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	segs, _ := filepath.Glob(filepath.Join(dir, "wal-*.seg"))
+	wm := l2.Metrics().SnapshotWatermark
+	if len(snaps) != 1 || filepath.Base(snaps[0]) != fmt.Sprintf("snap-%08d.snap", wm) {
+		t.Fatalf("spool holds snapshots %v, want one at watermark %d", snaps, wm)
+	}
+	for _, seg := range segs {
+		var seq uint64
+		if _, err := fmt.Sscanf(filepath.Base(seg), "wal-%08d.seg", &seq); err != nil || seq < wm {
+			t.Fatalf("spool holds %s, which its snapshot at %d covers", seg, wm)
+		}
+	}
+
+	relay2.Upstream = rootCl
+	if err := relay2.FlushOnce(ctx); err != nil {
 		t.Fatalf("flush to live upstream: %v", err)
 	}
-	if relay2.Stats().Checkpoints != 1 {
-		t.Fatalf("successful flush did not checkpoint: %+v", relay2.Stats())
+	if st := relay2.Stats(); st.FlushFailures != 3 || st.Checkpoints != 4 {
+		t.Fatalf("relay stats: %+v, want three failures and four checkpoints", st)
 	}
 	if got := tableBytes(t, rootCl, programs); got != want {
 		t.Fatalf("upstream tables after spooled relay differ from direct ingest")
 	}
-	// The checkpoint bounded the spool: a second restart replays the
-	// (near-empty) snapshot, not the full history, and a second flush
-	// must not double-deliver.
-	if err := relay2.FlushOnce(context.Background()); err != nil {
+	// The checkpoint emptied the spool: a restart holds nothing to
+	// deliver, and an idle flush must not double-deliver.
+	l2.Close()
+	local3, _, _, _ := newDurableServer(t, dir, Config{Shards: 2}, sopts)
+	if progs := local3.Programs(); len(progs) != 0 {
+		t.Fatalf("restarted spool still holds %v after a delivered flush", progs)
+	}
+	if err := (&Relay{Local: local3, Upstream: rootCl}).FlushOnce(ctx); err != nil {
 		t.Fatal(err)
 	}
 	if got := tableBytes(t, rootCl, programs); got != want {
@@ -473,21 +516,5 @@ func TestOldDataDirRefused(t *testing.T) {
 		"wire: frame offset 4: unsupported frame version 1 (want 3)", off)
 	if err.Error() != want {
 		t.Fatalf("OpenStore error:\n got %v\nwant %s", err, want)
-	}
-}
-
-// TestParseAckMode pins the -durability flag values.
-func TestParseAckMode(t *testing.T) {
-	for s, want := range map[string]AckMode{"": AckNone, "none": AckNone, "batch": AckBatch} {
-		got, err := ParseAckMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseAckMode(%q) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParseAckMode("fsync-each"); err == nil {
-		t.Fatalf("bad mode accepted")
-	}
-	if AckNone.String() != "none" || AckBatch.String() != "batch" {
-		t.Fatalf("AckMode strings: %q %q", AckNone, AckBatch)
 	}
 }

@@ -29,6 +29,7 @@ import (
 //	GET  /programs       JSON list of aggregated programs
 //	GET  /metrics        JSON counters
 //	GET  /healthz        liveness (503 while draining)
+//	POST /store/snapshot snapshot the mounted store (404 without one)
 //
 // The table endpoints accept ?programs=a,b to select and order rows;
 // the default is every program holding the table's kind of aggregate (a
@@ -44,7 +45,6 @@ func (c *Collector) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", c.handleMetrics)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	mux.HandleFunc("POST /store/snapshot", c.handleStoreSnapshot)
-	mux.HandleFunc("POST /store/compact", c.handleStoreCompact)
 	return mux
 }
 
@@ -196,9 +196,9 @@ func (c *Collector) failIngest(w http.ResponseWriter, err error, folded int) {
 	}
 	switch {
 	case errors.Is(err, store.ErrFull):
-		// The WAL disk budget is exhausted: durable backpressure.
-		// Compaction or the next snapshot usually frees space, so tell
-		// clients to back off and retry rather than fail outright.
+		// The WAL disk budget is exhausted: durable backpressure. The
+		// next snapshot usually frees space, so tell clients to back off
+		// and retry rather than fail outright.
 		c.rejectedStoreFull.Add(1)
 		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(c.cfg.RetryAfter)))
 		http.Error(w, "store disk budget exhausted", http.StatusServiceUnavailable)
@@ -230,19 +230,6 @@ func (c *Collector) handleStoreSnapshot(w http.ResponseWriter, _ *http.Request) 
 		return
 	}
 	if err := c.store.SnapshotNow(); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	writeJSON(w, c.store.Metrics())
-}
-
-// handleStoreCompact forces compaction of sealed segments.
-func (c *Collector) handleStoreCompact(w http.ResponseWriter, _ *http.Request) {
-	if c.store == nil {
-		http.Error(w, "no store mounted", http.StatusNotFound)
-		return
-	}
-	if err := c.store.CompactNow(); err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}

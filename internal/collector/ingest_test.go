@@ -495,6 +495,45 @@ func TestRelayRefoldPerItem(t *testing.T) {
 	}
 }
 
+// TestRelayDropsWhollyRefusedFrame: a frame whose every item the upstream
+// refused by name (its 409 carries X-Folded-Items: 0) is dropped, not
+// folded back, so later flushes do not push it into the same refusal
+// again. The refused item is counted in RefoldDropped and named in the
+// flush's error.
+func TestRelayDropsWhollyRefusedFrame(t *testing.T) {
+	prof, _ := fixtures(t)
+	ctx := context.Background()
+	root, rootCl := newServer(t, Config{Shards: 2})
+	if _, err := rootCl.PushProfile(ctx, prof); err != nil {
+		t.Fatal(err)
+	}
+	held := cloneProfile(prof)
+	held.Mode = "context+hw"
+	relay := New(Config{Shards: 2})
+	if _, _, err := relay.IngestFrame(profileFrame(t, held)); err != nil {
+		t.Fatal(err)
+	}
+	r := &Relay{Local: relay, Upstream: rootCl}
+	for i := 0; i < 3; i++ {
+		err := r.FlushOnce(ctx)
+		if i == 0 && (err == nil || !strings.Contains(err.Error(), "upstream folded 0 of 1 items and refused 1, which were dropped")) {
+			t.Fatalf("flush error %v does not name the dropped item", err)
+		}
+		if i > 0 && err != nil {
+			t.Fatalf("flush %d: %v", i+1, err)
+		}
+	}
+	if m := root.Metrics(); m.RejectedConflict != 1 {
+		t.Fatalf("root refused %d pushes, want the one", m.RejectedConflict)
+	}
+	if st := r.Stats(); st.FlushFailures != 1 || st.RefoldDropped != 1 || st.EnvelopesPushed != 0 {
+		t.Fatalf("relay stats: %+v", st)
+	}
+	if progs := relay.Programs(); len(progs) != 0 {
+		t.Fatalf("relay still holds %v", progs)
+	}
+}
+
 // TestRelayDropsRefusedItemsOfFoldedFrame: when the upstream folds some
 // items of a flushed frame and refuses the rest, the relay does not fold
 // the frame back, so later flushes do not deliver the folded items again;

@@ -28,19 +28,24 @@ import (
 // rides along with the next flush. An item that no longer folds, because
 // a leaf pushed a conflicting envelope of its program since Take, is
 // lost: FlushOnce counts it in RefoldDropped and names it in its error.
-// A frame the upstream folded in part (its answer's X-Folded-Items is
-// above 0) is not folded back, since the next flush would deliver its
-// folded items twice; its refused items are lost the same way.
+// A frame whose answer names the items the upstream refused (it carries
+// X-Folded-Items) is not folded back: the refused items would be refused
+// again on every flush, and the folded ones would count twice. Its
+// refused items are lost the same way. Answers without the header fold
+// back: a transport error, 429 or 503 after the retries, 408.
 //
-// With a store mounted on Local the relay becomes a durable spool:
-// leaf pushes are on disk before they are acked, a crash replays
-// everything not yet flushed, and after a fully successful flush the
-// relay checkpoints the store so the replayed spool never re-delivers
-// envelopes the upstream already has. A crash between the upstream ack
-// and the checkpoint re-pushes that flush — at-least-once upstream,
-// never data loss. Durable relays must leave timed store snapshots off
-// (ppd relay does): a snapshot between Take and a failure re-ingest
-// would capture the emptied aggregate and orphan the taken envelopes.
+// With a store mounted on Local the relay becomes a durable spool: leaf
+// pushes are on disk before they are acked, and at the end of every
+// non-empty flush, failed or not, the relay checkpoints the store. Local
+// then holds exactly what the upstream is still owed, so a crash replays
+// neither envelopes the upstream already has nor ones it refused, and
+// through an upstream outage the spool holds one snapshot plus the
+// segments logged since it. A crash between Take and the checkpoint
+// re-pushes that flush — at-least-once upstream, never data loss.
+// Durable relays must leave the store's automatic snapshots off
+// (Options.SnapshotAfter < 0; ppd relay does): a snapshot between Take
+// and a fold-back would capture the emptied aggregate and orphan the
+// taken envelopes.
 type Relay struct {
 	// Local is the collector absorbing leaf pushes; serve its Handler.
 	Local *Collector
@@ -68,10 +73,11 @@ type RelayStats struct {
 	EnvelopesPushed uint64 `json:"envelopes_pushed"`
 	FlushFailures   uint64 `json:"flush_failures"`
 	// RefoldDropped counts items of refused frames that were lost: items
-	// that could not fold back into Local, and the refused items of
-	// frames the upstream folded in part.
+	// that could not fold back into Local, and the items the upstream
+	// refused by name.
 	RefoldDropped uint64 `json:"refold_dropped"`
-	Checkpoints   uint64 `json:"checkpoints"`
+	// Checkpoints counts the spool snapshots taken at the end of flushes.
+	Checkpoints uint64 `json:"checkpoints"`
 }
 
 func (r *Relay) interval() time.Duration {
@@ -132,9 +138,10 @@ func (r *Relay) Stats() RelayStats {
 
 // FlushOnce takes the local aggregate and pushes it upstream in frames
 // of at most MaxItems envelopes. A frame whose push fails is folded back
-// into the local collector unless the upstream folded some of its items,
-// and the first error is returned after the remaining frames are
-// attempted; it also names the refused items that were lost.
+// into the local collector unless the upstream's answer named the items
+// it refused, and the first error is returned after the remaining frames
+// are attempted; it also names the refused items that were lost. With a
+// store mounted, a flush that took anything ends with a checkpoint.
 func (r *Relay) FlushOnce(ctx context.Context) error {
 	profiles, exports := r.Local.Take()
 	if len(profiles) == 0 && len(exports) == 0 {
@@ -160,10 +167,10 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 		case err == nil:
 			r.framesPushed.Add(1)
 			r.envelopesPushed.Add(uint64(bw.Items()))
-		case errors.As(err, &ae) && ae.Folded > 0:
-			// The upstream folded part of the frame, so folding it back
-			// would push those items again on the next flush: the items
-			// it refused are lost.
+		case errors.As(err, &ae) && ae.ItemsNamed:
+			// The upstream refused the named items for good and folded
+			// the others, so folding the frame back would push them all
+			// again on the next flush: the refused items are lost.
 			r.flushFailures.Add(1)
 			n := bw.Items() - min(ae.Folded, bw.Items())
 			err = fmt.Errorf("relay: upstream folded %d of %d items and refused %d, which were dropped: %w",
@@ -213,12 +220,15 @@ func (r *Relay) FlushOnce(ctx context.Context) error {
 			firstErr = fmt.Errorf("%w; %w", firstErr, partErr)
 		}
 	}
-	if firstErr == nil && r.Local.Store() != nil {
-		// Everything taken is delivered upstream: checkpoint the spool so
-		// a crash replay does not re-deliver it. (The snapshot also
-		// captures anything ingested since Take — that is merely early,
-		// not wrong: it stays in local memory and flushes next round.)
+	if r.Local.Store() != nil {
+		// Local holds what leaves pushed since Take plus the frames folded
+		// back: exactly what the upstream is still owed. Checkpoint the
+		// spool, so a crash replay re-delivers nothing the upstream
+		// already has or refused.
 		if err := r.Local.Checkpoint(); err != nil {
+			if firstErr != nil {
+				err = fmt.Errorf("%w; relay: checkpoint: %w", firstErr, err)
+			}
 			firstErr = err
 		} else {
 			r.checkpoints.Add(1)

@@ -14,8 +14,8 @@ import (
 )
 
 // replayOptions keeps the test logs small enough to span several
-// segments, and compaction out of the way.
-var replayOptions = store.Options{SegmentBytes: 4 << 10, CompactAfter: -1}
+// segments, and automatic snapshots out of the way.
+var replayOptions = store.Options{SegmentBytes: 4 << 10, SnapshotAfter: -1}
 
 // reopenCopy recovers a copy of the log in dir into a fresh collector of
 // the given shard count, so every reopen replays the same files (a

@@ -15,8 +15,14 @@ func fuzzSeedSegments() [][]byte {
 	valid := fileHeader(segMagic)
 	valid = appendRecord(valid, recKindPayload, 101, []byte("alpha payload"))
 	valid = appendRecord(valid, recKindPayload, 0, bytes.Repeat([]byte{0xAB}, 300))
-	valid = appendRecord(valid, recKindManifest, 0, appendManifest(nil, []uint64{101, 7, 9}))
 	valid = appendRecord(valid, recKindPayload, 102, []byte("omega"))
+
+	// A manifest record in a segment (an older build's compaction wrote
+	// them) scans, and Open refuses it.
+	manifest := fileHeader(segMagic)
+	manifest = appendRecord(manifest, recKindPayload, 101, []byte("alpha payload"))
+	manifest = appendRecord(manifest, recKindManifest, 0, appendManifest(nil, []uint64{101, 7, 9}))
+	manifest = appendRecord(manifest, recKindPayload, 102, []byte("omega"))
 
 	torn := append([]byte(nil), valid[:len(valid)-3]...)
 
@@ -41,6 +47,7 @@ func fuzzSeedSegments() [][]byte {
 		fileHeader(segMagic),
 		[]byte("PPWALSEGbut short"),
 		[]byte("not a segment at all"),
+		manifest,
 	}
 }
 
@@ -120,7 +127,6 @@ func FuzzSegmentReplay(f *testing.F) {
 			var mu sync.Mutex
 			var state []byte
 			l, rec, err := Open(dir, Options{
-				CompactAfter: -1,
 				Apply: eachPayload(func(p []byte) error {
 					mu.Lock()
 					state = append(state, p...)

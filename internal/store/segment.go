@@ -16,8 +16,7 @@ import (
 // The log is a directory of fixed-capacity segment files plus at most a
 // couple of snapshot files:
 //
-//	wal-00000001.seg    raw segment: records appended by group commit
-//	wal-00000001.cmp    compacted rewrite of the same sequence number
+//	wal-00000001.seg    segment: records appended by group commit
 //	snap-00000007.snap  snapshot covering every segment with seq < 7
 //
 // Every file starts with a 16-byte header:
@@ -29,8 +28,8 @@ import (
 // and then carries length-prefixed, CRC-framed records:
 //
 //	kind     1 byte   1 = payload (one ingested wire frame)
-//	                  2 = manifest (the push IDs a compaction or snapshot
-//	                      absorbed, kept so replay stays duplicate-free)
+//	                  2 = manifest (the push IDs a snapshot absorbed, kept
+//	                      so replay stays duplicate-free; snapshots only)
 //	id       8 bytes  LE push ID (0 = none) for payload records, 0 for
 //	                  manifests
 //	length   4 bytes  LE payload byte count
@@ -78,14 +77,8 @@ func corrupt(name string, off int64, rec int, format string, args ...any) error 
 	return &CorruptError{File: name, Offset: off, Record: rec, Reason: fmt.Sprintf(format, args...)}
 }
 
-// segName formats a segment file name; compacted segments replace the
-// raw extension.
-func segName(seq uint64, compacted bool) string {
-	ext := "seg"
-	if compacted {
-		ext = "cmp"
-	}
-	return fmt.Sprintf("wal-%08d.%s", seq, ext)
+func segName(seq uint64) string {
+	return fmt.Sprintf("wal-%08d.seg", seq)
 }
 
 func snapName(watermark uint64) string {
@@ -242,22 +235,21 @@ func parseManifest(name string, off int64, rec int, payload []byte) ([]uint64, e
 
 // segmentFile is one discovered log file.
 type segmentFile struct {
-	seq       uint64
-	compacted bool
-	name      string
-	size      int64
+	seq  uint64
+	name string
+	size int64
 }
 
-// listDir inventories the store directory: segments sorted by sequence
-// (a compacted rewrite shadows its raw sibling — the raw file only
-// survives a crash between compaction and cleanup), and the snapshot
-// watermarks present, sorted ascending.
+// listDir inventories the store directory: segments sorted by sequence,
+// and the snapshot watermarks present, sorted ascending. A compacted
+// segment (wal-*.cmp), which only an older build wrote, fails it with a
+// *CorruptError: its pushes are pre-merged into one payload whose push
+// IDs only a manifest records, and this build no longer reads such files.
 func listDir(dir string) (segs []segmentFile, snaps []uint64, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("store: %w", err)
 	}
-	bySeq := map[uint64]segmentFile{}
 	for _, ent := range ents {
 		name := ent.Name()
 		info, err := ent.Info()
@@ -265,23 +257,17 @@ func listDir(dir string) (segs []segmentFile, snaps []uint64, err error) {
 			continue // deleted concurrently
 		}
 		switch {
-		case strings.HasPrefix(name, "wal-") && (strings.HasSuffix(name, ".seg") || strings.HasSuffix(name, ".cmp")):
-			seq, ok := parseSeq(name)
-			if !ok {
-				continue
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".seg"):
+			if seq, ok := parseSeq(name); ok {
+				segs = append(segs, segmentFile{seq: seq, name: name, size: info.Size()})
 			}
-			sf := segmentFile{seq: seq, compacted: strings.HasSuffix(name, ".cmp"), name: name, size: info.Size()}
-			if prev, ok := bySeq[seq]; !ok || (sf.compacted && !prev.compacted) {
-				bySeq[seq] = sf
-			}
+		case strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".cmp"):
+			return nil, nil, corrupt(name, 0, 0, "compacted segment written by an older build")
 		case strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".snap"):
 			if seq, ok := parseSeq(name); ok {
 				snaps = append(snaps, seq)
 			}
 		}
-	}
-	for _, sf := range bySeq {
-		segs = append(segs, sf)
 	}
 	sort.Slice(segs, func(i, j int) bool { return segs[i].seq < segs[j].seq })
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] < snaps[j] })

@@ -1,15 +1,20 @@
 // Package store is the collector's durability tier: a segmented
 // append-only log of opaque ingest payloads (the collector's wire
-// frames) with group-committed fsync, CRC-checked replay, per-segment
-// compaction and snapshot/restore.
+// frames) with group-committed fsync, CRC-checked replay and
+// snapshot/restore.
 //
 // The store knows nothing about profiles. Payloads are byte strings;
-// the mounting layer supplies three callbacks — Apply folds a batch of
+// the mounting layer supplies two callbacks — Apply folds a batch of
 // payloads into its in-memory state (startup replay hands it each
-// file's surviving records at once), Snapshot dumps that state as one
-// payload, and Compact pre-merges many payloads into one — so the
-// collector keeps its fold logic and the store keeps the files.
-// In-memory collectors simply never mount a store.
+// file's surviving records at once), and Snapshot dumps that state as
+// one payload — so the collector keeps its fold logic and the store
+// keeps the files. In-memory collectors simply never mount a store.
+//
+// Bounding the log: a snapshot replaces every segment before it, since
+// the payloads fold by addition. The maintenance loop takes one once
+// Options.SnapshotAfter sealed segments sit above the newest snapshot,
+// so the files on disk and the records a restart replays stay bounded
+// by that count, not by the log's lifetime.
 //
 // Durability contract: Ingest appends the payload to the active
 // segment, waits for the group committer to fsync it, folds it via the
@@ -21,11 +26,10 @@
 // arrived while the previous fsync was in flight.
 //
 // Exactly-once: each push may carry a 64-bit push ID. Applied IDs are
-// remembered (and persisted through compaction manifests and
-// snapshots), so a client retry of a push that was durable but never
-// acked — the classic crash window — is recognized and acked without
-// folding twice. Replay applies the same rule, so a record duplicated
-// in the log folds once.
+// remembered (and persisted through snapshot manifests), so a client
+// retry of a push that was durable but never acked — the classic crash
+// window — is recognized and acked without folding twice. Replay
+// applies the same rule, so a record duplicated in the log folds once.
 //
 // Recovery: Open restores the newest snapshot, replays every surviving
 // segment record at or after the snapshot watermark through Apply, one
@@ -54,8 +58,8 @@ type Options struct {
 	// size [8 MiB].
 	SegmentBytes int64
 	// MaxLogBytes is the disk budget across all segment files; appends
-	// beyond it fail with ErrFull until compaction or a snapshot frees
-	// space [0 = unbounded].
+	// beyond it fail with ErrFull until a snapshot frees space
+	// [0 = unbounded].
 	MaxLogBytes int64
 	// MaxBatch caps the records one group commit may coalesce [256].
 	MaxBatch int
@@ -64,12 +68,10 @@ type Options struct {
 	// in-flight appender has been gathered commits immediately, so a lone
 	// sequential producer never waits this long.
 	MaxWait time.Duration
-	// CompactAfter rewrites sealed raw segments as one pre-merged record
-	// once at least this many are pending [4; <0 disables].
-	CompactAfter int
-	// SnapshotEvery takes automatic snapshots on this period
-	// [0 = manual snapshots only].
-	SnapshotEvery time.Duration
+	// SnapshotAfter takes a snapshot once at least this many sealed
+	// segments sit above the snapshot watermark; the maintenance loop
+	// checks every maintainPeriod [4; <0 = manual snapshots only].
+	SnapshotAfter int
 
 	// Apply folds a batch of payloads into the mounting layer's state
 	// and returns one error per payload, in order. Snapshot restore and
@@ -84,13 +86,9 @@ type Options struct {
 	// payload (nil when there is nothing to dump). Called under the
 	// ingest barrier: no Ingest is mid append-or-fold.
 	Snapshot func() ([]byte, error)
-	// Compact pre-merges the payloads of one sealed segment into a
-	// single payload (nil when they merge to nothing). Required for
-	// compaction; with CompactAfter < 0 it is never called.
-	Compact func(payloads [][]byte) ([]byte, error)
 
-	// Logf, when set, receives maintenance diagnostics (compaction and
-	// snapshot failures in the background loop).
+	// Logf, when set, receives maintenance diagnostics (snapshot
+	// failures in the background loop).
 	Logf func(format string, args ...any)
 
 	// SyncDelay pads every fsync with a sleep, modeling a storage device
@@ -110,15 +108,15 @@ func (o Options) withDefaults() Options {
 	if o.MaxWait <= 0 {
 		o.MaxWait = 2 * time.Millisecond
 	}
-	if o.CompactAfter == 0 {
-		o.CompactAfter = 4
+	if o.SnapshotAfter == 0 {
+		o.SnapshotAfter = 4
 	}
 	return o
 }
 
 // ErrFull reports that the log disk budget (Options.MaxLogBytes) is
 // exhausted. Collectors surface it as backpressure (503 + Retry-After):
-// compaction or the next snapshot usually frees space.
+// the next snapshot usually frees space.
 var ErrFull = errors.New("store: log disk budget exhausted")
 
 // ErrClosed reports an operation on a closed log.
@@ -161,9 +159,6 @@ type Metrics struct {
 	SnapshotWatermark uint64   `json:"snapshot_watermark"`
 	Snapshots         uint64   `json:"snapshots"`
 	SnapshotNanos     uint64   `json:"snapshot_nanos"`
-	Compactions       uint64   `json:"compactions"`
-	CompactNanos      uint64   `json:"compact_nanos"`
-	CompactSavedBytes int64    `json:"compact_saved_bytes"`
 	Replay            Recovery `json:"replay"`
 }
 
@@ -208,26 +203,22 @@ type Log struct {
 	syncDelay time.Duration
 
 	snapMu    sync.Mutex // serializes SnapshotNow callers
-	compactMu sync.Mutex // serializes CompactNow callers
 	watermark atomic.Uint64
 
 	recovery Recovery
 
-	liveBytes       atomic.Int64
-	segments        atomic.Int64
-	appends         atomic.Uint64
-	appendedBytes   atomic.Uint64
-	fsyncs          atomic.Uint64
-	fsyncNs         atomic.Uint64
-	appendWaitNs    atomic.Uint64
-	batchMax        atomic.Uint64
-	duplicates      atomic.Uint64
-	rejectedFull    atomic.Uint64
-	snapshots       atomic.Uint64
-	snapshotNs      atomic.Uint64
-	compactions     atomic.Uint64
-	compactNs       atomic.Uint64
-	compactSavedLen atomic.Int64
+	liveBytes     atomic.Int64
+	segments      atomic.Int64 // live segment files, the active one included
+	appends       atomic.Uint64
+	appendedBytes atomic.Uint64
+	fsyncs        atomic.Uint64
+	fsyncNs       atomic.Uint64
+	appendWaitNs  atomic.Uint64
+	batchMax      atomic.Uint64
+	duplicates    atomic.Uint64
+	rejectedFull  atomic.Uint64
+	snapshots     atomic.Uint64
+	snapshotNs    atomic.Uint64
 }
 
 // Open opens (creating if needed) the store directory, restores the
@@ -261,7 +252,7 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 
 	l.commitWG.Add(1)
 	go l.committer()
-	if opts.SnapshotEvery > 0 || opts.CompactAfter > 0 {
+	if opts.SnapshotAfter > 0 {
 		l.commitWG.Add(1)
 		go l.maintain()
 	}
@@ -269,12 +260,12 @@ func Open(dir string, opts Options) (*Log, Recovery, error) {
 }
 
 // recover restores the newest snapshot, replays segments at or after
-// its watermark, cleans up shadowed or superseded files, and opens a
-// fresh active segment.
+// its watermark, cleans up superseded files, and opens a fresh active
+// segment.
 func (l *Log) recover() error {
 	segs, snaps, err := listDir(l.dir)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
 	if len(snaps) > 0 {
 		w := snaps[len(snaps)-1]
@@ -298,13 +289,10 @@ func (l *Log) recover() error {
 		}
 	}
 
-	// Cleanup: raw segments shadowed by a compacted rewrite, and
-	// segments or snapshots superseded by the restored snapshot, survive
-	// only a crash between the durable step and its cleanup.
+	// Cleanup: segments and snapshots superseded by the restored
+	// snapshot, and its temporary file, survive only a crash between
+	// publishing a snapshot and its cleanup.
 	for _, sf := range segs {
-		if sf.compacted {
-			os.Remove(filepath.Join(l.dir, segName(sf.seq, false)))
-		}
 		if sf.seq < wm {
 			os.Remove(filepath.Join(l.dir, sf.name))
 		}
@@ -321,7 +309,7 @@ func (l *Log) recover() error {
 	// which keeps the torn-tail rules confined to the newest file).
 	segs, _, err = listDir(l.dir)
 	if err != nil {
-		return fmt.Errorf("store: %w", err)
+		return err
 	}
 	var live int64
 	for _, sf := range segs {
@@ -371,13 +359,10 @@ func (l *Log) replaySegment(sf segmentFile, tail bool) error {
 			payloads = append(payloads, r.payload)
 			at = append(at, i)
 		case recKindManifest:
-			ids, err := parseManifest(sf.name, r.off, 0, r.payload)
-			if err != nil {
-				return err
-			}
-			for _, id := range ids {
-				l.markApplied(id)
-			}
+			// Only an older build's compaction wrote a manifest into a
+			// segment file, beside the payload it pre-merged from the
+			// pushes the manifest names; this build no longer reads one.
+			return corrupt(sf.name, r.off, i, "manifest record written by an older build's compaction")
 		}
 	}
 	var errs []error
@@ -636,7 +621,7 @@ func (l *Log) rollLocked(seq uint64) error {
 		}
 		l.active = nil
 	}
-	path := filepath.Join(l.dir, segName(seq, false))
+	path := filepath.Join(l.dir, segName(seq))
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("store: creating segment: %w", err)
@@ -672,55 +657,31 @@ func (l *Log) sealActive() {
 	}
 }
 
-// maintain is the background loop driving compaction and periodic
-// snapshots.
+// maintainPeriod is how often the maintenance loop reads the segment
+// count. The read is one atomic load, so the trigger can follow the log
+// closely.
+const maintainPeriod = 100 * time.Millisecond
+
+// maintain is the background loop that bounds the log: every
+// maintainPeriod, it takes a snapshot when at least SnapshotAfter sealed
+// segments sit above the watermark.
 func (l *Log) maintain() {
 	defer l.commitWG.Done()
-	period := time.Second
-	if e := l.opts.SnapshotEvery; e > 0 && e/2 < period {
-		// Sample often enough that a short snapshot period is honored
-		// with reasonable accuracy.
-		if period = e / 2; period < 50*time.Millisecond {
-			period = 50 * time.Millisecond
-		}
-	}
-	tick := time.NewTicker(period)
+	tick := time.NewTicker(maintainPeriod)
 	defer tick.Stop()
-	lastSnap := time.Now()
 	for {
 		select {
 		case <-l.stopCh:
 			return
 		case <-tick.C:
 		}
-		if after := l.opts.CompactAfter; after > 0 && l.sealedRawSegments() >= after {
-			if err := l.CompactNow(); err != nil {
-				l.logf("compaction: %v", err)
-			}
-		}
-		if every := l.opts.SnapshotEvery; every > 0 && time.Since(lastSnap) >= every {
-			lastSnap = time.Now()
+		// Every live segment but the active one is sealed.
+		if l.segments.Load()-1 >= int64(l.opts.SnapshotAfter) {
 			if err := l.SnapshotNow(); err != nil {
 				l.logf("snapshot: %v", err)
 			}
 		}
 	}
-}
-
-// sealedRawSegments counts compaction-eligible segments.
-func (l *Log) sealedRawSegments() int {
-	segs, _, err := listDir(l.dir)
-	if err != nil {
-		return 0
-	}
-	n := 0
-	active, wm := l.activeSeq.Load(), l.watermark.Load()
-	for _, sf := range segs {
-		if !sf.compacted && sf.seq < active && sf.seq >= wm {
-			n++
-		}
-	}
-	return n
 }
 
 func (l *Log) logf(format string, args ...any) {
@@ -749,9 +710,6 @@ func (l *Log) Metrics() Metrics {
 		SnapshotWatermark: l.watermark.Load(),
 		Snapshots:         l.snapshots.Load(),
 		SnapshotNanos:     l.snapshotNs.Load(),
-		Compactions:       l.compactions.Load(),
-		CompactNanos:      l.compactNs.Load(),
-		CompactSavedBytes: l.compactSavedLen.Load(),
 		Replay:            l.recovery,
 	}
 }

@@ -3,10 +3,12 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,8 +17,8 @@ import (
 // testState is a minimal mountable state: applied payloads concatenate
 // into a buffer, so durability bugs show up as byte differences. The
 // callbacks mirror the collector's contract — Snapshot dumps the whole
-// buffer as one payload, Compact concatenates a segment's payloads —
-// and both compose with Apply exactly like the real aggregate fold.
+// buffer as one payload, which composes with Apply exactly like the real
+// aggregate fold.
 type testState struct {
 	mu  sync.Mutex
 	buf []byte
@@ -46,14 +48,6 @@ func (s *testState) snapshot() ([]byte, error) {
 	return append([]byte(nil), s.buf...), nil
 }
 
-func (s *testState) compact(payloads [][]byte) ([]byte, error) {
-	var out []byte
-	for _, p := range payloads {
-		out = append(out, p...)
-	}
-	return out, nil
-}
-
 func (s *testState) bytes() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -64,7 +58,6 @@ func (s *testState) options() Options {
 	return Options{
 		Apply:    eachPayload(s.apply),
 		Snapshot: s.snapshot,
-		Compact:  s.compact,
 	}
 }
 
@@ -322,99 +315,52 @@ func TestSnapshotRestore(t *testing.T) {
 	l2.Close()
 }
 
-func TestCompaction(t *testing.T) {
+// TestSnapshotCrashLeavesCoveredSegments: a crash between publishing a
+// snapshot and deleting the segments it covers leaves those segments
+// behind, and a crash while writing a snapshot leaves snap.tmp. Open must
+// replay neither and must delete both.
+func TestSnapshotCrashLeavesCoveredSegments(t *testing.T) {
 	dir := t.TempDir()
 	live := &testState{}
 	opts := live.options()
 	opts.SegmentBytes = 256
-	opts.CompactAfter = -1 // manual only
-	l, _ := mustOpen(t, dir, opts)
-	var want []byte
-	for i := 1; i <= 40; i++ {
-		p := fmt.Sprintf("compact-me-%03d-|", i)
-		mustIngest(t, l, uint64(i), p)
-		want = append(want, p...)
-	}
-	before := l.Metrics()
-	if err := l.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
-	}
-	after := l.Metrics()
-	if after.Compactions == 0 {
-		t.Fatalf("no segments compacted (segments before: %d)", before.Segments)
-	}
-	if after.CompactSavedBytes <= 0 {
-		t.Fatalf("compaction saved %d bytes, want > 0", after.CompactSavedBytes)
-	}
-	l.Close()
-
-	restored := &testState{}
-	l2, rec := mustOpen(t, dir, restored.options())
-	if got := restored.bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("post-compaction replay diverged:\n got %q\nwant %q", got, want)
-	}
-	// Replay now folds pre-merged records: fewer records than ingests.
-	if rec.Records >= 40 {
-		t.Fatalf("replay folded %d records, want < 40 after compaction", rec.Records)
-	}
-	// Push-ID dedup must survive through compaction manifests.
-	dup, err := l2.Ingest(context.Background(), 13, []byte("compact-me-013-|"), nil)
-	if err != nil || !dup {
-		t.Fatalf("retry of compacted id: dup=%v err=%v", dup, err)
-	}
-	l2.Close()
-}
-
-func TestCompactionCrashLeavesBothFiles(t *testing.T) {
-	// A crash between writing the .cmp and removing the .seg leaves
-	// both; Open must prefer the compacted rewrite and delete the raw.
-	dir := t.TempDir()
-	live := &testState{}
-	opts := live.options()
-	opts.SegmentBytes = 256
-	opts.CompactAfter = -1
 	l, _ := mustOpen(t, dir, opts)
 	var want []byte
 	for i := 1; i <= 20; i++ {
-		p := fmt.Sprintf("both-files-%03d|", i)
+		p := fmt.Sprintf("covered-%03d|", i)
 		mustIngest(t, l, uint64(i), p)
 		want = append(want, p...)
 	}
-	if err := l.CompactNow(); err != nil {
-		t.Fatalf("CompactNow: %v", err)
+	if err := l.SnapshotNow(); err != nil {
+		t.Fatalf("SnapshotNow: %v", err)
 	}
+	wm := l.Metrics().SnapshotWatermark
 	l.Close()
 
-	// Resurrect a raw sibling next to its compacted rewrite with
-	// different (stale) content; replay must ignore it.
-	segs, _, err := listDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var resurrect string
-	for _, sf := range segs {
-		if sf.compacted {
-			resurrect = segName(sf.seq, false)
-			break
-		}
-	}
-	if resurrect == "" {
-		t.Fatal("no compacted segment found")
-	}
-	stale := fileHeader(segMagic)
-	stale = appendRecord(stale, recKindPayload, 999, []byte("stale-data-must-not-replay|"))
-	if err := os.WriteFile(filepath.Join(dir, resurrect), stale, 0o644); err != nil {
+	// Put back the segment just below the watermark with stale content:
+	// replaying it would change the state, and mark its push ID applied.
+	covered := segName(wm - 1)
+	writeLogFile(t, dir, covered, testRecord{id: 999, payload: "stale-data-must-not-replay|"})
+	if err := os.WriteFile(filepath.Join(dir, "snap.tmp"), []byte("PPWALSNP torn"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
 	restored := &testState{}
-	l2, _ := mustOpen(t, dir, restored.options())
+	l2, rec := mustOpen(t, dir, restored.options())
 	defer l2.Close()
 	if got := restored.bytes(); !bytes.Equal(got, want) {
-		t.Fatalf("shadowed raw segment leaked into replay:\n got %q\nwant %q", got, want)
+		t.Fatalf("covered segment leaked into replay:\n got %q\nwant %q", got, want)
 	}
-	if _, err := os.Stat(filepath.Join(dir, resurrect)); !os.IsNotExist(err) {
-		t.Fatalf("shadowed raw segment not cleaned up: %v", err)
+	if rec.SnapshotSeq != wm || rec.Records != 0 {
+		t.Fatalf("recovery = %+v, want the snapshot at %d and no records", rec, wm)
+	}
+	for _, name := range []string{covered, "snap.tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !os.IsNotExist(err) {
+			t.Fatalf("%s not cleaned up: %v", name, err)
+		}
+	}
+	if dup, err := l2.Ingest(context.Background(), 999, []byte("fresh|"), nil); err != nil || dup {
+		t.Fatalf("push ID of the covered segment: dup=%v err=%v, want a fresh push", dup, err)
 	}
 }
 
@@ -507,10 +453,15 @@ type testRecord struct {
 	ids     []uint64
 }
 
-// writeLogFile writes a segment file of the given records under name.
+// writeLogFile writes a segment file of the given records under name, or
+// a snapshot file when name is a snapshot's.
 func writeLogFile(t *testing.T, dir, name string, recs ...testRecord) {
 	t.Helper()
 	data := fileHeader(segMagic)
+	if strings.HasSuffix(name, ".snap") {
+		wm, _ := parseSeq(name)
+		data = binary.LittleEndian.AppendUint64(fileHeader(snapMagic), wm)
+	}
 	for _, r := range recs {
 		if r.ids != nil {
 			data = appendRecord(data, recKindManifest, 0, appendManifest(nil, r.ids))
@@ -525,10 +476,10 @@ func writeLogFile(t *testing.T, dir, name string, recs ...testRecord) {
 
 // TestReplayBatchesPerFile: replay hands Apply one batch per file, the
 // file's payloads in log order, and drops every record whose push ID an
-// earlier record or a compacted segment's manifest already applied.
+// earlier record or the snapshot's manifest already applied.
 func TestReplayBatchesPerFile(t *testing.T) {
 	dir := t.TempDir()
-	writeLogFile(t, dir, "wal-00000001.cmp",
+	writeLogFile(t, dir, "snap-00000002.snap",
 		testRecord{payload: "a|b|"}, testRecord{ids: []uint64{1, 2}})
 	writeLogFile(t, dir, "wal-00000002.seg",
 		testRecord{id: 3, payload: "c|"},
@@ -542,7 +493,7 @@ func TestReplayBatchesPerFile(t *testing.T) {
 		testRecord{id: 5, payload: "f|"})
 
 	var calls [][]string
-	l, rec := mustOpen(t, dir, Options{CompactAfter: -1, Apply: func(payloads [][]byte) []error {
+	l, rec := mustOpen(t, dir, Options{Apply: func(payloads [][]byte) []error {
 		var call []string
 		for _, p := range payloads {
 			call = append(call, string(p))
@@ -555,8 +506,42 @@ func TestReplayBatchesPerFile(t *testing.T) {
 	if fmt.Sprint(calls) != fmt.Sprint(want) {
 		t.Fatalf("Apply calls = %q, want %q", calls, want)
 	}
-	if rec.Segments != 3 || rec.Records != 6 || rec.Duplicates != 3 || rec.Bytes != 14 {
-		t.Fatalf("recovery = %+v, want 3 segments, 6 records of 14 bytes, 3 duplicates", rec)
+	if rec.SnapshotBytes != 4 || rec.Segments != 2 || rec.Records != 5 || rec.Duplicates != 3 || rec.Bytes != 10 {
+		t.Fatalf("recovery = %+v, want a 4-byte snapshot, 2 segments, 5 records of 10 bytes, 3 duplicates", rec)
+	}
+}
+
+// TestRetiredFileKindsRefused: only an older build's compaction wrote a
+// compacted segment (wal-*.cmp) or a manifest record inside a segment.
+// Open refuses a directory holding either with a *CorruptError naming the
+// file and the offset, and leaves the file in place instead of skipping
+// it.
+func TestRetiredFileKindsRefused(t *testing.T) {
+	manifest := testRecord{ids: []uint64{3, 4}}
+	for _, tc := range []struct {
+		file string
+		recs []testRecord
+		want string
+	}{
+		{"wal-00000002.cmp", []testRecord{{payload: "c|d|"}, manifest},
+			"store: wal-00000002.cmp: offset 0: record 0: compacted segment written by an older build"},
+		{"wal-00000002.seg", []testRecord{{id: 5, payload: "e|"}, manifest, {id: 6, payload: "f|"}},
+			fmt.Sprintf("store: wal-00000002.seg: offset %d: record 1: manifest record written by an older build's compaction",
+				headerLen+recHdrLen+len("e|"))},
+	} {
+		t.Run(tc.file, func(t *testing.T) {
+			dir := t.TempDir()
+			writeLogFile(t, dir, "wal-00000001.seg", testRecord{id: 1, payload: "a|"}, testRecord{id: 2, payload: "b|"})
+			writeLogFile(t, dir, tc.file, tc.recs...)
+			_, _, err := Open(dir, (&testState{}).options())
+			var ce *CorruptError
+			if !errors.As(err, &ce) || err.Error() != tc.want {
+				t.Fatalf("Open: err = %v, want *CorruptError %q", err, tc.want)
+			}
+			if _, err := os.Stat(filepath.Join(dir, tc.file)); err != nil {
+				t.Fatalf("refused file was not left in place: %v", err)
+			}
+		})
 	}
 }
 
@@ -572,7 +557,7 @@ func TestApplyLowestUnreadableReported(t *testing.T) {
 		testRecord{id: 2, payload: "old-1|"},
 		testRecord{id: 3, payload: "reject-me|"},
 		testRecord{id: 4, payload: "old-2|"})
-	_, _, err := Open(dir, Options{CompactAfter: -1, Apply: eachPayload(func(p []byte) error {
+	_, _, err := Open(dir, Options{Apply: eachPayload(func(p []byte) error {
 		switch string(p) {
 		case "reject-me|":
 			return errors.New("rejected")

@@ -39,11 +39,12 @@ go test -race ./...
 # conflicting push must meet the aggregate it conflicts with however the
 # pushes interleave. One race run sees one interleaving, so the replay and
 # conflict tests run ten times. So do the tests of the push body read (a
-# pooled buffer under a read deadline, on the handler goroutine) and of
-# the relay's rule for a frame the upstream folded in part, named one by
-# one so that the pattern misses TestRelayTreeFanIn.
+# pooled buffer under a read deadline, on the handler goroutine), of the
+# relay's rules for a frame the upstream refused in part or whole, and of
+# the automatic snapshot that races live pushes, named one by one so that
+# the pattern misses TestRelayTreeFanIn.
 go test -race -count=10 -run 'Replay|Conflict' ./internal/collector ./internal/store
-go test -race -count=10 -run '^(TestChunkedPushFoldsLikeSized|TestShortBodyRejected|TestKeepAliveAfterDeadline|TestReadBodyBounded|TestSlowClientTimesOut|TestOversizedBodyRejected|TestRelayDropsRefusedItemsOfFoldedFrame|TestIngestKeepsNoPayload)$' ./internal/collector ./internal/store
+go test -race -count=10 -run '^(TestChunkedPushFoldsLikeSized|TestShortBodyRejected|TestKeepAliveAfterDeadline|TestReadBodyBounded|TestSlowClientTimesOut|TestOversizedBodyRejected|TestRelayDropsRefusedItemsOfFoldedFrame|TestRelayDropsWhollyRefusedFrame|TestSnapshotAfterBoundsLog|TestIngestKeepsNoPayload)$' ./internal/collector ./internal/store
 
 go test -run='^$' -bench=. -benchtime=1x ./...
 
@@ -136,8 +137,8 @@ done
 PPD_FANIN_PRODUCERS=2000 go test -run='^TestRelayTreeFanIn$' -count=1 ./internal/collector
 
 # Crash-injection smoke: a child-process durable collector is SIGKILLed
-# three times mid-ingest (with snapshots and compactions forced between
-# kills) and the recovered tables must be byte-identical to an
+# three times mid-ingest (with automatic snapshots running, and one forced
+# between kills) and the recovered tables must be byte-identical to an
 # uninterrupted in-memory run. Scaled down from the 1000-envelope
 # acceptance run; the full size is the test's default outside CI.
 PPD_CRASH_COPIES=75 go test -run='^TestCrashRecoveryByteIdentity$' -count=1 ./internal/collector

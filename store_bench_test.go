@@ -33,10 +33,10 @@ import (
 // device term either mode is paying).
 func storeBenchAppend(b *testing.B, maxBatch int) {
 	l, _, err := store.Open(b.TempDir(), store.Options{
-		MaxBatch:     maxBatch,
-		MaxWait:      2 * time.Millisecond,
-		CompactAfter: -1,
-		SyncDelay:    time.Millisecond,
+		MaxBatch:      maxBatch,
+		MaxWait:       2 * time.Millisecond,
+		SnapshotAfter: -1,
+		SyncDelay:     time.Millisecond,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -125,7 +125,7 @@ func replayBenchFrames(b *testing.B, n int) [][]byte {
 func BenchmarkStoreReplay(b *testing.B) {
 	const frames = 800
 	dir := filepath.Join(b.TempDir(), "log")
-	l, _, err := store.Open(dir, store.Options{CompactAfter: -1})
+	l, _, err := store.Open(dir, store.Options{SnapshotAfter: -1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func BenchmarkStoreReplay(b *testing.B) {
 		}
 		c := collector.New(collector.Config{})
 		b.StartTimer()
-		l, rec, err := c.OpenStore(dir, store.Options{CompactAfter: -1})
+		l, rec, err := c.OpenStore(dir, store.Options{SnapshotAfter: -1})
 		b.StopTimer()
 		if err != nil {
 			b.Fatal(err)
