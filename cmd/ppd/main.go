@@ -292,15 +292,21 @@ func relay(args []string) {
 		}
 	}()
 
-	r.Start()
+	r.Start(func(err error) {
+		log.Printf("upstream flush: %v; %s", err, relayCounts(r.Stats()))
+	})
 	log.Printf("relay listening on %s, forwarding to %s every %v (batch %d)",
 		*addr, *upstream, *interval, *batch)
 	if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}
 	<-done
-	st := r.Stats()
-	log.Printf("relayed %d envelopes in %d frames (%d flush failures, %d refused items dropped on refold)",
+	log.Print(relayCounts(r.Stats()))
+}
+
+// relayCounts renders a relay's counters for the log.
+func relayCounts(st collector.RelayStats) string {
+	return fmt.Sprintf("relayed %d envelopes in %d frames (%d flush failures, %d refused items dropped on refold)",
 		st.EnvelopesPushed, st.FramesPushed, st.FlushFailures, st.RefoldDropped)
 }
 

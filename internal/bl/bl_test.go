@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pathprof/internal/cfg"
 	"pathprof/internal/ir"
 	"pathprof/internal/testgen"
 )
@@ -354,11 +353,12 @@ func TestEdgeValSumsWithinRange(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for _, e := range cfg.Edges(proc) {
-			v := nm.EdgeVal(e)
-			if v < 0 || v >= nm.NumPaths {
-				t.Logf("seed %d: edge %v value %d out of [0,%d)", seed, e, v, nm.NumPaths)
-				return false
+		for b, es := range nm.Succs {
+			for _, e := range es {
+				if e.Val < 0 || e.Val >= nm.NumPaths {
+					t.Logf("seed %d: edge %d->%d (slot %d) value %d out of [0,%d)", seed, b, e.To, e.Slot, e.Val, nm.NumPaths)
+					return false
+				}
 			}
 		}
 		return true

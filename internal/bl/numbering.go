@@ -66,18 +66,13 @@ type Numbering struct {
 	BStart    []int64
 	BEnd      []int64
 
-	// Val maps each real non-backedge edge to its increment. Edges absent
-	// from the map (or with value 0) need no instrumentation.
-	Val map[cfg.Edge]int64
-
 	// K and NumPathsK describe the k-iteration extension (kpath.go). After
 	// New, K == 1 and NumPathsK == NumPaths; ExtendK raises them so ids
 	// cover paths spanning up to K loop iterations.
 	K         int
 	NumPathsK int64
 
-	isBackedge map[cfg.Edge]int // edge -> index in Backedges
-	rto        []ir.BlockID     // reverse topological order of the transformed graph
+	rto []ir.BlockID // reverse topological order of the transformed graph
 
 	// Layered numbering data, nil while K == 1 (see kpath.go).
 	npk     [][]int64   // [layer][block]: k-path completions from block
@@ -91,11 +86,9 @@ type Numbering struct {
 func New(p *ir.Proc) (*Numbering, error) {
 	n := len(p.Blocks)
 	nm := &Numbering{
-		Proc:       p,
-		NP:         make([]int64, n),
-		Succs:      make([][]TEdge, n),
-		Val:        make(map[cfg.Edge]int64),
-		isBackedge: make(map[cfg.Edge]int),
+		Proc:  p,
+		NP:    make([]int64, n),
+		Succs: make([][]TEdge, n),
 	}
 
 	// The pseudo-edge transform requires a canonical ENTRY with no incoming
@@ -110,9 +103,10 @@ func New(p *ir.Proc) (*Numbering, error) {
 		}
 	}
 
-	for i, e := range cfg.Backedges(p) {
-		nm.Backedges = append(nm.Backedges, e)
-		nm.isBackedge[e] = i
+	nm.Backedges = cfg.Backedges(p)
+	isBackedge := make(map[cfg.Edge]bool, len(nm.Backedges))
+	for _, e := range nm.Backedges {
+		isBackedge[e] = true
 	}
 	nm.BStart = make([]int64, len(nm.Backedges))
 	nm.BEnd = make([]int64, len(nm.Backedges))
@@ -124,7 +118,7 @@ func New(p *ir.Proc) (*Numbering, error) {
 	for _, b := range p.Blocks {
 		for slot, s := range b.Succs {
 			e := cfg.Edge{From: b.ID, To: s, Slot: slot}
-			if _, isBE := nm.isBackedge[e]; isBE {
+			if isBackedge[e] {
 				continue
 			}
 			nm.Succs[b.ID] = append(nm.Succs[b.ID], TEdge{Kind: Real, To: s, Slot: slot})
@@ -185,10 +179,6 @@ func New(p *ir.Proc) (*Numbering, error) {
 			e.Val = sum
 			sum += nm.NP[e.To]
 			switch e.Kind {
-			case Real:
-				if e.Val != 0 {
-					nm.Val[cfg.Edge{From: b.ID, To: e.To, Slot: e.Slot}] = e.Val
-				}
 			case PseudoStart:
 				nm.BStart[e.Backedge] = e.Val
 			case PseudoEnd:
@@ -198,16 +188,6 @@ func New(p *ir.Proc) (*Numbering, error) {
 	}
 	return nm, nil
 }
-
-// BackedgeIndex returns the index of e in Backedges and whether e is a
-// backedge.
-func (nm *Numbering) BackedgeIndex(e cfg.Edge) (int, bool) {
-	i, ok := nm.isBackedge[e]
-	return i, ok
-}
-
-// EdgeVal returns the increment for a real edge (0 if none).
-func (nm *Numbering) EdgeVal(e cfg.Edge) int64 { return nm.Val[e] }
 
 // CounterSlots returns how many counters a profile of this procedure needs:
 // one per potential path.

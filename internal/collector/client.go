@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"pathprof/internal/cct"
@@ -261,24 +262,50 @@ func (cl *Client) PushRun(ctx context.Context, cell *experiments.Cell) ([]Ingest
 	return out, nil
 }
 
-func (cl *Client) get(ctx context.Context, path string) ([]byte, error) {
+func (cl *Client) get(ctx context.Context, path string) (string, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cl.BaseURL+path, nil)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	resp, err := cl.http().Do(req)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readString(resp.Body, resp.ContentLength)
 	if err != nil {
-		return nil, err
+		return "", err
 	}
 	if resp.StatusCode != http.StatusOK {
-		return nil, &apiError{Status: resp.StatusCode, Body: string(data)}
+		return "", &apiError{Status: resp.StatusCode, Body: data}
 	}
 	return data, nil
+}
+
+// copyBufs pools the buffers response bodies are copied through.
+var copyBufs = sync.Pool{New: func() any { b := make([]byte, 4<<10); return &b }}
+
+// readString reads body to its end into the string it returns. declared,
+// the Content-Length or -1 when unknown, presizes the string up to
+// maxPooledBody, as readBody caps its own presize (the length is the
+// peer's claim), so a body of declared length takes one allocation.
+func readString(body io.Reader, declared int64) (string, error) {
+	var sb strings.Builder
+	if declared > 0 {
+		sb.Grow(int(min(declared, maxPooledBody)))
+	}
+	buf := copyBufs.Get().(*[]byte)
+	defer copyBufs.Put(buf)
+	for {
+		n, err := body.Read(*buf)
+		sb.Write((*buf)[:n])
+		if err == io.EOF {
+			return sb.String(), nil
+		}
+		if err != nil {
+			return sb.String(), err
+		}
+	}
 }
 
 // Table fetches the rendered table n (3, 4 or 5), optionally restricted
@@ -288,8 +315,7 @@ func (cl *Client) Table(ctx context.Context, n int, programs []string) (string, 
 	if len(programs) > 0 {
 		path += "?programs=" + strings.Join(programs, ",")
 	}
-	data, err := cl.get(ctx, path)
-	return string(data), err
+	return cl.get(ctx, path)
 }
 
 // MetricTable fetches the named-metric totals table, optionally
@@ -299,8 +325,7 @@ func (cl *Client) MetricTable(ctx context.Context, programs []string) (string, e
 	if len(programs) > 0 {
 		path += "?programs=" + strings.Join(programs, ",")
 	}
-	data, err := cl.get(ctx, path)
-	return string(data), err
+	return cl.get(ctx, path)
 }
 
 // Programs fetches the list of aggregated programs.
@@ -310,7 +335,7 @@ func (cl *Client) Programs(ctx context.Context) ([]string, error) {
 		return nil, err
 	}
 	var out []string
-	if err := json.Unmarshal(data, &out); err != nil {
+	if err := json.Unmarshal([]byte(data), &out); err != nil {
 		return nil, fmt.Errorf("collector: bad programs response: %w", err)
 	}
 	return out, nil

@@ -107,7 +107,8 @@ type shard struct {
 // Store is present only when a durability tier is mounted (see
 // durable.go): it carries the per-stage append/fsync/replay/snapshot
 // counters and latencies, and Durability reads "batch" (acks follow the
-// group-committed fsync) instead of "none".
+// group-committed fsync) instead of "none". Relay is present only on the
+// local collector of a started Relay.
 type Metrics struct {
 	IngestedProfiles  uint64         `json:"ingested_profiles"`
 	IngestedCCTs      uint64         `json:"ingested_ccts"`
@@ -128,6 +129,7 @@ type Metrics struct {
 	Draining          bool           `json:"draining"`
 	Durability        string         `json:"durability"`
 	Store             *store.Metrics `json:"store,omitempty"`
+	Relay             *RelayStats    `json:"relay,omitempty"`
 }
 
 // Collector aggregates pushed profiles. Create one with New.
@@ -140,6 +142,9 @@ type Collector struct {
 	// store, when mounted (durable.go), makes every ingest durable
 	// before it is acked; nil keeps the zero-dependency in-memory mode.
 	store Store
+
+	// relay is the started Relay this collector is the local side of.
+	relay atomic.Pointer[Relay]
 
 	mu       sync.Mutex
 	draining bool
@@ -218,6 +223,10 @@ func (c *Collector) Metrics() Metrics {
 		sm := c.store.Metrics()
 		m.Store = &sm
 		m.Durability = "batch"
+	}
+	if r := c.relay.Load(); r != nil {
+		st := r.Stats()
+		m.Relay = &st
 	}
 	return m
 }

@@ -126,7 +126,9 @@ func (c *Collector) replay(payloads [][]byte) []error {
 		}()
 	}
 	wg.Wait()
-	var frames int
+	// As at ingest, a frame and its bytes count only when every item
+	// folded.
+	var frames, bytes int
 	for j := range recs {
 		errs[j] = recs[j].err
 		for _, err := range recs[j].errs {
@@ -136,9 +138,11 @@ func (c *Collector) replay(payloads [][]byte) []error {
 		}
 		if errs[j] == nil {
 			frames++
+			bytes += len(payloads[j])
 		}
 	}
 	c.ingestedFrames.Add(uint64(frames))
+	c.ingestedBytes.Add(uint64(bytes))
 	return errs
 }
 

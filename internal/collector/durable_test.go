@@ -232,6 +232,48 @@ func TestDurablePushRetryDeduplicates(t *testing.T) {
 	}
 }
 
+// TestReplayCountsIngestedBytes: a collector restarted from its log
+// reports the ingest counters the live one did, ingested_bytes included.
+// Replay, like live ingest, counts a frame and its bytes only when every
+// item folds, and counts the items of a refused frame that fold.
+func TestReplayCountsIngestedBytes(t *testing.T) {
+	envs := testEnvelopes(t, 2)
+	dir := t.TempDir()
+	c, cl, l, _ := newDurableServer(t, dir, Config{Shards: 2}, replayOptions)
+	ctx := context.Background()
+	if _, err := cl.PushFrame(ctx, frameOf(t, envs[:4]...)); err != nil {
+		t.Fatal(err)
+	}
+	// The third item does not decode: the frame is refused and logged,
+	// and its other items fold.
+	_, err := cl.PushFrame(ctx, frameOf(t, envs[4], envs[5], envelope{ex: hugeNumProcs}, envs[7]))
+	if statusOf(t, err) != http.StatusBadRequest {
+		t.Fatalf("frame with an undecodable item: %v, want 400", err)
+	}
+	if _, err := cl.PushFrame(ctx, frameOf(t, envs[6])); err != nil {
+		t.Fatal(err)
+	}
+	want := c.Metrics()
+	if want.IngestedFrames != 2 || want.IngestedProfiles != 4 || want.IngestedCCTs != 4 || want.IngestedBytes == 0 {
+		t.Fatalf("live collector ingested %d frames, %d profiles, %d CCTs, %d bytes; want 2, 4, 4 and some bytes",
+			want.IngestedFrames, want.IngestedProfiles, want.IngestedCCTs, want.IngestedBytes)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, rec := reopenCopy(t, dir, 2)
+	if rec.Records != 3 || rec.ApplyErrors != 1 {
+		t.Fatalf("recovery %+v, want 3 records and 1 apply error", rec)
+	}
+	got := r.Metrics()
+	if got.IngestedFrames != want.IngestedFrames || got.IngestedProfiles != want.IngestedProfiles ||
+		got.IngestedCCTs != want.IngestedCCTs || got.IngestedBytes != want.IngestedBytes {
+		t.Fatalf("restart ingested %d frames, %d profiles, %d CCTs, %d bytes; the live collector %d, %d, %d, %d",
+			got.IngestedFrames, got.IngestedProfiles, got.IngestedCCTs, got.IngestedBytes,
+			want.IngestedFrames, want.IngestedProfiles, want.IngestedCCTs, want.IngestedBytes)
+	}
+}
+
 // TestStoreFullBackpressure covers the satellite: when the WAL disk
 // budget is exhausted the client sees 503 + Retry-After (a retryable
 // shed, like 429), RejectedStoreFull counts it, and a snapshot frees
@@ -294,7 +336,7 @@ func TestDurabilityMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var m Metrics
-	if err := json.Unmarshal(data, &m); err != nil {
+	if err := json.Unmarshal([]byte(data), &m); err != nil {
 		t.Fatal(err)
 	}
 	if m.Durability != "batch" {
@@ -314,7 +356,7 @@ func TestDurabilityMetricsExposed(t *testing.T) {
 		t.Fatal(err)
 	}
 	var mm Metrics
-	if err := json.Unmarshal(data, &mm); err != nil {
+	if err := json.Unmarshal([]byte(data), &mm); err != nil {
 		t.Fatal(err)
 	}
 	if mm.Durability != "none" || mm.Store != nil {

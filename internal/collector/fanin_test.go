@@ -114,7 +114,7 @@ func TestRelayTreeFanIn(t *testing.T) {
 			Interval: 50 * time.Millisecond,
 			MaxItems: 64,
 		}
-		r.Start()
+		r.Start(nil)
 		leaves = append(leaves, r)
 		leafCls = append(leafCls, &Client{BaseURL: srv.URL, HTTPClient: srv.Client(), Retry: &RetryPolicy{}})
 	}

@@ -3,6 +3,7 @@ package collector
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net"
 	"net/http"
@@ -531,6 +532,55 @@ func TestRelayDropsWhollyRefusedFrame(t *testing.T) {
 	}
 	if progs := relay.Programs(); len(progs) != 0 {
 		t.Fatalf("relay still holds %v", progs)
+	}
+}
+
+// TestRelayReportsPeriodicFlushFailures: the periodic flush loop hands
+// the error of a flush into a dead upstream to Start's caller, and the
+// relay's /metrics then carries its counters as a relay object, which a
+// plain collector's /metrics lacks.
+func TestRelayReportsPeriodicFlushFailures(t *testing.T) {
+	prof, _ := fixtures(t)
+	ctx := context.Background()
+	local, localCl := newServer(t, Config{Shards: 2})
+	relayOf := func() *RelayStats {
+		t.Helper()
+		data, err := localCl.get(ctx, "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m Metrics
+		if err := json.Unmarshal([]byte(data), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.Relay
+	}
+	if st := relayOf(); st != nil {
+		t.Fatalf("a plain collector's /metrics carries relay counters %+v", st)
+	}
+	if _, err := localCl.PushProfile(ctx, prof); err != nil {
+		t.Fatal(err)
+	}
+	dead := &Client{BaseURL: "http://127.0.0.1:1", HTTPClient: &http.Client{Timeout: 200 * time.Millisecond}}
+	r := &Relay{Local: local, Upstream: dead, Interval: 5 * time.Millisecond}
+	reported := make(chan error, 1)
+	r.Start(func(err error) {
+		select {
+		case reported <- err:
+		default:
+		}
+	})
+	defer r.Stop(ctx)
+	select {
+	case err := <-reported:
+		if !strings.Contains(err.Error(), "127.0.0.1:1") {
+			t.Fatalf("reported flush error %v does not name the upstream", err)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("no failed periodic flush was reported")
+	}
+	if st := relayOf(); st == nil || st.FlushFailures < 1 {
+		t.Fatalf("relay /metrics after a failed flush: %+v, want flush_failures >= 1", st)
 	}
 }
 

@@ -9,7 +9,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -172,5 +174,67 @@ func TestReadBodyBounded(t *testing.T) {
 	buf, err = readBody(buf, bytes.NewReader(big), -1)
 	if err != nil || !bytes.Equal(buf, big) || cap(buf) <= maxPooledBody {
 		t.Fatalf("outsized body: %d bytes read into cap %d, err %v", len(buf), cap(buf), err)
+	}
+}
+
+// TestClientReadsTableOnce: Table and MetricTable return a table larger
+// than io.ReadAll's first 512-byte buffer byte for byte, whether the
+// response declares its length or is chunked. A declared length presizes
+// the string only up to maxPooledBody, so a response that declares 64 MiB
+// over a short body allocates under 2 MiB, and a body of declared length
+// reads into its one allocation.
+func TestClientReadsTableOnce(t *testing.T) {
+	table := strings.Repeat("compress       1234     5678   91.2%\n", 64)
+	var chunked, lying atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		switch {
+		case lying.Load():
+			w.Header().Set("Content-Length", strconv.Itoa(64<<20))
+			io.WriteString(w, table[:10])
+		case chunked.Load():
+			io.WriteString(w, table[:100])
+			w.(http.Flusher).Flush()
+			io.WriteString(w, table[100:])
+		default:
+			w.Header().Set("Content-Length", strconv.Itoa(len(table)))
+			io.WriteString(w, table)
+		}
+	}))
+	defer srv.Close()
+	cl := &Client{BaseURL: srv.URL, HTTPClient: srv.Client()}
+	ctx := context.Background()
+	for _, c := range []bool{false, true} {
+		chunked.Store(c)
+		if got, err := cl.Table(ctx, 4, nil); err != nil || got != table {
+			t.Fatalf("chunked=%v: Table read %d bytes of %d, err %v", c, len(got), len(table), err)
+		}
+		if got, err := cl.MetricTable(ctx, []string{"compress"}); err != nil || got != table {
+			t.Fatalf("chunked=%v: MetricTable read %d bytes of %d, err %v", c, len(got), len(table), err)
+		}
+	}
+
+	lying.Store(true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := cl.Table(ctx, 3, nil)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("a body shorter than its declared 64 MiB read as a table")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n >= 2<<20 {
+		t.Fatalf("a 64 MiB declaration over 10 bytes allocated %d bytes", n)
+	}
+
+	if raceEnabled {
+		return // race instrumentation allocates
+	}
+	rd := strings.NewReader(table)
+	if allocs := testing.AllocsPerRun(20, func() {
+		rd.Reset(table)
+		if got, err := readString(rd, int64(len(table))); err != nil || got != table {
+			t.Fatalf("readString = %d bytes, %v", len(got), err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("reading a %d-byte body of declared length took %v allocations, want 1", len(table), allocs)
 	}
 }

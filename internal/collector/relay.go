@@ -94,11 +94,15 @@ func (r *Relay) maxItems() int {
 	return 64
 }
 
-// Start launches the periodic flush loop. Call Stop to flush the tail
-// and halt.
-func (r *Relay) Start() {
+// Start launches the periodic flush loop. Each failed flush's error goes
+// to report (a nil report drops them); report runs on the loop's
+// goroutine, so the next flush waits for it. From Start on, Local's
+// /metrics carries the relay's counters as its "relay" object. Call Stop
+// to flush the tail and halt.
+func (r *Relay) Start(report func(error)) {
 	r.stop = make(chan struct{})
 	r.done = make(chan struct{})
+	r.Local.relay.Store(r)
 	go func() {
 		defer close(r.done)
 		t := time.NewTicker(r.interval())
@@ -106,7 +110,9 @@ func (r *Relay) Start() {
 		for {
 			select {
 			case <-t.C:
-				r.FlushOnce(context.Background())
+				if err := r.FlushOnce(context.Background()); err != nil && report != nil {
+					report(err)
+				}
 			case <-r.stop:
 				return
 			}

@@ -12,11 +12,14 @@ package instrument
 
 import (
 	"fmt"
+	"slices"
 
 	"pathprof/internal/ir"
 )
 
-// editor performs structural edits on one (cloned) procedure.
+// editor performs structural edits on one (cloned) procedure. Every block
+// it rebuilds gets an instruction slice of exact length (slices.Concat):
+// the plan keeps the edited program for as long as it is run.
 type editor struct {
 	proc *ir.Proc
 }
@@ -58,25 +61,20 @@ func (ed *editor) splitEntry() ir.BlockID {
 // prependEntry inserts seq at the top of the (already split) entry block.
 func (ed *editor) prependEntry(seq []ir.Instr) {
 	b := ed.proc.Blocks[0]
-	b.Instrs = append(append([]ir.Instr{}, seq...), b.Instrs...)
+	b.Instrs = slices.Concat(seq, b.Instrs)
 }
 
 // insertBeforeTerm appends seq just before the terminator of block b.
 func (ed *editor) insertBeforeTerm(b ir.BlockID, seq []ir.Instr) {
 	blk := ed.proc.Blocks[b]
-	term := blk.Instrs[len(blk.Instrs)-1]
-	body := blk.Instrs[:len(blk.Instrs)-1]
-	blk.Instrs = append(append(append([]ir.Instr{}, body...), seq...), term)
+	t := len(blk.Instrs) - 1
+	blk.Instrs = slices.Concat(blk.Instrs[:t], seq, blk.Instrs[t:])
 }
 
 // insertAt inserts seq before the instruction at index idx of block b.
 func (ed *editor) insertAt(b ir.BlockID, idx int, seq []ir.Instr) {
 	blk := ed.proc.Blocks[b]
-	out := make([]ir.Instr, 0, len(blk.Instrs)+len(seq))
-	out = append(out, blk.Instrs[:idx]...)
-	out = append(out, seq...)
-	out = append(out, blk.Instrs[idx:]...)
-	blk.Instrs = out
+	blk.Instrs = slices.Concat(blk.Instrs[:idx], seq, blk.Instrs[idx:])
 }
 
 // numPreds counts incoming edges (not distinct predecessors) per block.
@@ -107,13 +105,13 @@ func (ed *editor) insertOnEdge(from ir.BlockID, slot int, preds []int, seq []ir.
 	}
 	if int(to) < len(preds) && preds[to] == 1 && to != 0 {
 		b := p.Blocks[to]
-		b.Instrs = append(append([]ir.Instr{}, seq...), b.Instrs...)
+		b.Instrs = slices.Concat(seq, b.Instrs)
 		return
 	}
 	// Split the edge.
 	nb := &ir.Block{
 		ID:     ir.BlockID(len(p.Blocks)),
-		Instrs: append(append([]ir.Instr{}, seq...), ir.Instr{Op: ir.Jmp}),
+		Instrs: slices.Concat(seq, []ir.Instr{{Op: ir.Jmp}}),
 		Succs:  []ir.BlockID{to},
 	}
 	p.Blocks = append(p.Blocks, nb)

@@ -60,27 +60,27 @@ type ProcPaths struct {
 	K int
 
 	// arena backs the Entries' Metrics slices in chunks — one allocation
-	// per arenaChunk entries instead of one per path, the same discipline
+	// per chunk of entries instead of one per path, the same discipline
 	// the cct package uses for its node records.
 	arena []uint64
 }
 
-// arenaChunk is the arena growth quantum, in uint64 words.
+// arenaChunk caps the arena's chunk size, in uint64 words.
 const arenaChunk = 1024
 
 // NewMetrics carves an n-slot zeroed metrics slice out of the procedure's
-// arena. The returned slice has capacity exactly n, so appending to it can
+// arena. The first chunk holds exactly the first request and each later
+// one doubles the chunk before it, up to arenaChunk words (or n, when n is
+// larger), so a procedure whose entries all take n slots keeps less than
+// twice the words it hands out: a run that recorded few paths keeps few
+// words. The returned slice has capacity exactly n, so appending to it can
 // never bleed into a neighbouring entry.
 func (pp *ProcPaths) NewMetrics(n int) []uint64 {
 	if n == 0 {
 		return nil
 	}
 	if len(pp.arena)+n > cap(pp.arena) {
-		size := arenaChunk
-		if n > size {
-			size = n
-		}
-		pp.arena = make([]uint64, 0, size)
+		pp.arena = make([]uint64, 0, max(n, min(2*cap(pp.arena), arenaChunk)))
 	}
 	lo := len(pp.arena)
 	pp.arena = pp.arena[:lo+n]

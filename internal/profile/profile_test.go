@@ -82,6 +82,29 @@ func TestNewMetricsArena(t *testing.T) {
 			t.Fatalf("slice %d clobbered: %v", i, m)
 		}
 	}
+
+	// The first chunk is the first request, and the capacity kept (every
+	// chunk opened so far) stays under twice the words handed out, for
+	// requests below, at and above the chunk cap.
+	for _, n := range []int{1, 2, 3, 7, arenaChunk, arenaChunk + 1} {
+		pp := &ProcPaths{}
+		var kept, words int
+		var chunk *uint64
+		for i := 0; i < 3000; i++ {
+			pp.NewMetrics(n)
+			words += n
+			if i == 0 && cap(pp.arena) != n {
+				t.Fatalf("n=%d: first chunk holds %d words", n, cap(pp.arena))
+			}
+			if c := &pp.arena[0]; c != chunk {
+				chunk = c
+				kept += cap(pp.arena)
+			}
+			if kept >= 2*words {
+				t.Fatalf("n=%d: %d requests keep %d words for %d handed out", n, i+1, kept, words)
+			}
+		}
+	}
 }
 
 func TestSortOrders(t *testing.T) {

@@ -40,11 +40,13 @@ go test -race ./...
 # pushes interleave. One race run sees one interleaving, so the replay and
 # conflict tests run ten times. So do the tests of the push body read (a
 # pooled buffer under a read deadline, on the handler goroutine), of the
-# relay's rules for a frame the upstream refused in part or whole, and of
-# the automatic snapshot that races live pushes, named one by one so that
-# the pattern misses TestRelayTreeFanIn.
+# relay's rules for a frame the upstream refused in part or whole, of the
+# relay's report of failed periodic flushes (its flush loop runs beside
+# the /metrics handler that reads its counters), and of the automatic
+# snapshot that races live pushes, named one by one so that the pattern
+# misses TestRelayTreeFanIn.
 go test -race -count=10 -run 'Replay|Conflict' ./internal/collector ./internal/store
-go test -race -count=10 -run '^(TestChunkedPushFoldsLikeSized|TestShortBodyRejected|TestKeepAliveAfterDeadline|TestReadBodyBounded|TestSlowClientTimesOut|TestOversizedBodyRejected|TestRelayDropsRefusedItemsOfFoldedFrame|TestRelayDropsWhollyRefusedFrame|TestSnapshotAfterBoundsLog|TestIngestKeepsNoPayload)$' ./internal/collector ./internal/store
+go test -race -count=10 -run '^(TestChunkedPushFoldsLikeSized|TestShortBodyRejected|TestKeepAliveAfterDeadline|TestReadBodyBounded|TestSlowClientTimesOut|TestOversizedBodyRejected|TestRelayDropsRefusedItemsOfFoldedFrame|TestRelayDropsWhollyRefusedFrame|TestSnapshotAfterBoundsLog|TestIngestKeepsNoPayload|TestRelayReportsPeriodicFlushFailures)$' ./internal/collector ./internal/store
 
 go test -run='^$' -bench=. -benchtime=1x ./...
 
